@@ -8,11 +8,10 @@ Monte Carlo harness with a CLI.
 """
 
 from .absorption import (AbsorberIndex, AbsorptionState, BStatistics,
-                         ShiftedColouredGraph, SpanningResult,
-                         absorb_leftovers, absorb_step, b_size_bound,
-                         compute_B, draw_permutation, embed_spanning,
-                         measure_B_statistics, partition_edge_set,
-                         randomness_shift, select_fresh_part)
+                         SpanningResult, absorb_leftovers, absorb_step,
+                         b_size_bound, compute_B, draw_permutation,
+                         embed_spanning, measure_B_statistics,
+                         partition_edge_set, select_fresh_part)
 from .embedding import (AlmostSpanningResult, PipelineParams, colour_coverage,
                         derive_parameters, embed_almost_spanning,
                         embed_rooted_tree, format_embedding, format_trace,

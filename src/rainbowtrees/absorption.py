@@ -38,71 +38,10 @@ Pair = Tuple[int, int]
 # relabelling
 
 
-@dataclass(frozen=True)
-class ShiftedColouredGraph:
-    """A coloured graph together with a relabelled copy of itself.
-
-    `shifted` is `base` pushed through `perm`: the pair (u, v) becomes
-    (perm[u], perm[v]) and keeps its colour.  Relabelling commutes with
-    taking subgraphs, so any subgraph of the base is rainbow exactly when
-    its image is.
-    """
-
-    base: ColouredGraph
-    perm: Dict[int, int]
-    shifted: ColouredGraph
-
-    def validate(self) -> None:
-        n = self.base.n
-        assert set(self.perm) == set(range(n))
-        assert set(self.perm.values()) == set(range(n))
-        assert self.shifted.n == n
-        moved = {canonical_edge(self.perm[u], self.perm[v]): c
-                 for (u, v), c in self.base.colouring.items()}
-        assert self.shifted.edges == frozenset(moved)
-        for pair, c in moved.items():
-            assert self.shifted.colouring[pair] == c, \
-                "colour changed under relabelling at %r" % (pair,)
-
-
 def draw_permutation(n: int, source: RandomSource) -> Dict[int, int]:
     """A uniformly random bijection of range(n), as an old -> new dict."""
     arr = source.generator().permutation(n)
     return {i: int(arr[i]) for i in range(n)}
-
-
-def randomness_shift(base: ColouredGraph,
-                     source: Optional[RandomSource] = None,
-                     perm: Optional[Dict[int, int]] = None
-                     ) -> ShiftedColouredGraph:
-    """Relabel a coloured graph by a uniformly random permutation.
-
-    The permutation is drawn from `source` unless an explicit bijection
-    is supplied.  Colours travel with their pairs, so every subgraph and
-    its image agree on rainbow-ness; only the location of the structure
-    is re-randomized.
-    """
-    if not base.is_coloured:
-        raise ParameterError("randomness shift needs a coloured graph")
-    n = base.n
-    if perm is None:
-        if source is None:
-            raise ParameterError("supply a RandomSource or an explicit "
-                                 "permutation")
-        perm = draw_permutation(n, source)
-    else:
-        perm = {int(k): int(v) for k, v in perm.items()}
-        if (len(perm) != n or set(perm) != set(range(n))
-                or set(perm.values()) != set(range(n))):
-            raise ParameterError("perm must be a bijection of range(%d)" % n)
-    moved = {canonical_edge(perm[u], perm[v]): c
-             for (u, v), c in base.colouring.items()}
-    shifted = ColouredGraph(n, list(moved), colouring=moved,
-                            palette_size=base.palette_size,
-                            vertex_set={perm[v] for v in base.vertex_set})
-    out = ShiftedColouredGraph(base=base, perm=perm, shifted=shifted)
-    out.validate()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,28 +78,22 @@ def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
             detail={"min_degree": g_minus_r.min_degree(),
                     "required": floor_pre})
     if r_edges is not None:
-        overlap = g_minus_r.edges & frozenset(
-            canonical_edge(int(u), int(v)) for u, v in r_edges)
+        overlap = g_minus_r.size - g_minus_r.without_edges(r_edges).size
         assert not overlap, \
-            "input still contains %d removed random edges" % len(overlap)
+            "input still contains %d removed random edges" % overlap
 
-    rows = g_minus_r.edge_array()
     bound = delta * n / (2.0 * d)
     gen = source.generator()
     for _ in range(max(1, retries)):
-        labels = gen.integers(0, d, size=len(rows))
-        ok = True
+        labels = gen.integers(0, d, size=g_minus_r.size)
+        parts = []
         for j in range(d):
-            picked = rows[labels == j]
-            degs = np.bincount(picked.ravel(), minlength=n) \
-                if len(picked) else np.zeros(n, dtype=np.int64)
-            if degs.min() + 1e-9 < bound:
-                ok = False
+            part = g_minus_r.keep_edges(labels == j)
+            if part.min_degree() + 1e-9 < bound:
                 break
-        if ok:
-            return tuple(
-                ColouredGraph(n, [(int(a), int(b)) for a, b in rows[labels == j]])
-                for j in range(d))
+            parts.append(part)
+        else:
+            return tuple(parts)
     raise PartitionFailure(
         "no slicing met the degree floor %.2f in %d draws" % (bound, retries),
         detail={"bound": bound, "retries": retries})
@@ -270,12 +203,11 @@ class AbsorberIndex:
         assert d >= 1
         assert len(self.i0_nodes) == len(self.anchors)
         assert len(set(self.anchors)) == len(self.anchors)
-        seen: set = set()
-        for j, h in enumerate(self.parts):
-            assert not (h.edges & seen), "slices share an edge"
-            seen |= h.edges
+        codes = np.sort(np.concatenate([h.edge_codes() for h in self.parts]))
+        assert (np.diff(codes) > 0).all(), "slices share an edge"
         if g_minus_r is not None:
-            assert seen <= g_minus_r.edges, \
+            assert all(h.n == g_minus_r.n for h in self.parts)
+            assert np.isin(codes, g_minus_r.edge_codes()).all(), \
                 "slices contain edges outside the sliced graph"
             if delta is not None:
                 floor = delta * g_minus_r.n / (2.0 * d)
@@ -426,9 +358,9 @@ def absorb_step(state: AbsorptionState, v: int, u_node: int, j_star: int,
     for y in ys:
         state.edge_colours.pop(canonical_edge(x, y))
     for y, c in zip(ys, kept[1:]):
-        assert h.has_edge(y, v)
+        assert y in h.neighbours(v)
         state.edge_colours[canonical_edge(y, v)] = c
-    assert h.has_edge(u, x)
+    assert x in h.neighbours(u)
     state.edge_colours[canonical_edge(u, x)] = kept[0]
     state.mapping[z] = v
     state.mapping[v_node] = x
@@ -491,7 +423,7 @@ def _validate_spanning(state_mapping: Dict[int, int],
         pair = canonical_edge(state_mapping[a], state_mapping[b])
         assert pair in edge_colours, \
             "tree edge (%r, %r) has no embedded image" % (a, b)
-        assert pair in seed.edges or oracle.presence_of(pair), \
+        assert seed.has_edge(*pair) or oracle.presence_of(pair), \
             "image edge %r lies outside the host" % (pair,)
         assert oracle.colour_of(pair) == edge_colours[pair]
 

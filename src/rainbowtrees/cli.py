@@ -152,8 +152,6 @@ def _add_common(sp, *, trials_default: int = 20) -> None:
     sp.add_argument("--trials", type=int, default=trials_default)
     sp.add_argument("--seed", type=int, default=0, help="base random seed")
     sp.add_argument("--out", default=None, help="write CSV records here")
-    sp.add_argument("--format", choices=["edgelist"], default="edgelist",
-                    help="text format for graph payloads")
 
 
 def _add_trial_extras(sp) -> None:
@@ -186,7 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=["edgelist"], default="edgelist")
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("colour", help="colour an edge list uniformly")
@@ -196,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="palette size (default: vertex count)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=["edgelist"], default="edgelist")
     sp.set_defaults(func=_cmd_colour)
 
     for name, kind, blurb in (
@@ -238,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--knobs", default=None)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=["edgelist"], default="edgelist")
     sp.set_defaults(func=_cmd_lemma_stats)
 
     return parser

@@ -23,15 +23,11 @@ from .errors import (EmbedFailure, ExpanderFailure, InfeasibleParameters,
 from .expanders import (ExpandParams, degrade_attach, ell1, ell2,
                         find_effective_expander, sparsify)
 from .exposure import ExposureOracle
-from .graphs import ColouredGraph
+from .graphs import ColouredGraph, canonical_edge
 from .rng import RandomSource
 from .trees import Tree, compute_root_sets, decompose_tree
 
 Pair = Tuple[int, int]
-
-
-def _norm(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +423,7 @@ def select_root_edges(root_vertex: int, host, oracle: ExposureOracle,
 
     by_colour: Dict[int, Pair] = {}
     for v in vertices:
-        pair = _norm(root_vertex, v)
+        pair = canonical_edge(root_vertex, v)
         if oracle.expose_presence(pair, kind="root", stage=stage):
             c = oracle.expose_colour(pair, kind="root", stage=stage)
             if c in reservoir and c not in by_colour:
@@ -687,9 +683,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
             if len(attach) >= quota:
                 host = degrade_attach(sub, root_vertex, attach, d)
             else:
-                host = ColouredGraph(
-                    n, set(sub.edges) | set(attach),
-                    vertex_set=set(sub.vertex_set) | {root_vertex})
+                host = sub.union(attach, [root_vertex])
             for pair, colour in pool:
                 stage_colour[pair] = colour
 
@@ -710,7 +704,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
             assert node not in placement, "node %r embedded twice" % (node,)
             placement[node] = vertex
         for x, y in piece_tree.edges:
-            pair = _norm(mapping[x], mapping[y])
+            pair = canonical_edge(mapping[x], mapping[y])
             colour = stage_colour[pair]
             assert colour not in used_colours, \
                 "colour %d reused across stages" % colour
@@ -726,7 +720,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
     assert len(placement) == tree.m
     assert len(set(placement.values())) == tree.m, "placement not injective"
     for x, y in tree.edges:
-        assert _norm(placement[x], placement[y]) in edge_colours, \
+        assert canonical_edge(placement[x], placement[y]) in edge_colours, \
             "tree edge (%r, %r) has no embedded image" % (x, y)
     assert len(edge_colours) == tree.m - 1
     assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"

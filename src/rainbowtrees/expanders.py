@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .errors import ExpanderFailure, ParameterError, SparsifyFailure
 from .graphs import ColouredGraph, _pairs_from_indices, _skip_sample_indices, \
-    _sweep_sample_indices
+    _sweep_sample_indices, canonical_edge
 from .rng import RandomSource
 
 E4 = math.exp(4.0)
@@ -108,11 +108,8 @@ class ExpansionCheck:
 def _bit_adjacency(graph: ColouredGraph) -> Tuple[List[int], List[int]]:
     verts = sorted(graph.vertex_set)
     pos = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for u, v in graph.edges:
-        masks[pos[u]] |= 1 << pos[v]
-        masks[pos[v]] |= 1 << pos[u]
-    return verts, masks
+    adj = graph.adjacency()
+    return verts, [sum(1 << pos[w] for w in adj[v]) for v in verts]
 
 
 def is_eta_r_expander(graph: ColouredGraph, eta: float, r: int,
@@ -236,7 +233,7 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
     checked = 0
     threshold = math.ceil(ell1_value - 1e-9)
     targets: List[FrozenSet[int]] = []
-    core = _graph_core(graph, threshold)
+    core = _peel(graph, threshold)[0]
     if core:
         targets.append(core)
     for _ in range(8):
@@ -244,8 +241,8 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
             break
         want = int(gen.integers(max(1, n // 2), n + 1))
         sample = gen.choice(n, size=want, replace=False)
-        sub_core = _graph_core(graph.subgraph([verts[int(i)] for i in sample]),
-                               threshold)
+        sub_core = _peel(graph.subgraph([verts[int(i)] for i in sample]),
+                         threshold)[0]
         if sub_core and sub_core not in targets:
             targets.append(sub_core)
     for t_idx, nodes in enumerate(targets):
@@ -259,21 +256,37 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
     return ExpansionCheck(True, False, None, checked)
 
 
-def _graph_core(graph: ColouredGraph, threshold: int) -> FrozenSet[int]:
-    """The maximal vertex set whose induced subgraph has min degree >= threshold."""
-    alive = set(graph.vertex_set)
-    adj = {v: set(graph.adjacency()[v]) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            if len(adj[v]) < threshold:
-                alive.remove(v)
-                for u in adj[v]:
+def _peel(graph: ColouredGraph, lo: float, hi: Optional[int] = None
+          ) -> Tuple[FrozenSet[int], List[Tuple[int, int]]]:
+    """Delete vertices of degree below `lo` and, when `hi` is given, cap
+    degrees above it, until both hold.
+
+    Capping sheds the highest-index neighbours first.  Returns the
+    surviving vertices and the capped edges in the order they were cut;
+    without `hi` the survivors are the maximal vertex set whose induced
+    subgraph has minimum degree at least `lo`.
+    """
+    adj: Dict[int, Set[int]] = {v: set(ns)
+                                for v, ns in graph.adjacency().items()}
+    capped: List[Tuple[int, int]] = []
+    while True:
+        drop = [v for v in adj if len(adj[v]) < lo]
+        while drop:
+            for v in drop:
+                for u in adj.pop(v):
                     adj[u].discard(v)
-                adj.pop(v)
-                changed = True
-    return frozenset(alive)
+            drop = [v for v in adj if len(adj[v]) < lo]
+        over = [] if hi is None else [v for v in sorted(adj)
+                                      if len(adj[v]) > hi]
+        if not over:
+            return frozenset(adj), capped
+        for v in over:
+            for u in sorted(adj[v], reverse=True):
+                if len(adj[v]) <= hi:
+                    break
+                adj[v].remove(u)
+                adj[u].remove(v)
+                capped.append(canonical_edge(u, v))
 
 
 @dataclass(frozen=True)
@@ -298,34 +311,7 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
     """
     lo = params.C
     hi = math.floor(10.0 * params.C + 1e-9)
-    alive = set(graph.vertex_set)
-    adj = {v: set(graph.adjacency()[v]) for v in alive}
-    capped: List[Tuple[int, int]] = []
-
-    stable = False
-    while not stable:
-        stable = True
-        # peel below the band
-        drop = [v for v in alive if len(adj[v]) < lo]
-        while drop:
-            stable = False
-            for v in drop:
-                alive.remove(v)
-                for u in adj[v]:
-                    adj[u].discard(v)
-                adj.pop(v)
-            drop = [v for v in alive if len(adj[v]) < lo]
-        # cap above the band, shedding highest-index neighbours first
-        for v in sorted(alive):
-            if len(adj[v]) > hi:
-                stable = False
-                for u in sorted(adj[v], reverse=True):
-                    if len(adj[v]) <= hi:
-                        break
-                    adj[v].remove(u)
-                    adj[u].remove(v)
-                    capped.append((min(u, v), max(u, v)))
-
+    alive, capped = _peel(graph, lo, hi)
     if not alive:
         raise ExpanderFailure(
             "degree band [%g, %d] unsatisfiable: peeling removed every vertex"
@@ -337,8 +323,7 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
             "peeled %d vertices, above the budget %.2f"
             % (len(deleted), budget), detail={"item": 1, "deleted": len(deleted)})
 
-    edges = {(min(u, v), max(u, v)) for u in alive for v in adj[u] if u < v}
-    sub = ColouredGraph(graph.n, edges, vertex_set=alive)
+    sub = graph.subgraph(alive).without_edges(capped).uncoloured()
     assert sub.min_degree() >= lo and sub.max_degree() <= hi
 
     core = verify_expand_core(sub, params.ell1, params.eta, params.r,
@@ -375,9 +360,7 @@ def degrade_attach(graph: ColouredGraph, new_vertex: int,
             raise ParameterError("attach edge endpoint %d outside the graph" % other)
     if new_vertex in graph.vertex_set:
         raise ParameterError("vertex %d already present" % new_vertex)
-    n = max(graph.n, new_vertex + 1)
-    return ColouredGraph(n, set(graph.edges) | set(edges),
-                         vertex_set=set(graph.vertex_set) | {new_vertex})
+    return graph.union(edges, [new_vertex])
 
 
 def sparsify(block: Iterable[int], p: float, palette_size: int,
@@ -399,18 +382,20 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     call revealed.  The draw itself is unchanged.
     """
     verts = sorted(set(int(v) for v in block))
-    allowed_sorted = sorted(set(int(c) for c in allowed))
+    allowed_set = set(int(c) for c in allowed)
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
-    if any(not 0 <= c < palette_size for c in allowed_sorted):
+    if allowed_set and not 0 <= min(allowed_set) <= max(allowed_set) < palette_size:
         raise ParameterError("allowed colours must lie in the palette")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1], got %r" % p)
-    if m < 0 or m > len(allowed_sorted):
+    if m < 0 or m > len(allowed_set):
         raise ParameterError("m=%d outside [0, |allowed|=%d]"
-                             % (m, len(allowed_sorted)))
+                             % (m, len(allowed_set)))
     if n is None:
         n = (verts[-1] + 1) if verts else 0
+    if verts and not 0 <= verts[0] <= verts[-1] < n:
+        raise ParameterError("block vertices must lie in [0, %d)" % n)
     k = len(verts)
     total = k * (k - 1) // 2
     gen = source.generator()
@@ -424,38 +409,35 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     # (S.2) colours from the full palette
     cols = gen.integers(0, palette_size, size=len(rows))
     if sample_out is not None:
-        sample_out["pairs"] = [(verts[int(i)], verts[int(j)]) for i, j in rows]
-        sample_out["colours"] = [int(c) for c in cols]
+        sample_out["pairs"] = [(verts[i], verts[j]) for i, j in rows.tolist()]
+        sample_out["colours"] = cols.tolist()
 
     by_colour: Dict[int, List[int]] = {}
     for idx, c in enumerate(cols.tolist()):
         by_colour.setdefault(c, []).append(idx)
 
-    # (S.3) one uniform representative per allowed colour; (S.4) drop the rest
-    survivors: List[Tuple[int, int, int]] = []
-    for c in allowed_sorted:
-        bucket = by_colour.get(c)
-        if not bucket:
-            continue
-        pick = bucket[int(gen.integers(0, len(bucket)))]
-        i, j = int(rows[pick][0]), int(rows[pick][1])
-        survivors.append((verts[i], verts[j], c))
+    # (S.3) one uniform representative per allowed colour, in colour
+    # order; (S.4) drop the rest.  Survivors are (row, colour).
+    survivors: List[Tuple[int, int]] = []
+    for c in sorted(by_colour):
+        if c in allowed_set:
+            bucket = by_colour[c]
+            survivors.append((bucket[int(gen.integers(0, len(bucket)))], c))
 
     if len(survivors) < m:
         raise SparsifyFailure(
             "only %d allowed colours survived, needed %d" % (len(survivors), m),
             survivors=len(survivors), needed=m)
 
-    # (S.5) uniform m-subset of the survivors
-    chosen = gen.choice(len(survivors), size=m, replace=False) if m else []
-    edges = {}
-    for t in chosen:
-        u, v, c = survivors[int(t)]
-        edges[(u, v)] = c
-    out = ColouredGraph(n, edges.keys(), edges, palette_size,
-                        vertex_set=verts)
+    # (S.5) uniform m-subset of the survivors, put back in row order,
+    # which the block's ascending labels carry over to label order
+    chosen = sorted(survivors[int(t)] for t in
+                    gen.choice(len(survivors), size=m, replace=False)) if m else []
+    labels = np.array(verts, dtype=np.int64)
+    out = ColouredGraph._from_rows(n, labels[rows[[i for i, _ in chosen]]],
+                                   [c for _, c in chosen], palette_size, verts)
     assert out.size == m, "sparsify produced %d edges, wanted %d" % (out.size, m)
     assert out.is_rainbow(), "sparsify output must be rainbow"
-    assert set(out.colouring.values()) <= set(allowed_sorted), \
+    assert out.colours_used() <= allowed_set, \
         "sparsify leaked a colour outside the allowed set"
     return out

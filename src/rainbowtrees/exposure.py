@@ -14,6 +14,7 @@ the pairs it included, matching what the sampling actually consumed.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import ParameterError, RainbowTreesError
@@ -161,21 +162,17 @@ class ExposureOracle:
         if not self.presence_complete:
             fresh = gen_gnp(self.n, self.p,
                             self.source.substream("materialize")).edges
-            decided = dict(self._presence)
-            for key in fresh:
-                if key not in decided:
-                    decided[key] = True
-            self._presence = decided
+            # already decided pairs keep their value
+            self._presence = {**dict.fromkeys(fresh, True), **self._presence}
             self.presence_complete = True
             self.ledger.append((kind, None, stage))
-        edges = frozenset(k for k, v in self._presence.items() if v)
-        return edges
+        return self.presence_edges()
 
     def presence_edges(self) -> FrozenSet[Pair]:
         """Edge set of the perturbation; requires a prior materialization."""
         if not self.presence_complete:
             raise ExposureError("presence has not been fully materialized")
-        return frozenset(k for k, v in self._presence.items() if v)
+        return frozenset(compress(self._presence, self._presence.values()))
 
     # -- audits ------------------------------------------------------------
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,11 +34,38 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class ColouredGraph:
-    """Immutable simple graph with an optional edge colouring."""
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
-    __slots__ = ("n", "edges", "colouring", "palette_size", "vertex_set",
-                 "_adj", "_edge_array")
+
+def _pair_rows(pairs: Iterable[Edge]) -> np.ndarray:
+    """`pairs` as canonical (u < v) int64 rows, in the given order."""
+    rows = np.sort(np.array(list(pairs), dtype=np.int64).reshape(-1, 2), axis=1)
+    loops = rows[:, 0] == rows[:, 1]
+    if loops.any():
+        canonical_edge(*rows[loops][0].tolist())   # raises on the loop
+    return rows
+
+
+def _codes(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows with entries in [0, n) as codes u * n + v; the order is kept."""
+    return rows[:, 0] * n + rows[:, 1]
+
+
+class ColouredGraph:
+    """Immutable simple graph with an optional edge colouring.
+
+    The edges are stored once, as a canonical (u < v), duplicate-free
+    (m, 2) int64 array in lexicographic order, next to an aligned colour
+    array or None.  `edges` (a frozenset), `colouring` (a read-only
+    mapping, or None) and `adjacency()` are views of those rows, built
+    on first use and cached.
+    """
+
+    __slots__ = ("n", "palette_size", "vertex_set", "_rows", "_colours",
+                 "_edges", "_colouring", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge],
                  colouring: Optional[Dict[Edge, int]] = None,
@@ -45,54 +73,68 @@ class ColouredGraph:
                  vertex_set: Optional[Iterable[int]] = None):
         if n < 0:
             raise ParameterError("n must be nonnegative, got %d" % n)
-        self.n = int(n)
+        n = int(n)
         if vertex_set is None:
-            self.vertex_set = frozenset(range(self.n))
+            vs = frozenset(range(n))
         else:
-            self.vertex_set = frozenset(int(v) for v in vertex_set)
-            for v in self.vertex_set:
-                if not 0 <= v < self.n:
+            vs = frozenset(int(v) for v in vertex_set)
+            for v in vs:
+                if not 0 <= v < n:
                     raise ParameterError("vertex %d outside label space [0, %d)"
-                                         % (v, self.n))
+                                         % (v, n))
         es = frozenset(canonical_edge(u, v) for u, v in edges)
         for u, v in es:
-            if u not in self.vertex_set or v not in self.vertex_set:
+            if u not in vs or v not in vs:
                 raise ParameterError("edge (%d, %d) leaves the vertex set" % (u, v))
-        self.edges = es
+        ordered = sorted(es)
+        colours = col = None
         if colouring is None:
             if palette_size:
                 raise ParameterError("palette_size without colouring")
-            self.colouring = None
-            self.palette_size = 0
         else:
             if palette_size <= 0:
                 raise ParameterError("coloured graph needs palette_size >= 1")
             col = {canonical_edge(u, v): int(c) for (u, v), c in colouring.items()}
-            if set(col) != es:
+            if col.keys() != es:
                 raise ParameterError("colouring must cover exactly the edge set")
             for e, c in col.items():
                 if not 0 <= c < palette_size:
                     raise ParameterError("colour %d of edge %s outside palette [0, %d)"
                                          % (c, e, palette_size))
-            self.colouring = col
-            self.palette_size = int(palette_size)
-        self._adj = None
-        self._edge_array = None
+            colours = [col[e] for e in ordered]
+        self._init(n, np.array(ordered, dtype=np.int64), colours,
+                   palette_size, vs)
+        # the checks built both views already
+        self._edges = es
+        self._colouring = None if col is None else MappingProxyType(col)
+
+    def _init(self, n: int, rows, colours, palette_size: int,
+              vertex_set: FrozenSet[int]) -> None:
+        self.n = n
+        self.vertex_set = vertex_set
+        self._rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+        self._colours = None if colours is None \
+            else np.asarray(colours, dtype=np.int64)
+        self.palette_size = 0 if colours is None else int(palette_size)
+        self._edges = self._colouring = self._adj = None
 
     @classmethod
-    def _from_sorted_pairs(cls, n: int, rows: np.ndarray) -> "ColouredGraph":
-        """Trusted fast path: rows must be canonical (u < v), duplicate-free
-        and lexicographically sorted, with entries in [0, n)."""
+    def _from_rows(cls, n: int, rows, colours=None, palette_size: int = 0,
+                   vertex_set: Optional[Iterable[int]] = None) -> "ColouredGraph":
+        """Trusted constructor, without checks.  `rows` must be canonical
+        (u < v), duplicate-free, lexicographically sorted and inside
+        `vertex_set` (default range(n)); `colours`, when given, must be
+        aligned with them and lie in [0, palette_size)."""
         g = object.__new__(cls)
-        g.n = int(n)
-        g.vertex_set = frozenset(range(int(n)))
-        g.edges = frozenset(zip(rows[:, 0].tolist(), rows[:, 1].tolist())) \
-            if len(rows) else frozenset()
-        g.colouring = None
-        g.palette_size = 0
-        g._adj = None
-        g._edge_array = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 2)
+        vs = frozenset(range(int(n))) if vertex_set is None \
+            else frozenset(vertex_set)
+        g._init(int(n), rows, colours, palette_size, vs)
         return g
+
+    def __reduce__(self):
+        # pickle the rows alone; the views are rebuilt on use
+        return (ColouredGraph._from_rows, (self.n, self._rows, self._colours,
+                                           self.palette_size, self.vertex_set))
 
     # -- basic accessors ------------------------------------------------
 
@@ -102,19 +144,38 @@ class ColouredGraph:
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self._rows)
 
     @property
     def is_coloured(self) -> bool:
-        return self.colouring is not None
+        return self._colours is not None
+
+    def _pairs(self):
+        return zip(self._rows[:, 0].tolist(), self._rows[:, 1].tolist())
+
+    @property
+    def edges(self) -> FrozenSet[Edge]:
+        if self._edges is None:
+            self._edges = frozenset(self._pairs())
+        return self._edges
+
+    @property
+    def colouring(self) -> Optional[Mapping[Edge, int]]:
+        if self._colouring is None and self._colours is not None:
+            self._colouring = MappingProxyType(
+                dict(zip(self._pairs(), self._colours.tolist())))
+        return self._colouring
 
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        """{vertex: its neighbours in ascending order}."""
         if self._adj is None:
-            adj = {v: [] for v in self.vertex_set}
-            for u, v in self.edges:
+            # walking the rows in lexicographic order appends each
+            # vertex's smaller neighbours, then its larger ones, ascending
+            adj: Dict[int, list] = {v: [] for v in self.vertex_set}
+            for u, v in self._pairs():
                 adj[u].append(v)
                 adj[v].append(u)
-            self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            self._adj = {v: tuple(ns) for v, ns in adj.items()}
         return self._adj
 
     def neighbours(self, v: int) -> Tuple[int, ...]:
@@ -123,78 +184,108 @@ class ColouredGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])
 
-    def min_degree(self) -> int:
+    def _degrees(self) -> np.ndarray:
         if not self.vertex_set:
-            raise ParameterError("min_degree of an empty graph")
-        return min(len(ns) for ns in self.adjacency().values())
+            raise ParameterError("degrees of an empty graph")
+        degs = np.bincount(self._rows.ravel(), minlength=self.n)
+        if len(self.vertex_set) < self.n:
+            degs = degs[list(self.vertex_set)]
+        return degs
+
+    def min_degree(self) -> int:
+        return int(self._degrees().min())
 
     def max_degree(self) -> int:
-        if not self.vertex_set:
-            raise ParameterError("max_degree of an empty graph")
-        return max(len(ns) for ns in self.adjacency().values())
+        return int(self._degrees().max())
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edges
 
     def colour_of(self, u: int, v: int) -> int:
-        if self.colouring is None:
+        if self._colours is None:
             raise ParameterError("graph is uncoloured")
         return self.colouring[canonical_edge(u, v)]
 
     def colours_used(self) -> FrozenSet[int]:
-        if self.colouring is None:
+        if self._colours is None:
             raise ParameterError("graph is uncoloured")
-        return frozenset(self.colouring.values())
+        return frozenset(self._colours.tolist())
 
     def is_rainbow(self) -> bool:
         """True when the colouring is injective on the edge set."""
-        if self.colouring is None:
-            raise ParameterError("graph is uncoloured")
-        return len(set(self.colouring.values())) == len(self.edges)
+        return len(self.colours_used()) == self.size
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a lexicographically sorted (m, 2) int64 array."""
-        if self._edge_array is None:
-            arr = np.array(sorted(self.edges), dtype=np.int64)
-            self._edge_array = arr.reshape(-1, 2)
-        return self._edge_array
+        """Edges as a read-only, lexicographically sorted (m, 2) int64 array."""
+        return _read_only(self._rows)
+
+    def edge_codes(self) -> np.ndarray:
+        """Edges as ascending int64 codes u * n + v, aligned with edge_array()."""
+        return _codes(self._rows, self.n)
 
     def colour_array(self) -> np.ndarray:
-        """Colours aligned with edge_array() rows."""
-        if self.colouring is None:
+        """Colours aligned with edge_array() rows, read-only."""
+        if self._colours is None:
             raise ParameterError("graph is uncoloured")
-        return np.array([self.colouring[(int(u), int(v))]
-                         for u, v in self.edge_array()], dtype=np.int64)
+        return _read_only(self._colours)
 
     # -- derived graphs ---------------------------------------------------
+
+    def _restrict(self, keep: np.ndarray,
+                  vertex_set: FrozenSet[int]) -> "ColouredGraph":
+        cols = None if self._colours is None else self._colours[keep]
+        return ColouredGraph._from_rows(self.n, self._rows[keep], cols,
+                                        self.palette_size, vertex_set)
+
+    def keep_edges(self, mask: np.ndarray) -> "ColouredGraph":
+        """Same vertex set, only the edge_array() rows where the boolean
+        `mask` is true (colouring restricted)."""
+        return self._restrict(mask, self.vertex_set)
 
     def subgraph(self, vertices: Iterable[int]) -> "ColouredGraph":
         """Induced subgraph on `vertices`, labels preserved."""
         vs = frozenset(int(v) for v in vertices)
         if not vs <= self.vertex_set:
             raise ParameterError("subgraph vertices must lie in the vertex set")
-        es = [e for e in self.edges if e[0] in vs and e[1] in vs]
-        col = None
-        if self.colouring is not None:
-            col = {e: self.colouring[e] for e in es}
-        return ColouredGraph(self.n, es, col, self.palette_size, vs)
+        inside = np.zeros(self.n, dtype=bool)
+        inside[list(vs)] = True
+        return self._restrict(inside[self._rows].all(axis=1), vs)
 
     def without_edges(self, drop: Iterable[Edge]) -> "ColouredGraph":
         """Same vertex set, edge set minus `drop` (colouring restricted)."""
-        gone = {canonical_edge(u, v) for u, v in drop}
-        es = [e for e in self.edges if e not in gone]
-        col = None
-        if self.colouring is not None:
-            col = {e: self.colouring[e] for e in es}
-        return ColouredGraph(self.n, es, col, self.palette_size, self.vertex_set)
+        gone = _pair_rows(drop)
+        # a pair outside the label space is no edge, and its code could
+        # alias one that is
+        gone = gone[(gone[:, 0] >= 0) & (gone[:, 1] < self.n)]
+        keep = ~np.isin(self.edge_codes(), _codes(gone, self.n))
+        return self._restrict(keep, self.vertex_set)
 
-    def with_colouring(self, colouring: Dict[Edge, int],
-                       palette_size: int) -> "ColouredGraph":
-        return ColouredGraph(self.n, self.edges, colouring, palette_size,
-                             self.vertex_set)
+    def union(self, edges: Iterable[Edge],
+              vertices: Iterable[int] = ()) -> "ColouredGraph":
+        """Uncoloured graph with this graph's edges plus `edges`.
+
+        The vertex set grows by `vertices`, and the label space with it
+        when they lie beyond it; every added edge must join two vertices
+        of the grown vertex set.
+        """
+        new = frozenset(int(v) for v in vertices)
+        if any(v < 0 for v in new):
+            raise ParameterError("vertex labels must be nonnegative")
+        n = max([self.n] + [v + 1 for v in new])
+        vs = self.vertex_set | new
+        extra = _pair_rows(edges)
+        inside = np.zeros(n, dtype=bool)
+        inside[list(vs)] = True
+        if len(extra) and not (0 <= extra.min() and extra.max() < n
+                               and inside[extra].all()):
+            raise ParameterError("an added edge leaves the vertex set")
+        codes = np.union1d(_codes(self._rows, n), _codes(extra, n))
+        return ColouredGraph._from_rows(
+            n, np.stack((codes // n, codes % n), axis=1), vertex_set=vs)
 
     def uncoloured(self) -> "ColouredGraph":
-        return ColouredGraph(self.n, self.edges, None, 0, self.vertex_set)
+        return ColouredGraph._from_rows(self.n, self._rows,
+                                        vertex_set=self.vertex_set)
 
     def __repr__(self):
         tag = "coloured, palette %d" % self.palette_size if self.is_coloured \
@@ -227,8 +318,7 @@ def external_neighbourhood(graph: ColouredGraph, block: Iterable[int]) -> Frozen
 
 
 def complete_graph(n: int) -> ColouredGraph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return ColouredGraph(n, edges)
+    return ColouredGraph._from_rows(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 # -- random models --------------------------------------------------------
@@ -306,8 +396,7 @@ def gen_gnp(n: int, p: float, source: RandomSource) -> ColouredGraph:
         ks = _skip_sample_indices(total, p, gen)
     else:
         ks = _sweep_sample_indices(total, p, gen)
-    rows = _pairs_from_indices(n, ks)
-    return ColouredGraph._from_sorted_pairs(n, rows)
+    return ColouredGraph._from_rows(n, _pairs_from_indices(n, ks))
 
 
 def gen_seed_graph(n: int, delta: float, kind: str,
@@ -342,12 +431,7 @@ def gen_seed_graph(n: int, delta: float, kind: str,
             raise ParameterError(
                 "clique-union with %d cliques on n=%d gives min degree %d < %d"
                 % (parts, n, n // parts - 1, need))
-        blocks = _balanced_parts(n, parts)
-        edges = []
-        for part in blocks:
-            edges.extend((part[i], part[j])
-                         for i in range(len(part)) for j in range(i + 1, len(part)))
-        g = ColouredGraph(n, edges)
+        g = _class_graph(n, parts, within=True)
     elif kind == "multipartite":
         if parts is None:
             parts = max(2, math.ceil(1.0 / (1.0 - delta)))
@@ -358,12 +442,7 @@ def gen_seed_graph(n: int, delta: float, kind: str,
                 "complete multipartite with %d classes on n=%d gives "
                 "min degree %d < %d"
                 % (parts, n, n - math.ceil(n / parts), need))
-        blocks = _balanced_parts(n, parts)
-        edges = []
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                edges.extend((u, v) for u in blocks[a] for v in blocks[b])
-        g = ColouredGraph(n, edges)
+        g = _class_graph(n, parts, within=False)
     else:
         if source is None:
             raise ParameterError("random-supergraph needs a RandomSource")
@@ -386,7 +465,7 @@ def gen_seed_graph(n: int, delta: float, kind: str,
                     adj[u].add(v)
                     want -= 1
         if extra:
-            g = ColouredGraph(n, set(g.edges) | extra)
+            g = g.union(extra)
 
     if g.min_degree() < need:
         raise ParameterError(
@@ -395,13 +474,14 @@ def gen_seed_graph(n: int, delta: float, kind: str,
     return g
 
 
-def _balanced_parts(n: int, k: int):
+def _class_graph(n: int, k: int, within: bool) -> ColouredGraph:
+    """The pairs inside (or, when not `within`, across) k balanced classes
+    of consecutive vertices."""
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    parts, at = [], 0
-    for s in sizes:
-        parts.append(list(range(at, at + s)))
-        at += s
-    return [p for p in parts if p]
+    label = np.repeat(np.arange(k), sizes)
+    rows = np.stack(np.triu_indices(n, 1), axis=1)
+    same = label[rows[:, 0]] == label[rows[:, 1]]
+    return ColouredGraph._from_rows(n, rows[same == within])
 
 
 @dataclass(frozen=True)
@@ -429,8 +509,7 @@ def perturb(seed: ColouredGraph, p: float, source: RandomSource) -> PerturbedGra
     if seed.is_coloured:
         seed = seed.uncoloured()
     r = gen_gnp(seed.n, p, source)
-    union = ColouredGraph(seed.n, set(seed.edges) | set(r.edges))
-    return PerturbedGraph(seed=seed, r_edges=r.edges, union=union)
+    return PerturbedGraph(seed=seed, r_edges=r.edges, union=seed.union(r.edges))
 
 
 def uniform_colouring(graph: ColouredGraph, palette_size: int,
@@ -442,7 +521,6 @@ def uniform_colouring(graph: ColouredGraph, palette_size: int,
     """
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
-    arr = graph.edge_array()
-    cols = source.generator().integers(0, palette_size, size=len(arr))
-    colouring = {(int(u), int(v)): int(c) for (u, v), c in zip(arr, cols)}
-    return graph.with_colouring(colouring, palette_size)
+    cols = source.generator().integers(0, palette_size, size=graph.size)
+    return ColouredGraph._from_rows(graph.n, graph._rows, cols,
+                                    palette_size, graph.vertex_set)

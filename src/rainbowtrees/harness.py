@@ -24,10 +24,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .absorption import (b_size_bound, compute_B, draw_permutation,
-                         embed_spanning, partition_edge_set)
+from .absorption import (_validate_spanning, b_size_bound, compute_B,
+                         draw_permutation, embed_spanning, partition_edge_set)
 from .embedding import derive_parameters, embed_almost_spanning
-from .errors import ExpanderFailure, ParameterError, StageFailure
+from .errors import (ExpanderFailure, InfeasibleParameters, ParameterError,
+                     StageFailure)
 from .expanders import ExpandParams, find_effective_expander
 from .graphs import (SEED_KINDS, canonical_edge, gen_gnp, gen_seed_graph,
                      perturb, uniform_colouring)
@@ -370,24 +371,6 @@ def _audit_almost(res, tree: Tree) -> None:
         assert res.oracle.colour_of(pair) == colours[pair]
 
 
-def _audit_spanning(res, tree: Tree, seed) -> None:
-    n = seed.n
-    mapping = res.mapping
-    assert mapping is not None and len(mapping) == tree.m == n
-    assert set(mapping.values()) == set(range(n)), \
-        "image does not cover the host"
-    colours = res.edge_colours
-    assert len(colours) == n - 1
-    assert len(set(colours.values())) == n - 1, "image is not rainbow"
-    assert res.oracle is not None
-    for a, b in tree.edges:
-        pair = canonical_edge(mapping[a], mapping[b])
-        assert pair in colours, "tree edge has no image colour"
-        assert pair in seed.edges or res.oracle.presence_of(pair), \
-            "image edge lies outside the host"
-        assert res.oracle.colour_of(pair) == colours[pair]
-
-
 def _audit_rst(host, edges) -> None:
     n = host.n
     assert len(edges) == n - 1
@@ -410,16 +393,26 @@ def _audit_rst(host, edges) -> None:
         parent[ru] = rv
 
 
+def _infeasible(exc: InfeasibleParameters):
+    """Fail record of a trial whose pipeline found it infeasible at this
+    n, e.g. the blocks of its random tree need more vertices than exist."""
+    return "fail", "infeasible", {"detail": str(exc),
+                                  "minimum_n": exc.minimum_n}
+
+
 def _trial_almost(config: TrialConfig, src: RandomSource):
     size = config.resolved_tree_size()
     tree = _make_tree(config, size, src.substream("tree"))
     params = _derive_for(config)
-    res = embed_almost_spanning(
-        config.n, config.resolved_p(), config.resolved_palette(), tree,
-        config.eps, config.d, src.substream("pipeline"), params=params,
-        check_mode=str(_knob(config, "check_mode", "sampled")),
-        check_trials=int(_knob(config, "check_trials", 60)),
-        embed_budget=_knob(config, "embed_budget", None))
+    try:
+        res = embed_almost_spanning(
+            config.n, config.resolved_p(), config.resolved_palette(), tree,
+            config.eps, config.d, src.substream("pipeline"), params=params,
+            check_mode=str(_knob(config, "check_mode", "sampled")),
+            check_trials=int(_knob(config, "check_trials", 60)),
+            embed_budget=_knob(config, "embed_budget", None))
+    except InfeasibleParameters as exc:
+        return _infeasible(exc)
     metrics = {"tree_nodes": size,
                "edges": len(res.edge_colours),
                "colours": len(set(res.edge_colours.values())),
@@ -440,14 +433,17 @@ def _trial_spanning(config: TrialConfig, src: RandomSource):
     eps_override = knobs["eps_override"] if "eps_override" in knobs \
         else config.eps
     derive_kwargs = {k: knobs[k] for k in _DERIVE_KEYS if k in knobs} or None
-    res = embed_spanning(
-        seed, config.resolved_p(), tree, config.delta, config.alpha,
-        config.d, src.substream("pipeline"), eps_override=eps_override,
-        c_ln=float(knobs.get("c_ln", 3.0)), derive_kwargs=derive_kwargs,
-        check_mode=str(knobs.get("check_mode", "sampled")),
-        check_trials=int(knobs.get("check_trials", 60)),
-        embed_budget=knobs.get("embed_budget", None),
-        partition_retries=int(knobs.get("partition_retries", 50)))
+    try:
+        res = embed_spanning(
+            seed, config.resolved_p(), tree, config.delta, config.alpha,
+            config.d, src.substream("pipeline"), eps_override=eps_override,
+            c_ln=float(knobs.get("c_ln", 3.0)), derive_kwargs=derive_kwargs,
+            check_mode=str(knobs.get("check_mode", "sampled")),
+            check_trials=int(knobs.get("check_trials", 60)),
+            embed_budget=knobs.get("embed_budget", None),
+            partition_retries=int(knobs.get("partition_retries", 50)))
+    except InfeasibleParameters as exc:
+        return _infeasible(exc)
     metrics = {"r": res.r,
                "eps_used": res.eps_used,
                "eps_formula": res.eps_formula,
@@ -459,7 +455,7 @@ def _trial_spanning(config: TrialConfig, src: RandomSource):
     if not res.success:
         metrics["detail"] = res.detail
         return "fail", res.stage or "unknown", metrics
-    _audit_spanning(res, tree, seed)
+    _validate_spanning(res.mapping, res.edge_colours, tree, seed, res.oracle)
     return "success", "done", metrics
 
 
@@ -490,7 +486,7 @@ def _trial_many_colours(config: TrialConfig, src: RandomSource,
         got = sum(1 for c in at_u if c < a_count)
         bound = float(config.d)
     else:
-        got = len({c for c in col.colouring.values() if c < a_count})
+        got = len({c for c in col.colours_used() if c < a_count})
         bound = (1.0 - config.gamma) * a_count
     violated = got + 1e-9 < bound
     metrics = {"got": got, "bound": bound, "edges": g.size,
@@ -610,8 +606,8 @@ def run_trials(config: TrialConfig, *,
     config.base_seed, i), so records are identical (apart from wall
     clock ms) whether trials run serially or across `workers` forked
     processes, and records always come back in trial order.  Parameter
-    problems raise before any trial executes; stage failures land in
-    records as fail outcomes.
+    problems raise before any trial executes; stage failures, and a
+    pipeline's InfeasibleParameters, land in records as fail outcomes.
     """
     if not isinstance(config, TrialConfig):
         raise ParameterError("run_trials expects a TrialConfig, got %r"

@@ -18,11 +18,12 @@ from .trees import Tree
 
 def format_edge_list(graph: ColouredGraph) -> str:
     lines = ["%d %d" % (graph.n, graph.palette_size)]
-    for u, v in sorted(graph.edges):
-        if graph.colouring is None:
-            lines.append("%d %d" % (u, v))
-        else:
-            lines.append("%d %d %d" % (u, v, graph.colouring[(u, v)]))
+    rows = graph.edge_array().tolist()
+    if graph.is_coloured:
+        lines.extend("%d %d %d" % (u, v, c) for (u, v), c
+                     in zip(rows, graph.colour_array().tolist()))
+    else:
+        lines.extend("%d %d" % (u, v) for u, v in rows)
     return "\n".join(lines) + "\n"
 
 

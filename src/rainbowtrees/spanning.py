@@ -77,18 +77,10 @@ def partition_from_lists(parts: Iterable[Iterable[int]]) -> VertexPartition:
 # effectively unbounded capacity.
 
 
-def _adjacency(graph: ColouredGraph,
-               vertices: Optional[Iterable[int]] = None) -> Dict[int, Set[int]]:
-    verts = set(graph.vertex_set if vertices is None else vertices)
-    adj: Dict[int, Set[int]] = {v: set() for v in verts}
-    for u, v in graph.edges:
-        if u in verts and v in verts:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
+Adjacency = Dict[int, Tuple[int, ...]]
 
 
-def _local_connectivity(adj: Dict[int, Set[int]], s: int, t: int,
+def _local_connectivity(adj: Adjacency, s: int, t: int,
                         cap: Optional[int] = None) -> int:
     """Max number of internally disjoint s-t paths, capped when asked.
 
@@ -139,7 +131,7 @@ def _local_connectivity(adj: Dict[int, Set[int]], s: int, t: int,
     return value
 
 
-def _is_connected(adj: Dict[int, Set[int]]) -> bool:
+def _is_connected(adj: Adjacency) -> bool:
     if not adj:
         return True
     start = next(iter(adj))
@@ -166,7 +158,8 @@ def vertex_connectivity(graph: ColouredGraph,
     graphs are |V| - 1 by convention, single vertices and disconnected
     graphs 0.
     """
-    adj = _adjacency(graph, vertices)
+    sub = graph if vertices is None else graph.subgraph(vertices)
+    adj = sub.adjacency()
     n = len(adj)
     if n <= 1:
         return 0
@@ -177,10 +170,10 @@ def vertex_connectivity(graph: ColouredGraph,
     v = min(sorted(adj), key=lambda x: len(adj[x]))
     best = len(adj[v])
     for u in sorted(adj):
-        if u != v and u not in adj[v]:
+        if u != v and not sub.has_edge(u, v):
             best = min(best, _local_connectivity(adj, v, u, cap=best))
-    for x, y in itertools.combinations(sorted(adj[v]), 2):
-        if y not in adj[x]:
+    for x, y in itertools.combinations(adj[v], 2):
+        if not sub.has_edge(x, y):
             best = min(best, _local_connectivity(adj, x, y, cap=best))
     return best
 
@@ -196,7 +189,8 @@ def is_k_connected(graph: ColouredGraph, k: int,
     """
     if k <= 0:
         return True
-    adj = _adjacency(graph, vertices)
+    sub = graph if vertices is None else graph.subgraph(vertices)
+    adj = sub.adjacency()
     n = len(adj)
     if n <= k:
         return False
@@ -207,7 +201,7 @@ def is_k_connected(graph: ColouredGraph, k: int,
     anchors = sorted(adj)[:k]
     for a in anchors:
         for u in sorted(adj):
-            if u != a and u not in adj[a]:
+            if u != a and not sub.has_edge(u, a):
                 if _local_connectivity(adj, a, u, cap=k) < k:
                     return False
     return True
@@ -217,7 +211,7 @@ def is_k_connected(graph: ColouredGraph, k: int,
 # the highly connected partition
 
 
-def _components(adj: Dict[int, Set[int]]) -> List[List[int]]:
+def _components(adj: Adjacency) -> List[List[int]]:
     comps: List[List[int]] = []
     left = set(adj)
     while left:
@@ -256,7 +250,8 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
     """
     if len(block) <= 1:
         return None
-    adj = _adjacency(graph, block)
+    sub = graph.subgraph(block)
+    adj = sub.adjacency()
     if not _is_connected(adj):
         first = frozenset(_components(adj)[0])
         return first, block - first
@@ -266,13 +261,12 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
         return None
     h = nx.Graph()
     h.add_nodes_from(sorted(block))
-    h.add_edges_from(sorted((u, v) for u, v in graph.edges
-                            if u in block and v in block))
+    h.add_edges_from(sub.edge_array().tolist())
     aux = build_auxiliary_node_connectivity(h)
     res = build_residual_network(aux, "capacity")
     for a in sorted(block)[:threshold]:
         for u in sorted(block):
-            if u == a or u in adj[a]:
+            if u == a or sub.has_edge(u, a):
                 continue
             k_au = local_node_connectivity(h, a, u, auxiliary=aux,
                                            residual=res, cutoff=threshold)
@@ -280,7 +274,7 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
                 continue
             cut = frozenset(minimum_st_node_cut(h, a, u, auxiliary=aux,
                                                 residual=res))
-            sides = _components(_adjacency(graph, block - cut))
+            sides = _components(graph.subgraph(block - cut).adjacency())
             small = frozenset(sides[0]) | cut
             return small, block - small
     return None
@@ -432,7 +426,7 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     if n == 1:
         return frozenset()
 
-    if not _is_connected(_adjacency(graph)):
+    if not _is_connected(graph.adjacency()):
         return None
 
     colour_of = graph.colouring

@@ -14,6 +14,71 @@ from rainbowtrees.graphs import ColouredGraph
 from rainbowtrees.trees import Tree, TreeDecomposition, RootSets
 
 
+class NaiveGraph:
+    """A graph kept as a frozenset of canonical pairs, a colour dict (or
+    None) and a vertex set, with every derived view recomputed from those
+    three by definition: the reference for ColouredGraph's row storage."""
+
+    def __init__(self, n, pairs, colours=None, vertex_set=None):
+        self.n = n
+        self.vertex_set = frozenset(range(n) if vertex_set is None
+                                    else vertex_set)
+        canon = [(min(u, v), max(u, v)) for u, v in pairs]
+        self.edges = frozenset(canon)
+        self.colouring = None if colours is None else dict(zip(canon, colours))
+
+    def _keep(self, edges, vertex_set):
+        cols = None if self.colouring is None \
+            else [self.colouring[e] for e in edges]
+        return NaiveGraph(self.n, edges, cols, vertex_set)
+
+    def adjacency(self):
+        return {v: tuple(sorted([b for a, b in self.edges if a == v]
+                                + [a for a, b in self.edges if b == v]))
+                for v in self.vertex_set}
+
+    def subgraph(self, vertices):
+        vs = frozenset(vertices)
+        return self._keep([e for e in self.edges if set(e) <= vs], vs)
+
+    def without_edges(self, drop):
+        gone = {(min(u, v), max(u, v)) for u, v in drop}
+        return self._keep([e for e in self.edges if e not in gone],
+                          self.vertex_set)
+
+    def union(self, pairs, vertices=()):
+        vs = self.vertex_set | frozenset(vertices)
+        return NaiveGraph(max([self.n] + [v + 1 for v in vs]),
+                          list(self.edges) + list(pairs), None, vs)
+
+
+def assert_matches_naive(graph: ColouredGraph, ref: NaiveGraph) -> None:
+    """Every view and accessor of `graph` agrees with the naive graph."""
+    ordered = sorted(ref.edges)
+    assert graph.n == ref.n and graph.vertex_set == ref.vertex_set
+    assert graph.edges == ref.edges
+    assert graph.size == len(ordered)
+    assert graph.edge_array().tolist() == [list(e) for e in ordered]
+    assert graph.edge_codes().tolist() == [u * ref.n + v for u, v in ordered]
+    assert graph.adjacency() == ref.adjacency()
+    if ref.vertex_set:
+        degrees = [len(ns) for ns in ref.adjacency().values()]
+        assert graph.min_degree() == min(degrees)
+        assert graph.max_degree() == max(degrees)
+    assert graph.is_coloured == (ref.colouring is not None)
+    if ref.colouring is None:
+        assert graph.colouring is None
+    else:
+        assert dict(graph.colouring) == ref.colouring
+        assert graph.colour_array().tolist() == [ref.colouring[e]
+                                                 for e in ordered]
+    for u, v in itertools.combinations(range(ref.n), 2):
+        pair = (u, v)
+        assert graph.has_edge(v, u) == (pair in ref.edges)
+        if ref.colouring is not None and pair in ref.edges:
+            assert graph.colour_of(v, u) == ref.colouring[pair]
+
+
 def naive_external_neighbourhood(graph: ColouredGraph, block) -> Set[int]:
     inside = set(block)
     out = set()
@@ -303,9 +368,10 @@ def brute_rainbow_spanning_tree_exists(graph: ColouredGraph) -> bool:
     n = len(verts)
     if n == 1:
         return True
-    edges = sorted(graph.colouring)
+    colouring = graph.colouring
+    edges = sorted(colouring)
     for cand in itertools.combinations(edges, n - 1):
-        if len({graph.colouring[e] for e in cand}) < n - 1:
+        if len({colouring[e] for e in cand}) < n - 1:
             continue
         parent = {v: v for v in verts}
 

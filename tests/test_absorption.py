@@ -1,7 +1,6 @@
 """Absorption stage: relabelling, edge slicing, anchor pools, absorb loop."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +9,11 @@ from rainbowtrees import (AbsorberIndex, AbsorptionFailure, AbsorptionState,
                           ColouredGraph, InfeasibleParameters, ParameterError,
                           PartitionFailure, RandomSource, StageFailure, Tree,
                           absorb_leftovers, absorb_step, b_size_bound,
-                          complete_graph, compute_B, embed_spanning,
-                          gen_gnp, gen_random_bounded_tree, gen_seed_graph,
-                          measure_B_statistics, partition_edge_set, path_tree,
-                          randomness_shift, select_fresh_part,
-                          spawn_trial_source, star_tree, uniform_colouring)
+                          complete_graph, compute_B, draw_permutation,
+                          embed_spanning, gen_random_bounded_tree,
+                          gen_seed_graph, measure_B_statistics,
+                          partition_edge_set, path_tree, select_fresh_part,
+                          spawn_trial_source, star_tree)
 from rainbowtrees.embedding import AlmostSpanningResult
 from rainbowtrees.exposure import ExposureOracle
 
@@ -25,54 +24,15 @@ from synthetic import make_synthetic_state
 # -- relabelling ----------------------------------------------------------
 
 
-def test_shift_identity_perm():
-    base = uniform_colouring(complete_graph(6), 20, RandomSource(3))
-    sh = randomness_shift(base, perm={i: i for i in range(6)})
-    assert sh.shifted.edges == base.edges
-    for u, v in base.edges:
-        assert sh.shifted.colour_of(u, v) == base.colour_of(u, v)
-
-
-def test_shift_preserves_structure():
-    for s in range(10):
-        g = gen_gnp(12, 0.5, RandomSource(40 + s))
-        base = uniform_colouring(g, 30, RandomSource(80 + s))
-        sh = randomness_shift(base, RandomSource(120 + s))
-        sh.validate()
-        assert sorted(base.degree(v) for v in range(12)) \
-            == sorted(sh.shifted.degree(v) for v in range(12))
-        assert Counter(base.colouring.values()) \
-            == Counter(sh.shifted.colouring.values())
-        assert base.is_rainbow() == sh.shifted.is_rainbow()
-    # an explicitly rainbow image stays rainbow
-    rainbow = ColouredGraph(5, [(i, i + 1) for i in range(4)],
-                            {(i, i + 1): i for i in range(4)}, 4)
-    assert randomness_shift(rainbow, RandomSource(7)).shifted.is_rainbow()
-
-
 def test_shift_destination_uniform():
     # where vertex 0 lands should be uniform over the 8 labels:
     # 4000 draws, 8 bins, chi-square df 7, upper 1% point 18.475
-    base = uniform_colouring(complete_graph(8), 64, RandomSource(5))
     counts = np.zeros(8, dtype=int)
     for t in range(4000):
-        counts[randomness_shift(base, spawn_trial_source(909, t)).perm[0]] += 1
+        counts[draw_permutation(8, spawn_trial_source(909, t))[0]] += 1
     expected = 4000 / 8.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 18.475, "chi2 = %.2f over bins %r" % (chi2, counts.tolist())
-
-
-def test_shift_validation():
-    plain = complete_graph(5)
-    with pytest.raises(ParameterError):
-        randomness_shift(plain, RandomSource(1))
-    base = uniform_colouring(plain, 12, RandomSource(2))
-    with pytest.raises(ParameterError):
-        randomness_shift(base)  # neither source nor permutation
-    with pytest.raises(ParameterError):
-        randomness_shift(base, perm={i: 0 for i in range(5)})
-    with pytest.raises(ParameterError):
-        randomness_shift(base, perm={i: i for i in range(4)})
 
 
 # -- slicing the seed graph ------------------------------------------------

@@ -145,13 +145,13 @@ def test_materialize_before_anything():
 def test_apply_permutation_transports_state():
     o = make(n=6, palette=8, seed=3)
     o.expose_presence((0, 1), stage=1)
-    o.expose_colour((0, 1))
+    colour = o.expose_colour((0, 1))
     o.record_block([3, 4, 5], [(3, 4)], [2], stage=2)
     pres = o.presence_of((0, 1))
     perm = {0: 5, 1: 4, 2: 3, 3: 2, 4: 1, 5: 0}
     o.apply_permutation(perm)
     assert o.presence_of((4, 5)) == pres
-    assert o.colour_of((4, 5)) == o.colour_of((4, 5))
+    assert o.colour_of((4, 5)) == colour     # a colour travels with its pair
     assert o.presence_of((1, 2))            # image of (3, 4)
     assert o.colour_of((1, 2)) == 2
     assert not o.presence_of((0, 1))        # image of (4, 5), excluded pair

@@ -1,6 +1,7 @@
 """Graph core: generators, colourings, perturbation, basic predicates."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
                           complete_graph, external_neighbourhood, gen_gnp,
                           gen_seed_graph, is_rainbow, perturb,
                           uniform_colouring)
+from rainbowtrees.graphs import SEED_KINDS
 
-from oracles import naive_external_neighbourhood, naive_is_rainbow
+from oracles import (NaiveGraph, assert_matches_naive,
+                     naive_external_neighbourhood, naive_is_rainbow)
 
 
 def test_coloured_graph_validation():
@@ -238,3 +241,47 @@ def test_subgraph_keeps_labels():
         assert g.colour_of(u, v) == sub.colour_of(u, v)
     iso = g.subgraph({2})
     assert iso.order == 1 and iso.size == 0
+
+
+@pytest.mark.parametrize("on_subset", [False, True], ids=["all", "subset"])
+@pytest.mark.parametrize("coloured", [False, True], ids=["plain", "coloured"])
+@pytest.mark.parametrize("kind", ("gnp-sparse", "gnp-dense") + SEED_KINDS)
+def test_core_matches_naive_graph(kind, coloured, on_subset):
+    n = 24
+    if kind == "gnp-sparse":
+        g = gen_gnp(n, 0.08, RandomSource(61))
+    elif kind == "gnp-dense":
+        g = gen_gnp(n, 0.6, RandomSource(61))
+    else:
+        g = gen_seed_graph(n, 0.4, kind, RandomSource(62))
+    if coloured:
+        g = uniform_colouring(g, 5, RandomSource(63))
+    ref = NaiveGraph(n, g.edge_array().tolist(),
+                     g.colour_array().tolist() if coloured else None)
+    gen = np.random.default_rng(64)
+    if on_subset:
+        vs = gen.choice(n, size=n // 2, replace=False).tolist()
+        g, ref = g.subgraph(vs), ref.subgraph(vs)
+    assert_matches_naive(g, ref)
+    assert_matches_naive(pickle.loads(pickle.dumps(g)), ref)
+
+    # the checked constructor, fed reversed pairs in shuffled order
+    pairs = [(v, u) for u, v in ref.edges]
+    gen.shuffle(pairs)
+    colouring = None if not coloured \
+        else {(v, u): ref.colouring[(u, v)] for u, v in ref.edges}
+    assert_matches_naive(ColouredGraph(n, pairs, colouring, 5 if coloured else 0,
+                                       ref.vertex_set), ref)
+
+    verts = sorted(ref.vertex_set)
+    inner = gen.choice(verts, size=len(verts) // 2, replace=False).tolist()
+    assert_matches_naive(g.subgraph(inner), ref.subgraph(inner))
+
+    others = [(int(a), int(b)) for a, b in gen.integers(0, n, size=(12, 2))
+              if a != b]
+    drop = sorted(ref.edges)[::3] + others + [(n + 5, 0)]
+    assert_matches_naive(g.without_edges(drop), ref.without_edges(drop))
+
+    extra = [(b, a) for a, b in others if a in ref.vertex_set
+             and b in ref.vertex_set] + [(n, verts[0]), (verts[-1], n)]
+    assert_matches_naive(g.union(extra, [n]), ref.union(extra, [n]))

@@ -181,6 +181,19 @@ def test_spanning_trials_record_stage_failures_honestly():
     assert [strip_ms(r) for r in records] == [strip_ms(r) for r in again]
 
 
+def test_infeasible_blocks_fail_the_trial_not_the_batch():
+    # the block budget depends on how many pieces the random tree splits
+    # into, so a tree too big for the host fails its own trial
+    cfg = TrialConfig(kind="almost-spanning", n=600, eps=0.25, d=3,
+                      tree_frac=0.2, knobs=GOOD_ALMOST["knobs"], trials=3)
+    records = run_trials(cfg)
+    assert len(records) == 3
+    for rec in records:
+        assert (rec.outcome, rec.stage) == ("fail", "infeasible")
+        assert rec.metrics["minimum_n"] > 600
+        assert "only 600 exist" in rec.metrics["detail"]
+
+
 # -- estimates ----------------------------------------------------------------
 
 
