@@ -26,6 +26,7 @@ from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
 import networkx as nx
+import numpy as np
 from networkx.algorithms.connectivity import (
     build_auxiliary_node_connectivity, local_node_connectivity,
     minimum_st_node_cut)
@@ -131,19 +132,23 @@ def _local_connectivity(adj: Adjacency, s: int, t: int,
     return value
 
 
-def _is_connected(adj: Adjacency) -> bool:
-    if not adj:
-        return True
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
+def _components(adj: Adjacency) -> List[List[int]]:
+    comps: List[List[int]] = []
+    left = set(adj)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+        left -= comp
+    comps.sort(key=lambda c: (len(c), c))
+    return comps
 
 
 def vertex_connectivity(graph: ColouredGraph,
@@ -161,9 +166,7 @@ def vertex_connectivity(graph: ColouredGraph,
     sub = graph if vertices is None else graph.subgraph(vertices)
     adj = sub.adjacency()
     n = len(adj)
-    if n <= 1:
-        return 0
-    if not _is_connected(adj):
+    if n <= 1 or len(_components(adj)) > 1:
         return 0
     if all(len(adj[v]) == n - 1 for v in adj):
         return n - 1
@@ -192,9 +195,7 @@ def is_k_connected(graph: ColouredGraph, k: int,
     sub = graph if vertices is None else graph.subgraph(vertices)
     adj = sub.adjacency()
     n = len(adj)
-    if n <= k:
-        return False
-    if not _is_connected(adj):
+    if n <= k or len(_components(adj)) > 1:
         return False
     if min(len(adj[v]) for v in adj) < k:
         return False
@@ -209,25 +210,6 @@ def is_k_connected(graph: ColouredGraph, k: int,
 
 # ---------------------------------------------------------------------------
 # the highly connected partition
-
-
-def _components(adj: Adjacency) -> List[List[int]]:
-    comps: List[List[int]] = []
-    left = set(adj)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-        left -= comp
-    comps.sort(key=lambda c: (len(c), c))
-    return comps
 
 
 def _split_block(graph: ColouredGraph, block: FrozenSet[int],
@@ -252,8 +234,9 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
         return None
     sub = graph.subgraph(block)
     adj = sub.adjacency()
-    if not _is_connected(adj):
-        first = frozenset(_components(adj)[0])
+    comps = _components(adj)
+    if len(comps) > 1:
+        first = frozenset(comps[0])
         return first, block - first
     if all(len(adj[v]) == len(block) - 1 for v in adj):
         return None
@@ -387,25 +370,6 @@ def suzuki_check(graph: ColouredGraph
 # constructive finder (matroid intersection)
 
 
-def _forest_components(tree_adj: Dict[int, Set[int]],
-                       verts: Sequence[int]) -> Dict[int, int]:
-    comp: Dict[int, int] = {}
-    label = 0
-    for start in verts:
-        if start in comp:
-            continue
-        comp[start] = label
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in tree_adj[v]:
-                if w not in comp:
-                    comp[w] = label
-                    stack.append(w)
-        label += 1
-    return comp
-
-
 def find_rainbow_spanning_tree(graph: ColouredGraph
                                ) -> Optional[FrozenSet[Pair]]:
     """A rainbow spanning tree of the coloured graph, or None.
@@ -426,130 +390,184 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     if n == 1:
         return frozenset()
 
-    if not _is_connected(graph.adjacency()):
-        return None
+    rows = graph.edge_array()
+    colours = graph.colour_array().tolist()
+    in_tree = np.zeros(len(rows), dtype=bool)
+    colour_used: Dict[int, int] = {}
+    parent = list(range(graph.n))
 
-    colour_of = graph.colouring
-    all_edges = sorted(colour_of)
-
-    # greedy warm start: scan the edges once and keep anything joining
+    # greedy warm start: scan the rows once and keep anything joining
     # two components on a fresh colour
-    tree_adj: Dict[int, Set[int]] = {v: set() for v in verts}
-    in_tree: Set[Pair] = set()
-    colour_used: Dict[int, Pair] = {}
-    parent = {v: v for v in verts}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in all_edges:
-        c = colour_of[e]
+    for i, ((u, v), c) in enumerate(zip(rows.tolist(), colours)):
         if c in colour_used:
             continue
-        ru, rv = find(e[0]), find(e[1])
+        ru, rv = _root(parent, u), _root(parent, v)
         if ru == rv:
             continue
         parent[ru] = rv
-        in_tree.add(e)
-        colour_used[c] = e
-        tree_adj[e[0]].add(e[1])
-        tree_adj[e[1]].add(e[0])
+        in_tree[i] = True
+        colour_used[c] = i
 
-    while len(in_tree) < n - 1:
-        if not _augment(verts, all_edges, colour_of, in_tree, tree_adj,
-                        colour_used):
+    if len(colour_used) < n - 1:
+        # connected iff the rows join up the greedy components; only rows
+        # between two of them can merge anything
+        root = np.array([_root(parent, v) for v in range(graph.n)])
+        ends = root[rows]
+        for a, b in ends[ends[:, 0] != ends[:, 1]].tolist():
+            parent[_root(parent, a)] = _root(parent, b)
+        if len({_root(parent, v) for v in verts}) > 1:
             return None
 
-    tree = frozenset(in_tree)
-    # spanning, connected, acyclic, rainbow: checked directly
-    assert len(tree) == n - 1
-    comp = _forest_components(tree_adj, verts)
-    assert len(set(comp.values())) == 1, "tree does not span"
-    assert sum(len(tree_adj[v]) for v in verts) == 2 * (n - 1), \
-        "edge bookkeeping out of sync"
-    assert len({colour_of[e] for e in tree}) == len(tree), "not rainbow"
+    # a rainbow forest holds one edge per used colour
+    while len(colour_used) < n - 1:
+        if not _augment(rows, colours, verts, in_tree, colour_used):
+            return None
+
+    picked = np.flatnonzero(in_tree)
+    assert sorted(colour_used.values()) == picked.tolist(), \
+        "colour bookkeeping out of sync"
+    tree = frozenset(map(tuple, rows[picked].tolist()))
+    _check_rainbow_spanning_tree(graph, tree)
     return tree
 
 
-def _augment(verts: Sequence[int], all_edges: Sequence[Pair],
-             colour_of: Dict[Pair, int], in_tree: Set[Pair],
-             tree_adj: Dict[int, Set[int]],
-             colour_used: Dict[int, Pair]) -> bool:
+def _root(parent, x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _check_rainbow_spanning_tree(graph: ColouredGraph,
+                                 tree: FrozenSet[Pair]) -> None:
+    """Audit a returned tree against the graph alone: n - 1 edges of the
+    graph, on distinct colours, closing no cycle, hence spanning."""
+    n = graph.order
+    assert len(tree) == n - 1, "tree has %d edges, not %d" % (len(tree), n - 1)
+    codes = graph.edge_codes()
+    want = np.array([u * graph.n + v for u, v in tree], dtype=np.int64)
+    at = np.searchsorted(codes, want).clip(max=len(codes) - 1)
+    assert (codes[at] == want).all(), "tree edge missing from the graph"
+    colours = graph.colour_array()[at].tolist()
+    assert len(set(colours)) == n - 1, "tree repeats a colour"
+    parent = {v: v for v in graph.vertex_set}
+    for u, v in tree:
+        ru, rv = _root(parent, u), _root(parent, v)
+        assert ru != rv, "tree edges close a cycle"
+        parent[ru] = rv
+
+
+def _euler_forest(tree_rows: np.ndarray, verts: Sequence[int], labels: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    """Component, Euler interval [tin, tout) and parent of every vertex
+    of the forest, from one iterative DFS; labels outside `verts` get
+    component -1."""
+    nbrs: List[List[int]] = [[] for _ in range(labels)]
+    for u, v in tree_rows.tolist():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comp = [-1] * labels
+    up = [-1] * labels
+    order: List[int] = []
+    for label, start in enumerate(v for v in verts if comp[v] < 0):
+        comp[start] = label
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in nbrs[x]:
+                if y != up[x]:
+                    up[y] = x
+                    comp[y] = label
+                    stack.append(y)
+    # a stack DFS visits every subtree contiguously, so a vertex's
+    # interval is its visit index plus its subtree size
+    tin = np.zeros(labels, dtype=np.int64)
+    tin[order] = np.arange(len(order))
+    size = [1] * labels
+    for x in reversed(order):
+        if up[x] >= 0:
+            size[up[x]] += size[x]
+    return np.array(comp), tin, tin + np.array(size), up
+
+
+def _augment(rows: np.ndarray, colours: List[int], verts: Sequence[int],
+             in_tree: np.ndarray, colour_used: Dict[int, int]) -> bool:
     """One exchange augmentation; False means the forest is maximum.
 
-    Nodes of the search are edges.  Out-of-forest edges joining two
-    forest components are the sources, out-of-forest edges of an unused
-    colour the sinks.  From an out-edge the walk may step to the forest
-    edge holding its colour; from a forest edge to any out-edge that
-    reconnects the two sides its removal leaves behind.  Breadth-first
-    order keeps the path shortest, which is what makes the exchange
-    valid in both matroids at once.
+    Nodes of the search are edge indices.  Out-of-forest edges joining
+    two forest components are the sources, out-of-forest edges of an
+    unused colour the sinks.  From an out-edge the walk may step to the
+    forest edge holding its colour; from a forest edge (a, b) to any
+    out-edge of its component that reconnects the two sides its removal
+    leaves behind.  Breadth-first order keeps the path shortest, which
+    is what makes the exchange valid in both matroids at once.
+
+    One DFS of the forest gives every vertex an Euler interval
+    [tin, tout).  With c the endpoint of (a, b) whose parent is the
+    other, the side cut off is the subtree of c, so an out-edge crosses
+    exactly when one endpoint has its tin in [tin[c], tout[c]): one
+    vectorised test over the component's out-edges, kept in row order
+    so the search enqueues edges in the order of the sorted rows.  One
+    augmentation costs O(n + m) for the DFS and the masks over the rows,
+    O(m) per component the search enters, and, per popped forest edge,
+    one vectorised mask over its component's out-edges: O(n + m +
+    popped forest edges x component out-edges) when one component
+    holds the search, as it does once the forest is nearly spanning.
     """
-    comp = _forest_components(tree_adj, verts)
-    sources = [e for e in all_edges
-               if e not in in_tree and comp[e[0]] != comp[e[1]]]
-    if not sources:
+    comp, tin, tout, up = _euler_forest(rows[in_tree], verts, verts[-1] + 1)
+    ends = comp[rows]
+    out = ~in_tree
+    joins = ends[:, 0] != ends[:, 1]
+    sources = (out & joins).nonzero()[0]
+    if not len(sources):
         return False
+    # out-edges inside a component, in row order; a component's share,
+    # with the tin of both endpoints, is cut out when first needed
+    internal = (out & ~joins).nonzero()[0]
+    owner = ends[internal, 0]
+    groups: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    # out-edges internal to a component, bucketed for the inner scan
-    internal: Dict[int, List[Pair]] = {}
-    for e in all_edges:
-        if e not in in_tree and comp[e[0]] == comp[e[1]]:
-            internal.setdefault(comp[e[0]], []).append(e)
-
-    prev: Dict[Pair, Optional[Pair]] = {e: None for e in sources}
-    queue: Deque[Tuple[Pair, bool]] = deque((e, False) for e in sources)
-    goal: Optional[Pair] = None
+    UNSEEN = -2
+    prev = np.full(len(rows), UNSEEN, dtype=np.int64)
+    prev[sources] = -1
+    queue: Deque[int] = deque(sources.tolist())
+    goal = -1
     while queue:
-        edge, inside = queue.popleft()
-        if not inside:
-            c = colour_of[edge]
-            if c not in colour_used:
+        edge = queue.popleft()
+        if not in_tree[edge]:
+            mate = colour_used.get(colours[edge])
+            if mate is None:
                 goal = edge
                 break
-            mate = colour_used[c]
-            if mate not in prev:
+            if prev[mate] == UNSEEN:
                 prev[mate] = edge
-                queue.append((mate, True))
-        else:
-            a, b = edge
-            side: Set[int] = {a}
-            stack = [a]
-            while stack:
-                x = stack.pop()
-                for y in tree_adj[x]:
-                    if x == a and y == b:
-                        continue
-                    if y not in side:
-                        side.add(y)
-                        stack.append(y)
-            for e in internal.get(comp[a], ()):
-                if e not in prev and (e[0] in side) != (e[1] in side):
-                    prev[e] = edge
-                    queue.append((e, False))
-    if goal is None:
+                queue.append(mate)
+            continue
+        a, b = rows[edge].tolist()
+        c = a if up[a] == b else b
+        k = int(comp[c])
+        if k not in groups:
+            mine = internal[owner == k]
+            groups[k] = mine, tin[rows[mine]]
+        mine, tins = groups[k]
+        below = (tins >= tin[c]) & (tins < tout[c])
+        found = mine[below[:, 0] != below[:, 1]]
+        found = found[prev[found] == UNSEEN]
+        prev[found] = edge
+        queue.extend(found.tolist())
+    if goal < 0:
         return False
 
-    # flip along the path: out-edges enter the forest, forest edges leave
-    node: Optional[Pair] = goal
-    inside = False
-    while node is not None:
-        if inside:
-            in_tree.discard(node)
-            tree_adj[node[0]].discard(node[1])
-            tree_adj[node[1]].discard(node[0])
-        else:
-            in_tree.add(node)
-            tree_adj[node[0]].add(node[1])
-            tree_adj[node[1]].add(node[0])
-        node = prev[node]
-        inside = not inside
-    colour_used.clear()
-    for e in in_tree:
-        colour_used[colour_of[e]] = e
+    # flip along the path: out-edges enter the forest and take over the
+    # colours, forest edges leave
+    node = goal
+    while node >= 0:
+        in_tree[node] = not in_tree[node]
+        if in_tree[node]:
+            colour_used[colours[node]] = node
+        node = int(prev[node])
     return True
 
 

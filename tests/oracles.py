@@ -8,10 +8,13 @@ cannot hide behind their own bookkeeping.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Set, Tuple
+from collections import deque
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from rainbowtrees.graphs import ColouredGraph
 from rainbowtrees.trees import Tree, TreeDecomposition, RootSets
+
+Pair = Tuple[int, int]
 
 
 class NaiveGraph:
@@ -393,6 +396,135 @@ def brute_rainbow_spanning_tree_exists(graph: ColouredGraph) -> bool:
         if acyclic and comps == 1:
             return True
     return False
+
+
+def _forest_components(tree_adj: Dict[int, Set[int]], verts) -> Dict[int, int]:
+    comp: Dict[int, int] = {}
+    label = 0
+    for start in verts:
+        if start in comp:
+            continue
+        comp[start] = label
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in tree_adj[v]:
+                if w not in comp:
+                    comp[w] = label
+                    stack.append(w)
+        label += 1
+    return comp
+
+
+def greedy_rainbow_forest(graph: ColouredGraph) -> Set[Pair]:
+    """One scan of the edges in lexicographic order, keeping every edge
+    that joins two components on a colour not used yet."""
+    colour_of = graph.colouring
+    parent = {v: v for v in graph.vertex_set}
+    forest: Set[Pair] = set()
+    used: Set[int] = set()
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in sorted(colour_of):
+        c = colour_of[e]
+        ru, rv = find(e[0]), find(e[1])
+        if c in used or ru == rv:
+            continue
+        parent[ru] = rv
+        forest.add(e)
+        used.add(c)
+    return forest
+
+
+def reference_rainbow_spanning_tree(graph: ColouredGraph
+                                    ) -> Optional[FrozenSet[Pair]]:
+    """Matroid-intersection finder with a side DFS per forest edge.
+
+    The greedy forest seeds a breadth-first exchange search over edges:
+    an out-edge steps to the forest edge holding its colour, a forest
+    edge to every out-edge of its component that crosses the cut its
+    removal leaves, found by walking one side.  Sources are out-edges
+    joining two forest components, sinks out-edges of a fresh colour.
+    """
+    verts = sorted(graph.vertex_set)
+    n = len(verts)
+    if n == 1:
+        return frozenset()
+    adj = graph.adjacency()
+    reach = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    if len(reach) < n:
+        return None
+
+    colour_of = graph.colouring
+    all_edges = sorted(colour_of)
+    in_tree = greedy_rainbow_forest(graph)
+    tree_adj: Dict[int, Set[int]] = {v: set() for v in verts}
+    for u, v in in_tree:
+        tree_adj[u].add(v)
+        tree_adj[v].add(u)
+    while len(in_tree) < n - 1:
+        colour_used = {colour_of[e]: e for e in in_tree}
+        comp = _forest_components(tree_adj, verts)
+        sources = [e for e in all_edges
+                   if e not in in_tree and comp[e[0]] != comp[e[1]]]
+        internal: Dict[int, List[Pair]] = {}
+        for e in all_edges:
+            if e not in in_tree and comp[e[0]] == comp[e[1]]:
+                internal.setdefault(comp[e[0]], []).append(e)
+        prev: Dict[Pair, Optional[Pair]] = {e: None for e in sources}
+        queue = deque((e, False) for e in sources)
+        goal = None
+        while queue:
+            edge, inside = queue.popleft()
+            if not inside:
+                c = colour_of[edge]
+                if c not in colour_used:
+                    goal = edge
+                    break
+                mate = colour_used[c]
+                if mate not in prev:
+                    prev[mate] = edge
+                    queue.append((mate, True))
+                continue
+            a, b = edge
+            side = {a}
+            stack = [a]
+            while stack:
+                x = stack.pop()
+                for y in tree_adj[x]:
+                    if (x, y) != (a, b) and y not in side:
+                        side.add(y)
+                        stack.append(y)
+            for e in internal.get(comp[a], ()):
+                if e not in prev and (e[0] in side) != (e[1] in side):
+                    prev[e] = edge
+                    queue.append((e, False))
+        if goal is None:
+            return None
+        node, inside = goal, False
+        while node is not None:
+            if inside:
+                in_tree.discard(node)
+                tree_adj[node[0]].discard(node[1])
+                tree_adj[node[1]].discard(node[0])
+            else:
+                in_tree.add(node)
+                tree_adj[node[0]].add(node[1])
+                tree_adj[node[1]].add(node[0])
+            node = prev[node]
+            inside = not inside
+    return frozenset(in_tree)
 
 
 def brute_suzuki(graph: ColouredGraph) -> bool:

@@ -1,6 +1,7 @@
 """Connectivity partitions, the partition criterion, and rainbow spanning
 trees: pinned examples plus cross-checks against networkx and brute force."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,11 +14,12 @@ from rainbowtrees import (ColouredGraph, ParameterError, check_crossing_edges,
                           highly_connected_partition, is_k_connected,
                           partition_from_lists, spawn_trial_source,
                           suzuki_check, uniform_colouring, vertex_connectivity)
-from rainbowtrees.graphs import gen_seed_graph
+from rainbowtrees.graphs import gen_seed_graph, perturb
 from rainbowtrees.spanning import SUZUKI_BUDGET, VertexPartition, _growth_strings
 
 from oracles import (brute_rainbow_spanning_tree_exists, brute_suzuki,
-                     check_partition_blocks)
+                     check_partition_blocks, greedy_rainbow_forest,
+                     reference_rainbow_spanning_tree)
 
 
 def petersen():
@@ -283,16 +285,22 @@ def test_finder_needs_augmentation_past_greedy():
     assert (2, 3) in tree
 
 
-def test_three_way_agreement_small_orders():
+def small_coloured_instances():
+    """The seeded coloured graphs of orders 2..7 the finder is checked on."""
     rng = random.Random(424)
-    checked = 0
     for trial in range(400):
         n = rng.randint(2, 7)
         p = rng.choice([0.3, 0.5, 0.7, 0.9])
         palette = rng.choice([max(1, n - 2), n - 1, n, 2 * n])
         g = random_coloured(rng, n, p, palette)
-        if not g.is_coloured:
-            continue
+        if g.is_coloured:
+            yield g
+
+
+def test_three_way_agreement_small_orders():
+    checked = 0
+    for g in small_coloured_instances():
+        n = g.order
         tree = find_rainbow_spanning_tree(g)
         ok, wit = suzuki_check(g)
         exists = brute_rainbow_spanning_tree_exists(g)
@@ -306,6 +314,59 @@ def test_three_way_agreement_small_orders():
             assert len(crossing) < wit.t - 1
         checked += 1
     assert checked > 300
+
+
+def test_finder_matches_reference_search():
+    # the small instances, then perturbed clique-union hosts whose greedy
+    # forest is at least two edges short, so that exchange paths run
+    # through forest edges
+    for g in small_coloured_instances():
+        assert find_rainbow_spanning_tree(g) == \
+            reference_rainbow_spanning_tree(g), g.colouring
+    deep = 0
+    for trial in range(200):
+        src = spawn_trial_source(4040, trial)
+        n = 40 + (trial * 7) % 111
+        seed = gen_seed_graph(n, 0.4, "clique-union", src.substream("seed"))
+        pert = perturb(seed, n ** -1.5, src.substream("perturb"))
+        host = uniform_colouring(pert.union, n - 1, src.substream("colour"))
+        if n - 1 - len(greedy_rainbow_forest(host)) < 2:
+            continue
+        assert find_rainbow_spanning_tree(host) == \
+            reference_rainbow_spanning_tree(host), (trial, n)
+        deep += 1
+        if deep == 30:
+            break
+    assert deep == 30
+
+
+def test_finder_pinned_tree_at_acceptance_8():
+    # trial 0 of acceptance 8's batch (base seed 8800); the digest is of
+    # the tree the side-DFS search found
+    n = 300
+    src = spawn_trial_source(8800, 0)
+    seed = gen_seed_graph(n, 0.4, "clique-union", src.substream("seed-graph"))
+    pert = perturb(seed, n ** -1.5, src.substream("perturb"))
+    host = uniform_colouring(pert.union, n - 1, src.substream("colour"))
+    tree = find_rainbow_spanning_tree(host)
+    digest = hashlib.blake2b(repr(sorted(tree)).encode(), digest_size=16)
+    assert digest.hexdigest() == "97df3864720a1abf44992fc82e1607ca"
+
+
+def test_finder_on_a_vertex_subset():
+    # labels 0, 2, 4 and 7 lie outside the vertex set and are no
+    # components; the greedy pass stops one edge short of (5, 6)
+    edges = [(1, 3), (1, 5), (3, 5), (5, 6)]
+    col = {(1, 3): 0, (1, 5): 1, (3, 5): 2, (5, 6): 0}
+    g = ColouredGraph(8, edges, colouring=col, palette_size=3,
+                      vertex_set={1, 3, 5, 6})
+    tree = find_rainbow_spanning_tree(g)
+    assert tree is not None and (5, 6) in tree
+    check_found_tree(g, tree)
+    split = ColouredGraph(8, [(1, 3), (5, 6)],
+                          colouring={(1, 3): 0, (5, 6): 1}, palette_size=2,
+                          vertex_set={1, 3, 5, 6})
+    assert find_rainbow_spanning_tree(split) is None
 
 
 def test_finder_at_moderate_scale():
