@@ -720,8 +720,12 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
     assert len(placement) == tree.m
     assert len(set(placement.values())) == tree.m, "placement not injective"
     for x, y in tree.edges:
-        assert canonical_edge(placement[x], placement[y]) in edge_colours, \
+        pair = canonical_edge(placement[x], placement[y])
+        assert pair in edge_colours, \
             "tree edge (%r, %r) has no embedded image" % (x, y)
+        assert oracle.presence_of(pair), "image edge %r is not present" % (pair,)
+        assert oracle.colour_of(pair) == edge_colours[pair], \
+            "colour book differs from the oracle at %r" % (pair,)
     assert len(edge_colours) == tree.m - 1
     assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"
 

@@ -10,12 +10,18 @@ the step that was supposed to reveal it.
 Presence and colour are revealed independently: a block sparsification
 reveals presence for every pair inside the block but colours only for
 the pairs it included, matching what the sampling actually consumed.
+A block is stored as its vertex set plus its included pairs, so a pair
+inside it that was not included is absent without an entry of its own.
+The ledger is append-only: a block is one ("block", vertices, stage)
+entry, and a relabelling appends ("permute", perm, 0).
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+
+import numpy as np
 
 from .errors import ParameterError, RainbowTreesError
 from .graphs import gen_gnp
@@ -55,7 +61,9 @@ class ExposureOracle:
         self.source = source
         self._presence: Dict[Pair, bool] = {}
         self._colour: Dict[Pair, int] = {}
-        self.ledger: List[Tuple[str, Optional[Pair], int]] = []
+        # block number of each vertex, -1 outside every block
+        self._block = np.full(self.n, -1, dtype=np.int64)
+        self.ledger: List[Tuple[str, object, int]] = []
         self._touched: Set[int] = set()
         self.presence_complete = False
 
@@ -68,10 +76,16 @@ class ExposureOracle:
                                  % (u, v, self.n))
         return (u, v) if u < v else (v, u)
 
+    def _in_block(self, key: Pair) -> bool:
+        """Both ends lie in one block, which decided the pair's presence."""
+        b = self._block[key[0]]
+        return bool(b >= 0 and b == self._block[key[1]])
+
     # -- queries ---------------------------------------------------------
 
     def presence_exposed(self, pair) -> bool:
-        return self._norm(pair) in self._presence
+        key = self._norm(pair)
+        return key in self._presence or self._in_block(key)
 
     def colour_exposed(self, pair) -> bool:
         return self._norm(pair) in self._colour
@@ -79,11 +93,11 @@ class ExposureOracle:
     def presence_of(self, pair) -> bool:
         """Already-revealed presence; consulting an unrevealed pair is a bug."""
         key = self._norm(pair)
-        if key not in self._presence:
-            if self.presence_complete:
-                return False
-            raise ExposureError("presence of %r consulted before exposure" % (key,))
-        return self._presence[key]
+        if key in self._presence:
+            return self._presence[key]
+        if self.presence_complete or self._in_block(key):
+            return False
+        raise ExposureError("presence of %r consulted before exposure" % (key,))
 
     def colour_of(self, pair) -> int:
         key = self._norm(pair)
@@ -95,7 +109,7 @@ class ExposureOracle:
 
     def expose_presence(self, pair, kind: str = "probe", stage: int = 0) -> bool:
         key = self._norm(pair)
-        if key in self._presence or self.presence_complete:
+        if key in self._presence or self.presence_complete or self._in_block(key):
             raise ExposureError("pair %r presence exposed twice" % (key,))
         gen = self.source.substream(("edge",) + key).generator()
         value = bool(gen.random() < self.p)
@@ -125,31 +139,34 @@ class ExposureOracle:
         Every pair inside `vertices` had its presence decided (the included
         ones positively, the rest negatively); the included pairs also had
         their colours drawn.  The values were sampled by the sparsifier;
-        this merely makes the oracle remember them.
+        this merely makes the oracle remember them.  Blocks are vertex
+        disjoint, and no pair of a block may have been exposed before.
         """
         if self.presence_complete:
             raise ExposureError("cannot register a block after materialization")
-        verts = sorted(set(int(v) for v in vertices))
+        inside = set(int(v) for v in vertices)
+        verts = sorted(inside)
+        if verts and not (0 <= verts[0] and verts[-1] < self.n):
+            raise ParameterError("block vertices outside range(%d)" % self.n)
         inc = {}
         for pair, c in zip(included_pairs, colours):
             key = self._norm(pair)
-            if key[0] not in verts or key[1] not in verts:
+            if key[0] not in inside or key[1] not in inside:
                 raise ParameterError("included pair %r leaves the block" % (key,))
             inc[key] = int(c)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                key = (u, v)
-                if key in self._presence:
-                    raise ExposureError("block pair %r presence exposed twice"
-                                        % (key,))
-                self._presence[key] = key in inc
-                self.ledger.append(("block", key, stage))
+        if (self._block[verts] >= 0).any():
+            raise ExposureError("block shares a vertex with an earlier block")
+        if any(u in inside and v in inside for u, v in self._presence):
+            raise ExposureError("a block pair had its presence exposed before")
         for key, c in inc.items():
             if key in self._colour:
                 raise ExposureError("block pair %r colour exposed twice" % (key,))
             if not 0 <= c < self.palette_size:
                 raise ParameterError("colour %d outside the palette" % c)
-            self._colour[key] = c
+        self._block[verts] = self._block.max() + 1
+        self._presence.update(dict.fromkeys(inc, True))
+        self._colour.update(inc)
+        self.ledger.append(("block", tuple(verts), stage))
         self._touched.update(verts)
 
     def materialize_presence(self, kind: str = "materialize",
@@ -160,10 +177,13 @@ class ExposureOracle:
         lazy.  Idempotent after the first call.
         """
         if not self.presence_complete:
-            fresh = gen_gnp(self.n, self.p,
-                            self.source.substream("materialize")).edges
-            # already decided pairs keep their value
-            self._presence = {**dict.fromkeys(fresh, True), **self._presence}
+            rows = gen_gnp(self.n, self.p,
+                           self.source.substream("materialize")).edge_array()
+            # already decided pairs (inside a block or probed) keep their value
+            ends = self._block[rows]
+            rows = rows[(ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1])]
+            self._presence = {**dict.fromkeys(map(tuple, rows.tolist()), True),
+                              **self._presence}
             self.presence_complete = True
             self.ledger.append((kind, None, stage))
         return self.presence_edges()
@@ -194,7 +214,8 @@ class ExposureOracle:
 
         Used by the randomness-shift argument: transporting the revealed
         pairs keeps the joint law intact because unrevealed pairs are
-        exchangeable.
+        exchangeable.  Earlier ledger entries keep their labels; the
+        permutation is logged after them.
         """
         if (len(perm) != self.n
                 or set(perm) != set(range(self.n))
@@ -207,6 +228,6 @@ class ExposureOracle:
 
         self._presence = {move(k): v for k, v in self._presence.items()}
         self._colour = {move(k): v for k, v in self._colour.items()}
-        self.ledger = [(kind, move(k) if k is not None else None, st)
-                       for kind, k, st in self.ledger]
+        self._block = self._block[np.argsort([perm[v] for v in range(self.n)])]
         self._touched = {perm[v] for v in self._touched}
+        self.ledger.append(("permute", dict(perm), 0))

@@ -113,19 +113,6 @@ class Tree:
                     queue.append(u)
         return parents
 
-    def distances_from(self, v: int) -> Dict[int, int]:
-        dist = {v: 0}
-        queue = [v]
-        at = 0
-        while at < len(queue):
-            x = queue[at]
-            at += 1
-            for u in self._adj[x]:
-                if u not in dist:
-                    dist[u] = dist[x] + 1
-                    queue.append(u)
-        return dist
-
     def induced_subtree(self, nodes: Iterable[int], d: Optional[int] = None) -> "Tree":
         """The induced subgraph on `nodes`, which must again be a tree."""
         ns = frozenset(int(v) for v in nodes)

@@ -11,7 +11,10 @@ import itertools
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from rainbowtrees.graphs import ColouredGraph
+from rainbowtrees.errors import ParameterError
+from rainbowtrees.exposure import ExposureError
+from rainbowtrees.graphs import ColouredGraph, gen_gnp
+from rainbowtrees.rng import RandomSource
 from rainbowtrees.trees import Tree, TreeDecomposition, RootSets
 
 Pair = Tuple[int, int]
@@ -80,6 +83,125 @@ def assert_matches_naive(graph: ColouredGraph, ref: NaiveGraph) -> None:
         assert graph.has_edge(v, u) == (pair in ref.edges)
         if ref.colouring is not None and pair in ref.edges:
             assert graph.colour_of(v, u) == ref.colouring[pair]
+
+
+class ReferenceExposureOracle:
+    """The exposure oracle with one dict entry per decided pair: a block
+    writes every one of its pairs, and a relabelling moves every entry.
+    The reference for ExposureOracle's vertex-set storage of blocks; it
+    keeps no ledger, since the two ledgers differ by design."""
+
+    def __init__(self, n: int, palette_size: int, p: float,
+                 source: RandomSource):
+        self.n = n
+        self.palette_size = palette_size
+        self.p = p
+        self.source = source
+        self._presence: Dict[Pair, bool] = {}
+        self._colour: Dict[Pair, int] = {}
+        self.presence_complete = False
+
+    def _norm(self, pair) -> Pair:
+        u, v = int(pair[0]), int(pair[1])
+        if u == v:
+            raise ParameterError("pair (%d, %d) is a loop" % (u, v))
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ParameterError("pair (%d, %d) outside range(%d)"
+                                 % (u, v, self.n))
+        return (u, v) if u < v else (v, u)
+
+    def presence_exposed(self, pair) -> bool:
+        return self._norm(pair) in self._presence
+
+    def colour_exposed(self, pair) -> bool:
+        return self._norm(pair) in self._colour
+
+    def presence_of(self, pair) -> bool:
+        key = self._norm(pair)
+        if key not in self._presence:
+            if self.presence_complete:
+                return False
+            raise ExposureError("presence of %r consulted before exposure"
+                                % (key,))
+        return self._presence[key]
+
+    def colour_of(self, pair) -> int:
+        key = self._norm(pair)
+        if key not in self._colour:
+            raise ExposureError("colour of %r consulted before exposure"
+                                % (key,))
+        return self._colour[key]
+
+    def expose_presence(self, pair, kind: str = "probe", stage: int = 0) -> bool:
+        key = self._norm(pair)
+        if key in self._presence or self.presence_complete:
+            raise ExposureError("pair %r presence exposed twice" % (key,))
+        gen = self.source.substream(("edge",) + key).generator()
+        value = bool(gen.random() < self.p)
+        self._presence[key] = value
+        return value
+
+    def expose_colour(self, pair, kind: str = "tint", stage: int = 0) -> int:
+        key = self._norm(pair)
+        if key in self._colour:
+            raise ExposureError("pair %r colour exposed twice" % (key,))
+        gen = self.source.substream(("tint",) + key).generator()
+        value = int(gen.integers(0, self.palette_size))
+        self._colour[key] = value
+        return value
+
+    def record_block(self, vertices, included_pairs, colours,
+                     stage: int) -> None:
+        if self.presence_complete:
+            raise ExposureError("cannot register a block after materialization")
+        verts = sorted(set(int(v) for v in vertices))
+        inc = {}
+        for pair, c in zip(included_pairs, colours):
+            key = self._norm(pair)
+            if key[0] not in verts or key[1] not in verts:
+                raise ParameterError("included pair %r leaves the block"
+                                     % (key,))
+            inc[key] = int(c)
+        for u, v in itertools.combinations(verts, 2):
+            if (u, v) in self._presence:
+                raise ExposureError("block pair %r presence exposed twice"
+                                    % ((u, v),))
+            self._presence[(u, v)] = (u, v) in inc
+        for key, c in inc.items():
+            if key in self._colour:
+                raise ExposureError("block pair %r colour exposed twice"
+                                    % (key,))
+            if not 0 <= c < self.palette_size:
+                raise ParameterError("colour %d outside the palette" % c)
+            self._colour[key] = c
+
+    def materialize_presence(self, kind: str = "materialize",
+                             stage: int = 0) -> FrozenSet[Pair]:
+        if not self.presence_complete:
+            fresh = gen_gnp(self.n, self.p,
+                            self.source.substream("materialize")).edges
+            self._presence = {**dict.fromkeys(fresh, True), **self._presence}
+            self.presence_complete = True
+        return self.presence_edges()
+
+    def presence_edges(self) -> FrozenSet[Pair]:
+        if not self.presence_complete:
+            raise ExposureError("presence has not been fully materialized")
+        return frozenset(k for k, v in self._presence.items() if v)
+
+    def apply_permutation(self, perm: Dict[int, int]) -> None:
+        if (len(perm) != self.n
+                or set(perm) != set(range(self.n))
+                or set(perm.values()) != set(range(self.n))):
+            raise ParameterError("perm must be a bijection of range(%d)"
+                                 % self.n)
+
+        def move(pair: Pair) -> Pair:
+            a, b = perm[pair[0]], perm[pair[1]]
+            return (a, b) if a < b else (b, a)
+
+        self._presence = {move(k): v for k, v in self._presence.items()}
+        self._colour = {move(k): v for k, v in self._colour.items()}
 
 
 def naive_external_neighbourhood(graph: ColouredGraph, block) -> Set[int]:
@@ -304,13 +426,17 @@ def check_almost_spanning_result(res, tree: Tree) -> None:
         on_tree = set(colours) & reservoir
         assert on_tree == set(res.reservoir_used), "reservoir ledger mismatch"
 
-    # every colour exposure was tied to a revealed-present pair or a block
-    kinds = {}
-    for kind, pair, _stage in oracle.ledger:
-        if pair is not None:
-            kinds.setdefault(pair, []).append(kind)
-    for pair in res.edge_colours:
-        assert pair in kinds, "tree edge %r never appears in the ledger" % (pair,)
+    # every tree edge was logged: by a single-pair entry naming it, or by a
+    # block entry holding both of its ends
+    named, blocks = set(), []
+    for kind, item, _stage in oracle.ledger:
+        if kind == "block":
+            blocks.append(frozenset(item))
+        elif kind != "permute":
+            named.add(item)
+    for u, v in res.edge_colours:
+        assert (u, v) in named or any(u in b and v in b for b in blocks), \
+            "tree edge %r never appears in the ledger" % ((u, v),)
 
 
 def check_spanning_result(res, tree: Tree, seed: ColouredGraph) -> None:

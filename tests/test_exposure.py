@@ -1,9 +1,14 @@
 """Exposure oracle: one-shot revelation, ledger audits, label transport."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from rainbowtrees import ParameterError, RandomSource
 from rainbowtrees.exposure import ExposureError, ExposureOracle
+
+from oracles import ReferenceExposureOracle
 
 
 def make(n=10, palette=16, p=0.5, seed=7):
@@ -86,6 +91,8 @@ def test_record_block():
         o.expose_presence((1, 2))
     # pairs outside the block are untouched
     assert not o.presence_exposed((4, 5))
+    # the block is one ledger entry
+    assert o.ledger == [("block", (0, 1, 2, 3), 2)]
 
 
 def test_record_block_rejects_bad_input():
@@ -97,6 +104,31 @@ def test_record_block_rejects_bad_input():
         o.record_block([1, 2, 3], [(2, 3)], [2], stage=2)   # (1,2) again
     with pytest.raises(ParameterError):
         o.record_block([4, 5], [(4, 5)], [99], stage=2)     # colour off-palette
+    o.expose_presence((4, 5))
+    with pytest.raises(ExposureError):
+        o.record_block([4, 5, 6], [(5, 6)], [2], stage=2)   # (4,5) probed
+    o.expose_colour((6, 7))
+    with pytest.raises(ExposureError):
+        o.record_block([6, 7], [(6, 7)], [2], stage=2)      # colour again
+    with pytest.raises(ParameterError):
+        o.record_block([7, 8], [], [], stage=2)             # outside range(8)
+    # a rejected block leaves no trace
+    assert not o.presence_exposed((5, 6)) and not o.colour_exposed((5, 6))
+    assert o.ledger == [("block", (0, 1, 2), 1), ("probe", (4, 5), 0),
+                        ("tint", (6, 7), 0)]
+
+
+def test_block_sharing_a_vertex_is_rejected():
+    # blocks are vertex disjoint, even when no pair of the new block was
+    # decided before
+    o = make(n=8)
+    o.record_block([0, 1, 2], [(0, 1)], [1], stage=1)
+    with pytest.raises(ExposureError):
+        o.record_block([2, 3, 4], [(3, 4)], [2], stage=2)
+    assert not o.presence_exposed((3, 4))
+    o.assert_vertices_untouched([3, 4])
+    o.record_block([3, 4], [(3, 4)], [2], stage=2)
+    assert o.presence_of((3, 4)) and not o.presence_exposed((2, 3))
 
 
 def test_untouched_audit():
@@ -133,6 +165,18 @@ def test_materialize_presence():
     assert o.colour_of((10, 11)) == c
 
 
+def test_materialize_keeps_block_pairs_absent():
+    # at p = 1 the sample holds every pair; inside the block only the
+    # included ones stay present
+    o = make(n=10, p=1.0)
+    o.record_block(range(6), [(0, 1), (2, 5)], [3, 4], stage=1)
+    edges = o.materialize_presence()
+    inside = set(itertools.combinations(range(6), 2))
+    assert edges == (set(itertools.combinations(range(10), 2)) - inside
+                     | {(0, 1), (2, 5)})
+    assert not o.presence_of((1, 2)) and o.presence_of((6, 7))
+
+
 def test_materialize_before_anything():
     o = make(n=25, p=0.15, seed=9)
     edges = o.materialize_presence()
@@ -155,11 +199,108 @@ def test_apply_permutation_transports_state():
     assert o.presence_of((1, 2))            # image of (3, 4)
     assert o.colour_of((1, 2)) == 2
     assert not o.presence_of((0, 1))        # image of (4, 5), excluded pair
-    # ledger entries moved with the labels
-    assert ("probe", (4, 5), 1) in o.ledger
+    # the ledger is append-only: earlier entries keep their labels, and
+    # the permutation is logged last
+    assert o.ledger[:-1] == [("probe", (0, 1), 1), ("tint", (0, 1), 0),
+                             ("block", (3, 4, 5), 2)]
+    assert o.ledger[-1] == ("permute", perm, 0)
     o.assert_vertices_untouched([3])        # image of untouched vertex 2
     with pytest.raises(ExposureError):
         o.assert_vertices_untouched([5])
+
+
+def test_block_membership_follows_permutation():
+    o = make(n=8)
+    o.record_block([0, 1, 2], [(0, 1)], [3], stage=1)
+    perm = {v: (v + 5) % 8 for v in range(8)}              # 0, 1, 2 -> 5, 6, 7
+    o.apply_permutation(perm)
+    assert o.presence_of((5, 6)) and o.colour_of((5, 6)) == 3
+    assert o.presence_exposed((6, 7)) and not o.presence_of((6, 7))
+    with pytest.raises(ExposureError):
+        o.expose_presence((5, 7))
+    assert not o.presence_exposed((0, 1))                  # image of (3, 4)
+    with pytest.raises(ExposureError):
+        o.record_block([4, 5], [], [], stage=2)            # 5 is a block vertex
+    o.record_block([0, 1, 2], [(1, 2)], [4], stage=2)      # images of 3, 4, 5
+    assert o.presence_of((1, 2)) and not o.presence_of((0, 2))
+    assert o.ledger[0] == ("block", (0, 1, 2), 1)
+    assert o.ledger[-1] == ("block", (0, 1, 2), 2)
+
+
+def _outcome(call):
+    """A call's value, or the type of the exposure error it raised."""
+    try:
+        return call()
+    except (ExposureError, ParameterError) as exc:
+        return type(exc)
+
+
+def _assert_same_answers(new, ref):
+    for pair in itertools.combinations(range(new.n), 2):
+        for query in ("presence_exposed", "colour_exposed", "presence_of",
+                      "colour_of"):
+            got = _outcome(lambda: getattr(new, query)(pair))
+            want = _outcome(lambda: getattr(ref, query)(pair))
+            assert got == want, (query, pair)
+    assert _outcome(new.presence_edges) == _outcome(ref.presence_edges)
+
+
+@pytest.mark.parametrize("permute_first", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matches_reference_oracle(seed, permute_first):
+    """Block storage by vertex set answers every query as the per-pair
+    reference does, through probes, tints, disjoint blocks, rejected
+    calls, materialization and relabelling."""
+    n, palette, p = 24, 9, 0.35
+    new = ExposureOracle(n, palette, p, RandomSource(seed))
+    ref = ReferenceExposureOracle(n, palette, p, RandomSource(seed))
+    gen = np.random.default_rng(seed)
+
+    def both(method, *args):
+        got = _outcome(lambda: getattr(new, method)(*args))
+        want = _outcome(lambda: getattr(ref, method)(*args))
+        assert got == want, (method, args)
+
+    shuffled = [15, 11, 13, 12, 14]
+    blocks = [range(3, 10), shuffled, [20]]
+    included = []
+    for block in blocks:
+        pairs = [q for q in itertools.combinations(sorted(block), 2)
+                 if gen.random() < 0.4]
+        included.append([(v, u) if gen.random() < 0.5 else (u, v)
+                         for u, v in pairs])
+    chosen = {(min(q), max(q)) for pairs in included for q in pairs}
+
+    # probes outside every block, some crossing a block's boundary
+    for u, v in [(0, 1), (2, 21), (22, 3), (16, 15), (23, 0), (17, 18)]:
+        both("expose_presence", (u, v))
+    # tints anywhere except on pairs a block will include
+    for _ in range(30):
+        u, v = sorted(gen.choice(n, 2, replace=False).tolist())
+        if (u, v) not in chosen:
+            both("expose_colour", (u, v))
+    for block, pairs in zip(blocks, included):
+        colours = gen.integers(0, palette, len(pairs)).tolist()
+        both("record_block", block, pairs, colours, 1)
+    # rejected before either oracle writes anything
+    both("record_block", [3, 4, 21], [(3, 4)], [0], 2)
+    both("record_block", [21, 22], [(21, 5)], [0], 2)
+    both("expose_presence", (4, 8))
+    assert len(new._presence) == 6 + len(chosen)
+    _assert_same_answers(new, ref)
+
+    perm = dict(enumerate(gen.permutation(n).tolist()))
+    steps = [("materialize_presence",), ("apply_permutation", perm)]
+    if permute_first:
+        steps.reverse()
+    for step in steps:
+        both(*step)
+        _assert_same_answers(new, ref)
+    for u, v in [(0, 2), (5, 6), (19, 23)]:
+        both("expose_colour", (u, v))
+    both("expose_presence", (0, 2))
+    both("record_block", [0, 1], [], [], 3)
+    _assert_same_answers(new, ref)
 
 
 def test_apply_permutation_validates():
