@@ -18,8 +18,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from .errors import ExpanderFailure, ParameterError, SparsifyFailure
-from .graphs import ColouredGraph, _pairs_from_indices, _skip_sample_indices, \
-    _sweep_sample_indices, canonical_edge
+from .graphs import ColouredGraph, _sample_pairs, canonical_edge
 from .rng import RandomSource
 
 E4 = math.exp(4.0)
@@ -381,48 +380,51 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     colours), so a caller tracking edge exposure can record what this
     call revealed.  The draw itself is unchanged.
     """
-    verts = sorted(set(int(v) for v in block))
-    allowed_set = set(int(c) for c in allowed)
+    verts = list(block) if isinstance(block, range) and block.step > 0 \
+        else sorted(set(int(v) for v in block))
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
-    if allowed_set and not 0 <= min(allowed_set) <= max(allowed_set) < palette_size:
+    # ok[c]: colour c is allowed; a range with a positive step is a slice
+    if isinstance(allowed, range) and allowed.step > 0:
+        picks = slice(allowed.start, allowed.stop, allowed.step)
+        ends = (allowed[0], allowed[-1]) if allowed else ()
+    else:
+        picks = np.fromiter(allowed, dtype=np.int64)
+        ends = (picks.min(), picks.max()) if len(picks) else ()
+    if ends and not 0 <= ends[0] <= ends[1] < palette_size:
         raise ParameterError("allowed colours must lie in the palette")
+    ok = np.zeros(palette_size, dtype=bool)
+    ok[picks] = True
+    count = int(np.count_nonzero(ok))
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1], got %r" % p)
-    if m < 0 or m > len(allowed_set):
-        raise ParameterError("m=%d outside [0, |allowed|=%d]"
-                             % (m, len(allowed_set)))
+    if m < 0 or m > count:
+        raise ParameterError("m=%d outside [0, |allowed|=%d]" % (m, count))
     if n is None:
         n = (verts[-1] + 1) if verts else 0
     if verts and not 0 <= verts[0] <= verts[-1] < n:
         raise ParameterError("block vertices must lie in [0, %d)" % n)
-    k = len(verts)
-    total = k * (k - 1) // 2
     gen = source.generator()
 
     # (S.1) presence
-    if p < 0.1:
-        ks = _skip_sample_indices(total, p, gen)
-    else:
-        ks = _sweep_sample_indices(total, p, gen)
-    rows = _pairs_from_indices(k, ks)
+    rows = _sample_pairs(len(verts), p, gen)
     # (S.2) colours from the full palette
     cols = gen.integers(0, palette_size, size=len(rows))
+    labels = np.array(verts, dtype=np.int64)
     if sample_out is not None:
-        sample_out["pairs"] = [(verts[i], verts[j]) for i, j in rows.tolist()]
+        sample_out["pairs"] = list(map(tuple, labels[rows].tolist()))
         sample_out["colours"] = cols.tolist()
 
-    by_colour: Dict[int, List[int]] = {}
-    for idx, c in enumerate(cols.tolist()):
-        by_colour.setdefault(c, []).append(idx)
-
     # (S.3) one uniform representative per allowed colour, in colour
-    # order; (S.4) drop the rest.  Survivors are (row, colour).
-    survivors: List[Tuple[int, int]] = []
-    for c in sorted(by_colour):
-        if c in allowed_set:
-            bucket = by_colour[c]
-            survivors.append((bucket[int(gen.integers(0, len(bucket)))], c))
+    # order: one draw of offsets into the allowed colour classes, each
+    # class in row order; (S.4) drop the rest.  Survivors are row indices.
+    order = np.argsort(cols, kind="stable")
+    counts = np.bincount(cols, minlength=palette_size)
+    classes = (counts * ok).nonzero()[0]
+    first = np.searchsorted(cols[order], classes)
+    if len(classes):
+        first += gen.integers(0, counts[classes])
+    survivors = order[first]
 
     if len(survivors) < m:
         raise SparsifyFailure(
@@ -431,13 +433,13 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
 
     # (S.5) uniform m-subset of the survivors, put back in row order,
     # which the block's ascending labels carry over to label order
-    chosen = sorted(survivors[int(t)] for t in
-                    gen.choice(len(survivors), size=m, replace=False)) if m else []
-    labels = np.array(verts, dtype=np.int64)
-    out = ColouredGraph._from_rows(n, labels[rows[[i for i, _ in chosen]]],
-                                   [c for _, c in chosen], palette_size, verts)
-    assert out.size == m, "sparsify produced %d edges, wanted %d" % (out.size, m)
-    assert out.is_rainbow(), "sparsify output must be rainbow"
-    assert out.colours_used() <= allowed_set, \
-        "sparsify leaked a colour outside the allowed set"
-    return out
+    chosen = np.sort(survivors[gen.choice(len(survivors), size=m,
+                                          replace=False)]) if m \
+        else survivors[:0]
+    picked = cols[chosen]
+    assert len(chosen) == m, \
+        "sparsify produced %d edges, wanted %d" % (len(chosen), m)
+    assert len(set(picked.tolist())) == m, "sparsify output must be rainbow"
+    assert ok[picked].all(), "sparsify leaked a colour outside the allowed set"
+    return ColouredGraph._from_rows(n, labels[rows[chosen]], picked,
+                                    palette_size, verts)

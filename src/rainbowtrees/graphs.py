@@ -13,6 +13,8 @@ independent edge colourings.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -42,7 +44,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _pair_rows(pairs: Iterable[Edge]) -> np.ndarray:
     """`pairs` as canonical (u < v) int64 rows, in the given order."""
-    rows = np.sort(np.array(list(pairs), dtype=np.int64).reshape(-1, 2), axis=1)
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
+    rows = np.sort(flat.reshape(-1, 2), axis=1)
     loops = rows[:, 0] == rows[:, 1]
     if loops.any():
         canonical_edge(*rows[loops][0].tolist())   # raises on the loop
@@ -54,18 +57,35 @@ def _codes(rows: np.ndarray, n: int) -> np.ndarray:
     return rows[:, 0] * n + rows[:, 1]
 
 
+def find_codes(codes: np.ndarray, want: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Look up each of `want` in the ascending, duplicate-free `codes`.
+
+    Returns the positions `np.searchsorted` gives and a boolean mask of
+    the entries present, which is `np.isin(want, codes)`; where the mask
+    is true, `codes[pos] == want`.
+    """
+    want = np.asarray(want, dtype=np.int64)
+    if not len(codes):
+        return np.zeros(len(want), dtype=np.int64), np.zeros(len(want), bool)
+    at = np.searchsorted(codes, want).clip(max=len(codes) - 1)
+    return at, codes[at] == want
+
+
 class ColouredGraph:
     """Immutable simple graph with an optional edge colouring.
 
     The edges are stored once, as a canonical (u < v), duplicate-free
     (m, 2) int64 array in lexicographic order, next to an aligned colour
     array or None.  `edges` (a frozenset), `colouring` (a read-only
-    mapping, or None) and `adjacency()` are views of those rows, built
-    on first use and cached.
+    mapping, or None) and the neighbour index are views of those rows,
+    built on first use and cached.  The neighbour index is in CSR form:
+    the neighbours of v, ascending, are `targets[start[v]:start[v + 1]]`;
+    `neighbours`, `degree` and `adjacency()` read it.
     """
 
     __slots__ = ("n", "palette_size", "vertex_set", "_rows", "_colours",
-                 "_edges", "_colouring", "_adj")
+                 "_edges", "_colouring", "_csr", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge],
                  colouring: Optional[Dict[Edge, int]] = None,
@@ -116,7 +136,7 @@ class ColouredGraph:
         self._colours = None if colours is None \
             else np.asarray(colours, dtype=np.int64)
         self.palette_size = 0 if colours is None else int(palette_size)
-        self._edges = self._colouring = self._adj = None
+        self._edges = self._colouring = self._csr = self._adj = None
 
     @classmethod
     def _from_rows(cls, n: int, rows, colours=None, palette_size: int = 0,
@@ -166,23 +186,41 @@ class ColouredGraph:
                 dict(zip(self._pairs(), self._colours.tolist())))
         return self._colouring
 
+    def _neighbour_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(start, targets): CSR offsets per label and neighbour labels."""
+        if self._csr is None:
+            # each edge once from either end, as codes source * n + target;
+            # sorting them lists every vertex's neighbours, ascending
+            n, rows = self.n, self._rows
+            codes = np.sort(np.concatenate((_codes(rows, n),
+                                            _codes(rows[:, ::-1], n))))
+            start = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
+            self._csr = (start, codes % max(n, 1))
+        return self._csr
+
+    def _bounds(self, v: int) -> Tuple[int, int]:
+        if v not in self.vertex_set:
+            raise KeyError(v)
+        start = self._neighbour_index()[0]
+        return int(start[v]), int(start[v + 1])
+
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
         """{vertex: its neighbours in ascending order}."""
         if self._adj is None:
-            # walking the rows in lexicographic order appends each
-            # vertex's smaller neighbours, then its larger ones, ascending
-            adj: Dict[int, list] = {v: [] for v in self.vertex_set}
-            for u, v in self._pairs():
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = {v: tuple(ns) for v, ns in adj.items()}
+            start, targets = self._neighbour_index()
+            bounds, flat = start.tolist(), targets.tolist()
+            self._adj = {v: tuple(flat[bounds[v]:bounds[v + 1]])
+                         for v in self.vertex_set}
         return self._adj
 
     def neighbours(self, v: int) -> Tuple[int, ...]:
-        return self.adjacency()[v]
+        """The neighbours of v, ascending; KeyError outside the vertex set."""
+        lo, hi = self._bounds(v)
+        return tuple(self._neighbour_index()[1][lo:hi].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
+        lo, hi = self._bounds(v)
+        return hi - lo
 
     def _degrees(self) -> np.ndarray:
         if not self.vertex_set:
@@ -223,6 +261,17 @@ class ColouredGraph:
         """Edges as ascending int64 codes u * n + v, aligned with edge_array()."""
         return _codes(self._rows, self.n)
 
+    def find_edges(self, pairs: Iterable[Edge]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row of each pair in edge_array() (either orientation), and a
+        mask of the pairs that are edges; a pair with an end outside the
+        label space is no edge.  Loops raise ParameterError."""
+        rows = _pair_rows(pairs)
+        # outside the label space a code could alias an edge's code
+        inside = (rows[:, 0] >= 0) & (rows[:, 1] < self.n)
+        at, found = find_codes(self.edge_codes(), _codes(rows, self.n))
+        return at, found & inside
+
     def colour_array(self) -> np.ndarray:
         """Colours aligned with edge_array() rows, read-only."""
         if self._colours is None:
@@ -253,11 +302,9 @@ class ColouredGraph:
 
     def without_edges(self, drop: Iterable[Edge]) -> "ColouredGraph":
         """Same vertex set, edge set minus `drop` (colouring restricted)."""
-        gone = _pair_rows(drop)
-        # a pair outside the label space is no edge, and its code could
-        # alias one that is
-        gone = gone[(gone[:, 0] >= 0) & (gone[:, 1] < self.n)]
-        keep = ~np.isin(self.edge_codes(), _codes(gone, self.n))
+        at, found = self.find_edges(drop)
+        keep = np.ones(self.size, dtype=bool)
+        keep[at[found]] = False
         return self._restrict(keep, self.vertex_set)
 
     def union(self, edges: Iterable[Edge],
@@ -324,17 +371,38 @@ def complete_graph(n: int) -> ColouredGraph:
 # -- random models --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _pair_offsets(n: int) -> np.ndarray:
+    """Lexicographic index of the first pair (u, u + 1) for each u in
+    [0, n], read-only (cached)."""
     u = np.arange(n + 1, dtype=np.int64)
-    return u * (n - 1) - u * (u - 1) // 2
+    return _read_only(u * (n - 1) - u * (u - 1) // 2)
 
 
 def _pairs_from_indices(n: int, ks: np.ndarray) -> np.ndarray:
     """Invert lexicographic pair indices to (u, v) rows with u < v."""
     offsets = _pair_offsets(n)
-    us = np.searchsorted(offsets, ks, side="right") - 1
-    vs = ks - offsets[us] + us + 1
-    return np.stack([us, vs], axis=1)
+    rows = np.empty((len(ks), 2), dtype=np.int64)
+    us = rows[:, 0]
+    us[:] = np.searchsorted(offsets, ks, side="right") - 1
+    rows[:, 1] = ks - offsets[us] + us + 1
+    return rows
+
+
+def _sample_pairs(n: int, p: float, gen: np.random.Generator) -> np.ndarray:
+    """Each pair of range(n) independently with probability p, as (u, v)
+    rows with u < v in lexicographic order.
+
+    Sparse densities (p < 0.1) use geometric skipping; denser ones use a
+    plain Bernoulli sweep.  The branch depends only on p, so the rows are
+    a pure function of (n, p) and the generator's state.
+    """
+    total = n * (n - 1) // 2
+    if p < 0.1:
+        ks = _skip_sample_indices(total, p, gen)
+    else:
+        ks = _sweep_sample_indices(total, p, gen)
+    return _pairs_from_indices(n, ks)
 
 
 def _skip_sample_indices(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
@@ -370,33 +438,19 @@ def _skip_sample_indices(total: int, p: float, gen: np.random.Generator) -> np.n
 
 def _sweep_sample_indices(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
     """Bernoulli sweep over all indices, chunked to bound memory."""
-    chunks = []
     step = 1 << 22
-    for start in range(0, total, step):
-        width = min(step, total - start)
-        mask = gen.random(width) < p
-        chunks.append(np.nonzero(mask)[0] + start)
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks).astype(np.int64)
+    chunks = [(gen.random(min(step, total - start)) < p).nonzero()[0] + start
+              for start in range(0, total, step)]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
 def gen_gnp(n: int, p: float, source: RandomSource) -> ColouredGraph:
-    """The binomial random graph: each pair is an edge with probability p.
-
-    Sparse densities (p < 0.1) use geometric skipping; denser ones use a
-    plain Bernoulli sweep.  The branch depends only on p, so a fixed
-    (n, p, source) always yields the same graph.
-    """
+    """The binomial random graph: each pair is an edge with probability p,
+    sampled by `_sample_pairs`, so a fixed (n, p, source) always yields
+    the same graph."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError("edge probability must lie in [0, 1], got %r" % p)
-    total = n * (n - 1) // 2
-    gen = source.generator()
-    if p < 0.1:
-        ks = _skip_sample_indices(total, p, gen)
-    else:
-        ks = _sweep_sample_indices(total, p, gen)
-    return ColouredGraph._from_rows(n, _pairs_from_indices(n, ks))
+    return ColouredGraph._from_rows(n, _sample_pairs(n, p, source.generator()))
 
 
 def gen_seed_graph(n: int, delta: float, kind: str,
@@ -496,10 +550,6 @@ class PerturbedGraph:
     seed: ColouredGraph
     r_edges: FrozenSet[Edge]
     union: ColouredGraph = field(repr=False)
-
-    def seed_minus_r(self) -> ColouredGraph:
-        """The seed with every random-sample edge removed."""
-        return self.seed.without_edges(self.r_edges)
 
 
 def perturb(seed: ColouredGraph, p: float, source: RandomSource) -> PerturbedGraph:

@@ -13,8 +13,28 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+
+
+class _PhiloxKey(ISeedSequence):
+    """A fixed 128-bit Philox key, handed over as the seed state.
+
+    `Philox(key=k)` first seeds itself from fresh OS entropy and then
+    overwrites the key; a seed sequence whose state is the key itself
+    gives the same generator (counter 0, empty buffer) without the
+    entropy draw, which is most of the cost of a small stream.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, key: int):
+        self.words = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 2 and dtype == np.uint64, "not a Philox key request"
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -33,7 +53,7 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         """A fresh Generator positioned at the start of this stream."""
         key = (self.seed & _MASK64) | ((self.stream & _MASK64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def substream(self, tag) -> "RandomSource":
         """Derive an independent child source from a hashable tag.

@@ -409,6 +409,9 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
         colour_used[c] = i
 
     if len(colour_used) < n - 1:
+        # a rainbow spanning tree needs n - 1 distinct colours in the host
+        if len(set(colours)) < n - 1:
+            return None
         # connected iff the rows join up the greedy components; only rows
         # between two of them can merge anything
         root = np.array([_root(parent, v) for v in range(graph.n)])
@@ -445,10 +448,8 @@ def _check_rainbow_spanning_tree(graph: ColouredGraph,
     graph, on distinct colours, closing no cycle, hence spanning."""
     n = graph.order
     assert len(tree) == n - 1, "tree has %d edges, not %d" % (len(tree), n - 1)
-    codes = graph.edge_codes()
-    want = np.array([u * graph.n + v for u, v in tree], dtype=np.int64)
-    at = np.searchsorted(codes, want).clip(max=len(codes) - 1)
-    assert (codes[at] == want).all(), "tree edge missing from the graph"
+    at, found = graph.find_edges(tree)
+    assert found.all(), "tree edge missing from the graph"
     colours = graph.colour_array()[at].tolist()
     assert len(set(colours)) == n - 1, "tree repeats a colour"
     parent = {v: v for v in graph.vertex_set}

@@ -11,6 +11,8 @@ import itertools
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import pytest
+
 from rainbowtrees.errors import ParameterError
 from rainbowtrees.exposure import ExposureError
 from rainbowtrees.graphs import ColouredGraph, gen_gnp
@@ -66,7 +68,19 @@ def assert_matches_naive(graph: ColouredGraph, ref: NaiveGraph) -> None:
     assert graph.size == len(ordered)
     assert graph.edge_array().tolist() == [list(e) for e in ordered]
     assert graph.edge_codes().tolist() == [u * ref.n + v for u, v in ordered]
-    assert graph.adjacency() == ref.adjacency()
+    # the per-vertex accessors, before and after the whole dict is built
+    want = ref.adjacency()
+    for _ in range(2):
+        for v, ns in want.items():
+            assert graph.neighbours(v) == ns
+            assert graph.degree(v) == len(ns)
+        assert graph.adjacency() == want
+    outside = [v for v in range(ref.n) if v not in ref.vertex_set][:1]
+    for v in outside + [ref.n, ref.n + 7, -1]:
+        with pytest.raises(KeyError):
+            graph.neighbours(v)
+        with pytest.raises(KeyError):
+            graph.degree(v)
     if ref.vertex_set:
         degrees = [len(ns) for ns in ref.adjacency().values()]
         assert graph.min_degree() == min(degrees)

@@ -1,5 +1,6 @@
 """Expander lab: predicates, extraction, degradation, sparsification."""
 
+import hashlib
 import itertools
 import math
 
@@ -319,3 +320,89 @@ def test_sparsify_parameter_errors():
         sparsify(range(4), 1.5, 8, range(3), 2, RandomSource(1))
     with pytest.raises(ParameterError):
         sparsify(range(4), 0.5, 8, [9], 1, RandomSource(1))  # colour outside
+
+
+# blake2b-64 of six seeded calls per case, (block size, p, form of the
+# allowed colours, m = 0): the output rows and colours (or the failure
+# counts) and the raw sample handed to `sample_out`, as the per-colour
+# draw loop of the previous implementation produced them
+SPARSIFY_PINS = {
+    (4, 0.05, 'range', False): '758a4b5ae8967cf7',
+    (4, 0.05, 'range', True): 'c6c006ae51227ee0',
+    (4, 0.05, 'list', False): 'e1d034c374f3c605',
+    (4, 0.05, 'list', True): 'c6c006ae51227ee0',
+    (4, 0.05, 'set', False): 'e1d034c374f3c605',
+    (4, 0.05, 'set', True): 'c6c006ae51227ee0',
+    (4, 1.0, 'range', False): 'e50bbecbac57ce26',
+    (4, 1.0, 'range', True): 'f4c6a978154b6626',
+    (4, 1.0, 'list', False): '680d2c8f3af90b8c',
+    (4, 1.0, 'list', True): 'f4c6a978154b6626',
+    (4, 1.0, 'set', False): '680d2c8f3af90b8c',
+    (4, 1.0, 'set', True): 'f4c6a978154b6626',
+    (11, 0.05, 'range', False): '410ef76f01c68008',
+    (11, 0.05, 'range', True): '86c8aca1196207e7',
+    (11, 0.05, 'list', False): 'f8f8dea277f7877f',
+    (11, 0.05, 'list', True): '86c8aca1196207e7',
+    (11, 0.05, 'set', False): 'ff3a290cb8f0b3cc',
+    (11, 0.05, 'set', True): '86c8aca1196207e7',
+    (11, 1.0, 'range', False): '8ec8931bce466cbb',
+    (11, 1.0, 'range', True): '86768da3009a21a3',
+    (11, 1.0, 'list', False): 'f68ca8db4669cee9',
+    (11, 1.0, 'list', True): '86768da3009a21a3',
+    (11, 1.0, 'set', False): '0ae57aa7e502b978',
+    (11, 1.0, 'set', True): '86768da3009a21a3',
+    (27, 0.05, 'range', False): '807edc01514465a2',
+    (27, 0.05, 'range', True): '21abfb42aa27d1ee',
+    (27, 0.05, 'list', False): '9ad96011105228a1',
+    (27, 0.05, 'list', True): '21abfb42aa27d1ee',
+    (27, 0.05, 'set', False): '332951ccedc8b229',
+    (27, 0.05, 'set', True): '21abfb42aa27d1ee',
+    (27, 1.0, 'range', False): 'cab52114f5883a63',
+    (27, 1.0, 'range', True): 'cd508433adc4ba96',
+    (27, 1.0, 'list', False): '839ce7212893240d',
+    (27, 1.0, 'list', True): 'cd508433adc4ba96',
+    (27, 1.0, 'set', False): '7dee0f330673ed80',
+    (27, 1.0, 'set', True): 'cd508433adc4ba96',
+    (60, 0.05, 'range', False): '56be043a821fd70c',
+    (60, 0.05, 'range', True): 'e1ca3e9d36b156fc',
+    (60, 0.05, 'list', False): '66bd7e81b24ca9a3',
+    (60, 0.05, 'list', True): 'e1ca3e9d36b156fc',
+    (60, 0.05, 'set', False): '82647ec011eac3c7',
+    (60, 0.05, 'set', True): 'e1ca3e9d36b156fc',
+    (60, 1.0, 'range', False): 'f64ca45cf053552a',
+    (60, 1.0, 'range', True): '9a46c9e5734736ef',
+    (60, 1.0, 'list', False): '4cf5cf0f0c49a5f7',
+    (60, 1.0, 'list', True): '9a46c9e5734736ef',
+    (60, 1.0, 'set', False): '51910951bacee0df',
+    (60, 1.0, 'set', True): '9a46c9e5734736ef',
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSIFY_PINS), ids=repr)
+def test_sparsify_pinned_stream(case):
+    k, p, form, m_zero = case
+    h = hashlib.blake2b(digest_size=8)
+    for t in range(6):
+        colours = range(k // 3, k // 3 + k)
+        if form == "list":
+            colours = sorted(colours, reverse=True)[::2] + [k // 3]
+        elif form == "set":
+            colours = {c for c in colours if c % 3}
+        gen = RandomSource(6600 + k, t).generator()
+        block = sorted(gen.choice(3 * k, size=k, replace=False).tolist())
+        if t % 2:
+            block = range(k)
+        size = len(set(colours))
+        m = 0 if m_zero else [size, size // 2, 1][t % 3]
+        sample = {}
+        try:
+            out = sparsify(block, p, 2 * k + 3, colours, m,
+                           RandomSource(6700 + k, t), n=3 * k,
+                           sample_out=sample)
+            got = (out.n, sorted(out.vertex_set), out.edge_array().tolist(),
+                   out.colour_array().tolist())
+        except SparsifyFailure as exc:
+            got = ("fail", exc.survivors, exc.needed)
+        h.update(repr((got, sample.get("pairs"), sample.get("colours")))
+                 .encode())
+    assert h.hexdigest() == SPARSIFY_PINS[case]

@@ -10,7 +10,7 @@ from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
                           complete_graph, external_neighbourhood, gen_gnp,
                           gen_seed_graph, is_rainbow, perturb,
                           uniform_colouring)
-from rainbowtrees.graphs import SEED_KINDS
+from rainbowtrees.graphs import SEED_KINDS, find_codes
 
 from oracles import (NaiveGraph, assert_matches_naive,
                      naive_external_neighbourhood, naive_is_rainbow)
@@ -136,7 +136,7 @@ def test_perturb_trivial():
     out = perturb(k4, 0.0, RandomSource(1))
     assert out.union.edges == k4.edges
     assert out.r_edges == frozenset()
-    assert out.seed_minus_r().edges == k4.edges
+    assert out.seed.without_edges(out.r_edges).edges == k4.edges
 
 
 def test_perturb_union_and_r_recovery():
@@ -145,7 +145,7 @@ def test_perturb_union_and_r_recovery():
         out = perturb(seed, 0.1, RandomSource(21, t))
         assert seed.edges <= out.union.edges
         assert out.union.edges == seed.edges | out.r_edges
-        g_minus = out.seed_minus_r()
+        g_minus = out.seed.without_edges(out.r_edges)
         assert g_minus.edges == seed.edges - out.r_edges
         assert not (g_minus.edges & out.r_edges)
 
@@ -285,3 +285,32 @@ def test_core_matches_naive_graph(kind, coloured, on_subset):
     extra = [(b, a) for a, b in others if a in ref.vertex_set
              and b in ref.vertex_set] + [(n, verts[0]), (verts[-1], n)]
     assert_matches_naive(g.union(extra, [n]), ref.union(extra, [n]))
+
+
+def test_edge_lookup_matches_isin():
+    gen = np.random.default_rng(65)
+    for t in range(40):
+        n = int(gen.integers(2, 30))
+        g = gen_gnp(n, [0.0, 0.2, 1.0][t % 3], RandomSource(66, t))
+        codes = g.edge_codes()
+        # duplicates, absent pairs and (every fifth case) an empty query
+        size = 0 if t % 5 == 0 else int(gen.integers(1, 3 * n))
+        want = gen.integers(0, n * n, size=size)
+        want = np.concatenate([want, want[: size // 2]])
+        at, found = find_codes(codes, want)
+        assert found.tolist() == np.isin(want, codes).tolist()
+        assert (codes[at[found]] == want[found]).all()
+
+        # pairs in either orientation, some outside the label space
+        pairs = [(int(a), int(b)) for a, b in
+                 gen.integers(-2, n + 2, size=(size, 2)) if a != b]
+        pairs += pairs[: len(pairs) // 2]
+        at, found = g.find_edges(pairs)
+        assert found.tolist() == [g.vertex_set >= {u, v} and g.has_edge(u, v)
+                                  for u, v in pairs]
+        rows = g.edge_array()
+        for (u, v), i, hit in zip(pairs, at.tolist(), found.tolist()):
+            if hit:
+                assert rows[i].tolist() == sorted((u, v))
+    with pytest.raises(ParameterError):
+        complete_graph(3).find_edges([(1, 1)])
