@@ -380,18 +380,12 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     colours), so a caller tracking edge exposure can record what this
     call revealed.  The draw itself is unchanged.
     """
-    verts = list(block) if isinstance(block, range) and block.step > 0 \
-        else sorted(set(int(v) for v in block))
+    verts = sorted(set(int(v) for v in block))
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
-    # ok[c]: colour c is allowed; a range with a positive step is a slice
-    if isinstance(allowed, range) and allowed.step > 0:
-        picks = slice(allowed.start, allowed.stop, allowed.step)
-        ends = (allowed[0], allowed[-1]) if allowed else ()
-    else:
-        picks = np.fromiter(allowed, dtype=np.int64)
-        ends = (picks.min(), picks.max()) if len(picks) else ()
-    if ends and not 0 <= ends[0] <= ends[1] < palette_size:
+    # ok[c]: colour c is allowed
+    picks = np.fromiter(allowed, dtype=np.int64)
+    if len(picks) and not 0 <= picks.min() <= picks.max() < palette_size:
         raise ParameterError("allowed colours must lie in the palette")
     ok = np.zeros(palette_size, dtype=bool)
     ok[picks] = True

@@ -14,7 +14,6 @@ independent edge colourings.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -44,8 +43,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _pair_rows(pairs: Iterable[Edge]) -> np.ndarray:
     """`pairs` as canonical (u < v) int64 rows, in the given order."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64)
-    rows = np.sort(flat.reshape(-1, 2), axis=1)
+    # a 2-vector dtype raises ValueError on an item of any other length;
+    # a lone label broadcasts to a loop, which raises below
+    rows = np.sort(np.fromiter(pairs, dtype=np.dtype((np.int64, 2))), axis=1)
     loops = rows[:, 0] == rows[:, 1]
     if loops.any():
         canonical_edge(*rows[loops][0].tolist())   # raises on the loop
@@ -371,10 +371,11 @@ def complete_graph(n: int) -> ColouredGraph:
 # -- random models --------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _pair_offsets(n: int) -> np.ndarray:
     """Lexicographic index of the first pair (u, u + 1) for each u in
-    [0, n], read-only (cached)."""
+    [0, n]; cached, since `sparsify` meets the same small block size
+    again and again, and read-only."""
     u = np.arange(n + 1, dtype=np.int64)
     return _read_only(u * (n - 1) - u * (u - 1) // 2)
 
@@ -382,6 +383,7 @@ def _pair_offsets(n: int) -> np.ndarray:
 def _pairs_from_indices(n: int, ks: np.ndarray) -> np.ndarray:
     """Invert lexicographic pair indices to (u, v) rows with u < v."""
     offsets = _pair_offsets(n)
+    # written into one array: np.stack costs more than the arithmetic
     rows = np.empty((len(ks), 2), dtype=np.int64)
     us = rows[:, 0]
     us[:] = np.searchsorted(offsets, ks, side="right") - 1
@@ -438,10 +440,15 @@ def _skip_sample_indices(total: int, p: float, gen: np.random.Generator) -> np.n
 
 def _sweep_sample_indices(total: int, p: float, gen: np.random.Generator) -> np.ndarray:
     """Bernoulli sweep over all indices, chunked to bound memory."""
+    chunks = []
     step = 1 << 22
-    chunks = [(gen.random(min(step, total - start)) < p).nonzero()[0] + start
-              for start in range(0, total, step)]
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    for start in range(0, total, step):
+        width = min(step, total - start)
+        mask = gen.random(width) < p
+        chunks.append(np.nonzero(mask)[0] + start)
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks).astype(np.int64)
 
 
 def gen_gnp(n: int, p: float, source: RandomSource) -> ColouredGraph:

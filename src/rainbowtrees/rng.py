@@ -33,7 +33,11 @@ class _PhiloxKey(ISeedSequence):
         self.words = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == 2 and dtype == np.uint64, "not a Philox key request"
+        # Philox asks for its whole key at once; anything else would
+        # silently seed a wrong key, so fail loudly in every mode
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise TypeError("a Philox key is 2 uint64 words, asked for %r of %s"
+                            % (n_words, np.dtype(dtype)))
         return self.words
 
 

@@ -314,3 +314,10 @@ def test_edge_lookup_matches_isin():
                 assert rows[i].tolist() == sorted((u, v))
     with pytest.raises(ParameterError):
         complete_graph(3).find_edges([(1, 1)])
+    # a malformed pair raises instead of being re-paired with its neighbour
+    g = complete_graph(4)
+    for bad in ([(0, 1, 2), (3,)], [(0, 1), (2,)], [(0, 1), ()],
+                [(0, 1, 2), (0, 1, 3)]):
+        for lookup in (g.find_edges, g.without_edges, g.union):
+            with pytest.raises(ValueError):
+                lookup(bad)

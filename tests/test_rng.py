@@ -1,8 +1,9 @@
 """Random sources: the generator is the Philox stream its key names."""
 
 import numpy as np
+import pytest
 
-from rainbowtrees.rng import RandomSource
+from rainbowtrees.rng import RandomSource, _PhiloxKey
 
 TOP = (1 << 64) - 1
 
@@ -29,3 +30,13 @@ def test_generators_of_one_source_are_independent():
     head = first.random(5).tolist()
     assert second.random(5).tolist() == head
     assert src.generator().random(5).tolist() == head
+
+
+def test_key_refuses_any_other_state_request():
+    # a bit generator asking for another state shape must not get a
+    # wrong key silently, with or without `python -O`
+    key = _PhiloxKey(8101)
+    assert key.generate_state(2, np.uint64).tolist() == [8101, 0]
+    for n_words, dtype in [(4, np.uint32), (2, np.uint32), (3, np.uint64)]:
+        with pytest.raises(TypeError):
+            key.generate_state(n_words, dtype)
