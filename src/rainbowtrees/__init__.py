@@ -7,26 +7,24 @@ that upgrades it to spanning trees, exact spanning-tree criteria, and a
 Monte Carlo harness with a CLI.
 """
 
-from .absorption import (AbsorberIndex, AbsorptionState, BStatistics,
-                         SpanningResult, absorb_leftovers, absorb_step,
-                         b_size_bound, compute_B, draw_permutation,
-                         embed_spanning, measure_B_statistics,
+from .absorption import (AbsorberIndex, AbsorptionState, SpanningResult,
+                         absorb_leftovers, absorb_step, b_size_bound,
+                         compute_B, draw_permutation, embed_spanning,
                          partition_edge_set, select_fresh_part)
-from .embedding import (AlmostSpanningResult, PipelineParams, colour_coverage,
+from .embedding import (AlmostSpanningResult, PipelineParams,
                         derive_parameters, embed_almost_spanning,
-                        embed_rooted_tree, format_embedding, format_trace,
-                        select_root_edges)
+                        embed_rooted_tree, format_trace, select_root_edges)
 from .errors import (AbsorptionFailure, EmbedFailure, ExpanderFailure,
                      FormatError, InfeasibleParameters, ParameterError,
                      PartitionFailure, RainbowTreesError, RootEdgeFailure,
                      SparsifyFailure, StageFailure)
-from .expanders import (EffectiveExpander, EmbedThreshold, ExpandParams,
-                        degrade_attach, ell1, ell2, find_effective_expander,
-                        is_eta_r_expander, sparsify, verify_expand_core)
+from .expanders import (EffectiveExpander, ExpandParams, degrade_attach, ell1,
+                        ell2, find_effective_expander, is_eta_r_expander,
+                        sparsify, verify_expand_core)
 from .exposure import ExposureError, ExposureOracle
 from .graphs import (ColouredGraph, PerturbedGraph, canonical_edge,
-                     complete_graph, external_neighbourhood, gen_gnp,
-                     gen_seed_graph, is_rainbow, perturb, uniform_colouring)
+                     complete_graph, gen_gnp, gen_seed_graph, perturb,
+                     uniform_colouring)
 from .harness import (CSV_HEADER, LEMMA_KINDS, TRIAL_KINDS, WILSON_Z,
                       LemmaStatsSummary, SuccessEstimate, TrialConfig,
                       TrialRecord, estimate, format_records, lemma_stats,

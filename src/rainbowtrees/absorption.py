@@ -16,6 +16,7 @@ edges at the attachment vertex were never looked at before.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -123,55 +124,6 @@ def compute_B(u: int, v: int, part: ColouredGraph, anchors: Iterable[int],
 def b_size_bound(delta: float, d: int, n: int) -> float:
     """The guarantee floor (delta/(4d))^(d+1) * n / (5 d^2) for pool sizes."""
     return (delta / (4.0 * d)) ** (d + 1) * n / (5.0 * d * d)
-
-
-@dataclass(frozen=True)
-class BStatistics:
-    """Empirical pool sizes over sampled (slice, u, v) triples."""
-
-    samples: int
-    minimum: int
-    mean: float
-    bound: float
-
-
-def measure_B_statistics(parts: Sequence[ColouredGraph],
-                         anchors: Iterable[int], image_tree: Tree,
-                         delta: float,
-                         source: Optional[RandomSource] = None,
-                         samples: int = 200,
-                         triples: Optional[Iterable[Tuple[int, int, int]]] = None
-                         ) -> BStatistics:
-    """Min and mean of pool sizes against the analytic floor.
-
-    Triples are (slice index, u, v), sampled uniformly when not given
-    explicitly.  Purely structural: nothing is exposed.
-    """
-    d = len(parts)
-    if d < 1:
-        raise ParameterError("at least one slice is required")
-    n = parts[0].n
-    anchors = tuple(int(a) for a in anchors)
-    if triples is None:
-        if source is None:
-            raise ParameterError("sampling triples needs a RandomSource")
-        gen = source.generator()
-        drawn = []
-        for _ in range(samples):
-            j = int(gen.integers(d))
-            u = int(gen.integers(n))
-            v = int(gen.integers(n - 1))
-            if v >= u:
-                v += 1
-            drawn.append((j, u, v))
-        triples = drawn
-    sizes = [len(compute_B(u, v, parts[j], anchors, image_tree))
-             for j, u, v in triples]
-    if not sizes:
-        raise ParameterError("no triples to measure")
-    return BStatistics(samples=len(sizes), minimum=min(sizes),
-                       mean=sum(sizes) / len(sizes),
-                       bound=b_size_bound(delta, d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -282,40 +234,36 @@ def select_fresh_part(parts: Sequence[ColouredGraph], u: int,
         detail={"structural": True, "vertex": u})
 
 
-def absorb_step(state: AbsorptionState, v: int, u_node: int, j_star: int,
-                v_node: Optional[int] = None) -> str:
-    """Absorb host vertex v while tree node v_node rejoins at u_node.
+def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
+    """Absorb host vertex v while tree node v_node rejoins the tree.
 
-    Scans the anchor pool for (u, v) in slice j_star in ascending vertex
-    order, revealing for each candidate x only the colour of the edge
-    u-x and of the edges from v to x's image-tree neighbours.  The first
-    candidate whose revealed colours are pairwise distinct and disjoint
-    from the tree's colours wins: the tree node sitting at x moves to v
-    (its incident image edges swing from x to v on the just-revealed
-    colours), and v_node lands on x through the edge u-x.  Appends and
-    returns a record line `i=<step> j*=<slice> |B|=<pool> chosen=<x|fail>`.
+    v_node must have exactly one embedded tree neighbour, which sits on
+    host u; j* is the first slice with no revealed colour at u
+    (select_fresh_part).  Scans the anchor pool for (u, v) in slice j* in
+    ascending vertex order, revealing for each candidate x only the
+    colour of the edge u-x and of the edges from v to x's image-tree
+    neighbours.  The first candidate whose revealed colours are pairwise
+    distinct and disjoint from the tree's colours wins: the tree node
+    sitting at x moves to v (its incident image edges swing from x to v
+    on the just-revealed colours), and v_node lands on x through the
+    edge u-x.  Appends and returns a record line
+    `i=<step> j*=<slice> |B|=<pool> chosen=<x|fail>`.
 
     Raises AbsorptionFailure when no candidate qualifies (a legitimate
     random outcome) and asserts on any contract violation.
     """
     tree, oracle = state.tree, state.oracle
-    if u_node not in state.nodes:
-        raise ParameterError("attachment node %r is not embedded" % (u_node,))
     if v in state.inverse:
         raise ParameterError("host vertex %d already carries a tree node" % v)
-    pending = [w for w in tree.neighbours(u_node) if w not in state.nodes]
-    if v_node is None:
-        if len(pending) != 1:
-            raise ParameterError(
-                "attachment node %r has %d unembedded neighbours; pass the "
-                "one to attach" % (u_node, len(pending)))
-        v_node = pending[0]
-    if v_node not in pending:
-        raise ParameterError("node %r is not an unembedded neighbour of %r"
-                             % (v_node, u_node))
-    u = state.mapping[u_node]
-    assert j_star == select_fresh_part(state.index.parts, u, oracle), \
-        "j* must be the first colour-fresh slice at the attachment vertex"
+    if v_node not in tree.nodes or v_node in state.nodes:
+        raise ParameterError("node %r is not an unembedded tree node"
+                             % (v_node,))
+    hooks = [w for w in tree.neighbours(v_node) if w in state.nodes]
+    if len(hooks) != 1:
+        raise ParameterError("node %r has %d embedded neighbours, not one"
+                             % (v_node, len(hooks)))
+    u = state.mapping[hooks[0]]
+    j_star = select_fresh_part(state.index.parts, u, oracle)
     h = state.index.parts[j_star]
 
     # nothing in this slice incident to v and the current image may have
@@ -391,7 +339,7 @@ class SpanningResult:
     `eps_used` the one actually applied (they differ when overridden);
     both always appear in the trace.  `r_max_degree` records the largest
     degree of the revealed random graph against the advisory cap
-    `c * ln n`; breaching it is recorded, never fatal.
+    `3 ln n`; breaching it is recorded, never fatal.
     """
 
     success: bool
@@ -431,9 +379,9 @@ def _validate_spanning(state_mapping: Dict[int, int],
 def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
                      almost: AlmostSpanningResult, delta: float, d: int,
                      eps_used: float, source: RandomSource, *,
-                     c_ln: float = 3.0, eps_formula: Optional[float] = None,
-                     base_trace: Optional[Sequence[str]] = None,
-                     partition_retries: int = 50) -> SpanningResult:
+                     eps_formula: Optional[float] = None,
+                     base_trace: Optional[Sequence[str]] = None
+                     ) -> SpanningResult:
     """Grow an embedded trimmed tree back to spanning size.
 
     Takes the almost-spanning outcome as-is (tests may hand-build one),
@@ -478,14 +426,12 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
             almost=almost, oracle=oracle)
 
     # reveal the full random edge set; its maximum degree is checked
-    # against an advisory logarithmic cap and recorded either way
+    # against an advisory cap of 3 ln n and recorded either way
     r_edges = oracle.materialize_presence(kind="materialize", stage=0)
-    degs = np.zeros(n, dtype=np.int64)
-    for a, b in r_edges:
-        degs[a] += 1
-        degs[b] += 1
-    rmax = int(degs.max()) if n else 0
-    cap = c_ln * math.log(n) if n > 1 else float(c_ln)
+    ends = np.fromiter(itertools.chain.from_iterable(r_edges), dtype=np.int64,
+                       count=2 * len(r_edges))
+    rmax = int(np.bincount(ends, minlength=n).max()) if n else 0
+    cap = 3.0 * math.log(n) if n > 1 else 3.0
     rok = rmax <= cap + 1e-9
     _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
 
@@ -512,7 +458,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     try:
         parts = partition_edge_set(g_minus_r, d, delta,
                                    source.substream("partition"),
-                                   retries=partition_retries, r_edges=r_edges)
+                                   r_edges=r_edges)
     except PartitionFailure as exc:
         _trace(trace, "partition", False, detail=str(exc.detail))
         return failure(exc.stage, str(exc))
@@ -530,12 +476,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     assert len(rejoin) == len(leftovers) == r
     try:
         for k in range(r):
-            v_node = rejoin[k]
-            hooks = [w for w in tree.neighbours(v_node) if w in state.nodes]
-            assert len(hooks) == 1, "reverse trim must attach a leaf"
-            j_star = select_fresh_part(index.parts, state.mapping[hooks[0]],
-                                       oracle)
-            absorb_step(state, leftovers[k], hooks[0], j_star, v_node)
+            absorb_step(state, leftovers[k], rejoin[k])
     except StageFailure as exc:
         return failure(exc.stage, str(exc))
 
@@ -551,20 +492,18 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
 
 def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
                    alpha: float, d: int, source: RandomSource, *,
-                   eps_override: Optional[float] = None, c_ln: float = 3.0,
-                   derive_kwargs: Optional[Dict] = None,
-                   check_mode: str = "sampled", check_trials: int = 60,
-                   embed_budget: Optional[int] = None,
-                   partition_retries: int = 50) -> SpanningResult:
+                   eps_override: Optional[float] = None,
+                   derive_kwargs: Optional[Dict] = None) -> SpanningResult:
     """Embed `tree` as a rainbow spanning tree of the perturbed host.
 
     The trim fraction defaults to (delta/(4d))^(d+1) / (10 d^2), which is
     far below one leftover vertex at desk scale; `eps_override` makes the
     absorption phase observable and both values are logged.  A zero
     leftover count reduces the run to the almost-spanning pipeline on the
-    whole tree.  `derive_kwargs` tunes the trimmed-tree embedding stage;
-    the default picks a narrow block slack so the blocks of a nearly
-    spanning forest still fit disjointly.
+    whole tree.  `derive_kwargs` holds the derive_parameters knobs of
+    the trimmed-tree embedding stage (zeta, beta, rho, expander_c_mode,
+    m_mode, c_m); the default picks a narrow block slack so the blocks of
+    a nearly spanning forest still fit disjointly.
 
     Parameter violations raise; stage failures are returned as results.
     """
@@ -611,11 +550,6 @@ def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
                                  c_m=3.0)
         params = derive_parameters(eps_sub, d, n, **derive_kwargs)
     almost = embed_almost_spanning(n, p, palette_size, trim.t0, eps_sub, d,
-                                   source.substream("almost"), params=params,
-                                   check_mode=check_mode,
-                                   check_trials=check_trials,
-                                   embed_budget=embed_budget)
+                                   source.substream("almost"), params=params)
     return absorb_leftovers(seed, tree, trim, almost, delta, d, eps_used,
-                            source, c_ln=c_ln, eps_formula=eps_formula,
-                            base_trace=trace,
-                            partition_retries=partition_retries)
+                            source, eps_formula=eps_formula, base_trace=trace)

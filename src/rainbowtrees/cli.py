@@ -34,7 +34,7 @@ def _read_input(path: str) -> str:
 
 
 def _emit_text(text: str, out: Optional[str]) -> None:
-    if out:
+    if out and out != "-":
         write_text(out, text)
     else:
         sys.stdout.write(text)
@@ -183,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("gnp",) + SEED_KINDS, default="gnp")
     sp.add_argument("--delta", type=float, default=0.4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out", default=None,
+                    help="edge-list file; - or no --out writes to stdout")
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("colour", help="colour an edge list uniformly")
@@ -192,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--palette", type=int, default=None,
                     help="palette size (default: vertex count)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--out", default=None,
+                    help="edge-list file; - or no --out writes to stdout")
     sp.set_defaults(func=_cmd_colour)
 
     for name, kind, blurb in (

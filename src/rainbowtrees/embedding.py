@@ -61,18 +61,14 @@ class PipelineParams:
     expander_c_mode: str = "density"
     m_mode: str = "fixed"
     c_m: float = 3.0
-    block_scale: float = 1.0
 
     def block_size(self, piece_order: int) -> int:
-        """Host block size for a piece with `piece_order` tree nodes.
-
-        (1 + 3 zeta / 2) times the piece order is the floor the
-        embedding argument needs; `block_scale` >= 1 widens the block
-        when the vertex budget allows, which only adds room.  The caller
-        still checks that the blocks fit disjointly.
+        """Host block size for a piece with `piece_order` tree nodes:
+        (1 + 3 zeta / 2) times the piece order, the floor the embedding
+        argument needs.  The caller checks that the blocks fit
+        disjointly.
         """
-        base = (1.0 + 1.5 * self.zeta) * piece_order
-        return int(math.ceil(self.block_scale * base - 1e-9))
+        return int(math.ceil((1.0 + 1.5 * self.zeta) * piece_order - 1e-9))
 
     def stage_edge_count(self, index: int, block_order: int) -> int:
         """Edge budget m for the sparsified stage graph (0-based index)."""
@@ -152,17 +148,16 @@ def derive_parameters(eps: float, d: int, n: int, *,
                       zeta: Optional[float] = None,
                       beta: Optional[float] = None,
                       rho: Optional[float] = None,
-                      c_beta: float = 0.01, c_rho: float = 0.01,
                       expander_c_mode: str = "density",
                       m_mode: str = "fixed",
-                      c_m: float = 3.0,
-                      block_scale: float = 1.0) -> PipelineParams:
+                      c_m: float = 3.0) -> PipelineParams:
     """Fix the constants of one embedding run.
 
     Without overrides, `zeta` sits at its cap eps/(2(1-eps)) (clamped to
     1/2 to keep the logarithmic terms meaningful), and `beta`, `rho` sit
-    at their smallness caps with factors `c_beta`, `c_rho`.  Overrides are
-    accepted beyond the caps; `within_caps` records whether they fit.
+    at their smallness caps 0.01 zeta eps / (d^4 ln(1/zeta)) and
+    0.01 eps.  Overrides are accepted beyond the caps; `within_caps`
+    records whether they fit.
 
     Raises InfeasibleParameters when the piece-size window collapses at
     this n (the cutter needs xi*n >= d), reporting the minimum workable n.
@@ -177,8 +172,6 @@ def derive_parameters(eps: float, d: int, n: int, *,
         raise ParameterError("expander_c_mode must be 'density' or 'xi'")
     if m_mode not in ("fixed", "adaptive", "balanced"):
         raise ParameterError("m_mode must be 'fixed', 'adaptive' or 'balanced'")
-    if block_scale < 1.0:
-        raise ParameterError("block_scale must be >= 1, got %r" % block_scale)
     d = int(d)
     n = int(n)
 
@@ -190,13 +183,13 @@ def derive_parameters(eps: float, d: int, n: int, *,
     if zeta > zeta_cap + 1e-12:
         raise ParameterError("zeta=%g exceeds its cap %g" % (zeta, zeta_cap))
 
-    beta_cap = c_beta * zeta * eps / (d ** 4 * math.log(1.0 / zeta))
+    beta_cap = 0.01 * zeta * eps / (d ** 4 * math.log(1.0 / zeta))
     if beta is None:
         beta = beta_cap
     if beta <= 0.0:
         raise ParameterError("beta must be positive, got %r" % beta)
 
-    rho_cap = c_rho * eps
+    rho_cap = 0.01 * eps
     if rho is None:
         rho = rho_cap
     if not 0.0 <= rho < 1.0:
@@ -220,7 +213,7 @@ def derive_parameters(eps: float, d: int, n: int, *,
                           beta_cap=beta_cap, rho_cap=rho_cap,
                           within_caps=within,
                           expander_c_mode=expander_c_mode,
-                          m_mode=m_mode, c_m=c_m, block_scale=block_scale)
+                          m_mode=m_mode, c_m=c_m)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +325,8 @@ def _embed_pass(levels, parent, demand, adj, gen, root_vertex,
 
 
 def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
-                      root_vertex: Optional[int] = None,
-                      source: Optional[RandomSource] = None,
-                      budget: Optional[int] = None,
-                      restarts: int = 30) -> Dict[int, int]:
+                      root_vertex: Optional[int] = None, *,
+                      source: RandomSource) -> Dict[int, int]:
     """Injective tree embedding into `host`, root pinned when given.
 
     The tree is placed level-synchronously: after the root, each BFS
@@ -343,10 +334,9 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     unused neighbourhoods of the parents' images, so siblings and
     cousins never lose to each other through unlucky sequential order.
     A level that cannot be perfected triggers a redraw of the previous
-    level's matching, and a bounded number of full restarts sits on top.
-    `budget` caps the total number of level matchings attempted (default
-    60 per restart level count).  Exhausting it is an honest failure,
-    not an error.
+    level's matching, and up to 30 full restarts sit on top, within a
+    budget of 60 level matchings per tree level.  Exhausting it is an
+    honest failure, not an error.
     """
     if root_node not in tree.nodes:
         raise ParameterError("root node %r not in the tree" % (root_node,))
@@ -356,7 +346,7 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     if root_vertex is not None and root_vertex not in host.vertex_set:
         raise ParameterError("root vertex %r outside the host" % (root_vertex,))
 
-    gen = (source or RandomSource(0)).generator()
+    gen = source.generator()
     order = tree.bfs_order(root_node)
     parent = tree.parent_map(root_node)
     adj = host.adjacency()
@@ -371,11 +361,10 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     for v in order:
         levels[depth[v]].append(v)
 
-    if budget is None:
-        budget = 60 * len(levels)
+    budget = 60 * len(levels)
     best = 0
     spent = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(30):
         if spent >= budget:
             break
         image, reached = _embed_pass(levels, parent, demand, adj, gen,
@@ -399,7 +388,8 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
 # root edges
 
 
-def select_root_edges(root_vertex: int, host, oracle: ExposureOracle,
+def select_root_edges(root_vertex: int, host: ColouredGraph,
+                      oracle: ExposureOracle,
                       fresh_reservoir: Iterable[int], needed: int,
                       stage: int = 0) -> Tuple[Tuple[Pair, int], ...]:
     """Reveal the pairs from `root_vertex` into the host and keep a rainbow
@@ -415,8 +405,7 @@ def select_root_edges(root_vertex: int, host, oracle: ExposureOracle,
         raise ParameterError("needed must be >= 0, got %r" % needed)
     if needed == 0:
         return ()
-    vertices = sorted(host.vertex_set if isinstance(host, ColouredGraph)
-                      else set(int(v) for v in host))
+    vertices = sorted(host.vertex_set)
     if root_vertex in vertices:
         raise ParameterError("root vertex %d lies inside the host" % root_vertex)
     reservoir = set(int(c) for c in fresh_reservoir)
@@ -477,16 +466,9 @@ def format_trace(trace: Sequence[str]) -> str:
     return "\n".join(trace) + ("\n" if trace else "")
 
 
-def format_embedding(mapping: Dict[int, int]) -> str:
-    """One `node vertex` line per placement, sorted by node."""
-    return "".join("%d %d\n" % (node, mapping[node]) for node in sorted(mapping))
-
-
 def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
                           eps: float, d: int, source: RandomSource, *,
-                          params: Optional[PipelineParams] = None,
-                          check_mode: str = "sampled", check_trials: int = 60,
-                          embed_budget: Optional[int] = None
+                          params: Optional[PipelineParams] = None
                           ) -> AlmostSpanningResult:
     """Embed `tree` into a lazily revealed coloured random graph on [n].
 
@@ -635,7 +617,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         expand = params.stage_expand_params(i, C)
         try:
             effective = find_effective_expander(
-                stage_graph, expand, mode=check_mode, trials=check_trials,
+                stage_graph, expand, mode="sampled", trials=60,
                 source=source.substream(("expander", i)))
         except ExpanderFailure as exc:
             _trace(trace, "expander-%d" % stage_no, False,
@@ -690,8 +672,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         try:
             mapping = embed_rooted_tree(host, piece_tree, root_node,
                                         root_vertex,
-                                        source=source.substream(("embed", i)),
-                                        budget=embed_budget)
+                                        source=source.substream(("embed", i)))
         except EmbedFailure as exc:
             _trace(trace, "embed-%d" % stage_no, False, placed=exc.placed,
                    total=exc.total)
@@ -734,21 +715,3 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         embedding=placement, edge_colours=edge_colours, params=params,
         hypothesis_met=hypothesis_met, regime=regime,
         reservoir_used=frozenset(reservoir_used), oracle=oracle)
-
-
-# ---------------------------------------------------------------------------
-# colour statistics
-
-
-def colour_coverage(coloured, allowed: Iterable[int]) -> int:
-    """Number of distinct `allowed` colours present on the given edges.
-
-    Accepts a ColouredGraph or any iterable of colour values.
-    """
-    if isinstance(coloured, ColouredGraph):
-        if not coloured.is_coloured:
-            raise ParameterError("graph carries no colouring")
-        values = coloured.colouring.values()
-    else:
-        values = list(coloured)
-    return len(set(values) & set(int(c) for c in allowed))

@@ -68,27 +68,6 @@ class ExpandParams:
 
 
 @dataclass(frozen=True)
-class EmbedThreshold:
-    """Embedding-size threshold bundle."""
-
-    eta: float
-    d: int
-    k: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 0.5:
-            raise ParameterError("eta must lie in (0, 1/2), got %r" % self.eta)
-        if self.d < 2:
-            raise ParameterError("d must be >= 2, got %r" % self.d)
-        if self.k <= 0:
-            raise ParameterError("k must be positive, got %r" % self.k)
-
-    @property
-    def ell2(self) -> float:
-        return ell2(self.eta, self.d, self.k)
-
-
-@dataclass(frozen=True)
 class ExpansionCheck:
     """Outcome of an expansion check.
 

@@ -340,30 +340,6 @@ class ColouredGraph:
         return "<ColouredGraph order=%d size=%d (%s)>" % (self.order, self.size, tag)
 
 
-def is_rainbow(graph: ColouredGraph, edge_subset: Optional[Iterable[Edge]] = None) -> bool:
-    """True iff the colours on `edge_subset` (default: all edges) are
-    pairwise distinct."""
-    if graph.colouring is None:
-        raise ParameterError("graph is uncoloured")
-    if edge_subset is None:
-        return graph.is_rainbow()
-    subset = {canonical_edge(u, v) for u, v in edge_subset}
-    for e in subset:
-        if e not in graph.edges:
-            raise ParameterError("edge %s is not in the graph" % (e,))
-    return len({graph.colouring[e] for e in subset}) == len(subset)
-
-
-def external_neighbourhood(graph: ColouredGraph, block: Iterable[int]) -> FrozenSet[int]:
-    """Vertices outside `block` with at least one neighbour inside it."""
-    inside = set(block)
-    out = set()
-    adj = graph.adjacency()
-    for v in inside:
-        out.update(adj[v])
-    return frozenset(out - inside)
-
-
 def complete_graph(n: int) -> ColouredGraph:
     return ColouredGraph._from_rows(n, np.stack(np.triu_indices(n, 1), axis=1))
 

@@ -47,20 +47,15 @@ CSV_HEADER = ("trial", "seed", "outcome", "stage", "metric_json", "ms")
 # two-sided 95% normal quantile, frozen so intervals never drift
 WILSON_Z = 1.959963984540054
 
-# knob keys forwarded to derive_parameters for the trimmed-tree stage
-_DERIVE_KEYS = ("zeta", "beta", "rho", "c_beta", "c_rho", "expander_c_mode",
-                "m_mode", "c_m", "block_scale")
-_CHECK_KEYS = ("check_mode", "check_trials", "embed_budget")
+# knob keys forwarded to derive_parameters by the embedding pipelines
+_DERIVE_KEYS = ("zeta", "beta", "rho", "expander_c_mode", "m_mode", "c_m")
 
 
 def _allowed_knobs(kind: str, lemma_kind: Optional[str]) -> frozenset:
     if kind == "almost-spanning":
-        return frozenset(_DERIVE_KEYS + _CHECK_KEYS)
+        return frozenset(_DERIVE_KEYS)
     if kind == "spanning":
-        return frozenset(_DERIVE_KEYS + _CHECK_KEYS
-                         + ("eps_override", "c_ln", "partition_retries"))
-    if kind == "lemma-stats" and lemma_kind == "large-Buv":
-        return frozenset(("partition_retries",))
+        return frozenset(_DERIVE_KEYS + ("eps_override",))
     if kind == "lemma-stats" and lemma_kind == "expand-membership":
         return frozenset(("theta", "C", "eta", "r", "check_mode",
                           "check_trials"))
@@ -84,10 +79,12 @@ class TrialConfig:
     almost-spanning runs, 20/n for the colour-count lemmas, and ln(n)/n
     otherwise.  For spanning runs `eps` is the trim override; put
     {"eps_override": None} in `knobs` to use the analysis formula
-    instead.  `knobs` also carries pass-through tuning (derive keys,
-    check_mode / check_trials / embed_budget, c_ln, partition_retries,
-    or the expander family parameters); unknown keys are rejected so
-    typos fail loudly.
+    instead.  `knobs` also carries pass-through tuning: for the two
+    embedding kinds the derive_parameters keys zeta, beta, rho,
+    expander_c_mode, m_mode and c_m; for expand-membership the expander
+    family parameters theta, C, eta, r and the check_mode / check_trials
+    of its membership test.  Unknown keys are rejected so typos fail
+    loudly.
     """
 
     kind: str
@@ -330,10 +327,14 @@ def _knob(config: TrialConfig, key: str, default):
     return knobs.get(key, default)
 
 
-def _derive_for(config: TrialConfig):
+def _derive_kwargs(config: TrialConfig) -> Dict[str, object]:
     knobs = config.knobs or {}
-    kwargs = {k: knobs[k] for k in _DERIVE_KEYS if k in knobs}
-    return derive_parameters(config.eps, config.d, config.n, **kwargs)
+    return {k: knobs[k] for k in _DERIVE_KEYS if k in knobs}
+
+
+def _derive_for(config: TrialConfig):
+    return derive_parameters(config.eps, config.d, config.n,
+                             **_derive_kwargs(config))
 
 
 def _expand_params(config: TrialConfig) -> ExpandParams:
@@ -367,10 +368,7 @@ def _trial_almost(config: TrialConfig, src: RandomSource):
     try:
         res = embed_almost_spanning(
             config.n, config.resolved_p(), config.resolved_palette(), tree,
-            config.eps, config.d, src.substream("pipeline"), params=params,
-            check_mode=str(_knob(config, "check_mode", "sampled")),
-            check_trials=int(_knob(config, "check_trials", 60)),
-            embed_budget=_knob(config, "embed_budget", None))
+            config.eps, config.d, src.substream("pipeline"), params=params)
     except InfeasibleParameters as exc:
         return _infeasible(exc)
     metrics = {"tree_nodes": size,
@@ -388,19 +386,12 @@ def _trial_spanning(config: TrialConfig, src: RandomSource):
     seed = gen_seed_graph(config.n, config.delta, config.seed_kind,
                           src.substream("seed-graph"))
     tree = _make_tree(config, config.n, src.substream("tree"))
-    knobs = config.knobs or {}
-    eps_override = knobs["eps_override"] if "eps_override" in knobs \
-        else config.eps
-    derive_kwargs = {k: knobs[k] for k in _DERIVE_KEYS if k in knobs} or None
     try:
         res = embed_spanning(
             seed, config.resolved_p(), tree, config.delta, config.alpha,
-            config.d, src.substream("pipeline"), eps_override=eps_override,
-            c_ln=float(knobs.get("c_ln", 3.0)), derive_kwargs=derive_kwargs,
-            check_mode=str(knobs.get("check_mode", "sampled")),
-            check_trials=int(knobs.get("check_trials", 60)),
-            embed_budget=knobs.get("embed_budget", None),
-            partition_retries=int(knobs.get("partition_retries", 50)))
+            config.d, src.substream("pipeline"),
+            eps_override=_knob(config, "eps_override", config.eps),
+            derive_kwargs=_derive_kwargs(config) or None)
     except InfeasibleParameters as exc:
         return _infeasible(exc)
     metrics = {"r": res.r,
@@ -465,10 +456,8 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
     trim = trim_to_size(full, n - r, src.substream("trim"))
     try:
         anchor_nodes = build_I0(trim.t0, full, d, eps)
-        parts = partition_edge_set(
-            gmr, d, delta, src.substream("slices"),
-            retries=int(_knob(config, "partition_retries", 50)),
-            r_edges=rgraph.edges)
+        parts = partition_edge_set(gmr, d, delta, src.substream("slices"),
+                                   r_edges=rgraph.edges)
     except StageFailure as exc:
         return "fail", exc.stage, {"detail": str(exc), "bound": bound}
     if not anchor_nodes:

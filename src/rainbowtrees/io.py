@@ -1,19 +1,14 @@
-"""Plain-text serialization for graphs and trees.
+"""Plain-text serialization for graphs.
 
 Edge-list format: a header line `n k` (k = 0 means uncoloured), then one
-line per edge, `u v` or `u v c`, in sorted canonical order.  Tree format:
-a header line with the node count m, then m - 1 lines `parent child` in
-discovery order from root 0.  Output is deterministic, so write-read-write
-round trips are byte-identical.
+line per edge, `u v` or `u v c`, in sorted canonical order.  Output is
+deterministic, so write-read-write round trips are byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from .errors import FormatError
 from .graphs import ColouredGraph
-from .trees import Tree
 
 
 def format_edge_list(graph: ColouredGraph) -> str:
@@ -73,53 +68,6 @@ def parse_edge_list(text: str) -> ColouredGraph:
                                   line=no)
             colouring[e] = c
     return ColouredGraph(n, edges, colouring, k)
-
-
-def format_tree(tree: Tree) -> str:
-    """Serialize a tree, relabelling its nodes to 0..m-1 in sorted order."""
-    ordered = sorted(tree.nodes)
-    rank = {v: i for i, v in enumerate(ordered)}
-    lines = ["%d" % tree.m]
-    parents = tree.parent_map(ordered[0])
-    for v in tree.bfs_order(ordered[0])[1:]:
-        lines.append("%d %d" % (rank[parents[v]], rank[v]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_tree(text: str, d: Optional[int] = None) -> Tree:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise FormatError("missing node-count header", line=1)
-    try:
-        m = int(lines[0].split()[0]) if len(lines[0].split()) == 1 else None
-    except ValueError:
-        m = None
-    if m is None or m < 1:
-        raise FormatError("header must be a single positive integer, got %r"
-                          % lines[0], line=1)
-    edges: List = []
-    for no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        toks = raw.split()
-        if len(toks) != 2:
-            raise FormatError("expected 'parent child', got %r" % raw, line=no)
-        try:
-            a, b = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise FormatError("non-integer field in %r" % raw, line=no)
-        if not (0 <= a < m and 0 <= b < m):
-            raise FormatError("node outside [0, %d) in %r" % (m, raw), line=no)
-        edges.append((a, b))
-    if len(edges) != m - 1:
-        raise FormatError("tree on %d nodes needs %d edges, found %d"
-                          % (m, m - 1, len(edges)))
-    try:
-        bound = d if d is not None else max(
-            1, max((sum(1 for e in edges if x in e) for x in range(m)), default=1))
-        return Tree(range(m), edges, bound)
-    except Exception as exc:
-        raise FormatError("edge list is not a valid tree: %s" % exc)
 
 
 def write_text(path: str, text: str) -> None:

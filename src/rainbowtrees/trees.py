@@ -240,26 +240,21 @@ class TreeDecomposition:
             raise ParameterError("piece 0 has no connecting edge")
         return self.connecting[i][1]
 
-    def piece_tree(self, i: int) -> Tree:
-        return self.tree.induced_subtree(self.pieces[i])
-
 
 def decompose_tree(tree: Tree, d: int, eps: float, xi: float,
-                   n: Optional[int] = None) -> TreeDecomposition:
+                   n: int) -> TreeDecomposition:
     """Split `tree` into subtrees with sizes controlled by the window
     [xi*n/d, xi*n] (the first piece may be smaller).
 
-    The ambient scale n defaults to v(T)/(1-eps) rounded up.  Splitting
-    walks from a leaf root toward the largest live subtree and cuts the
-    first subtree of size at most xi*n; the cut order is then reversed so
-    every piece attaches to the union of earlier pieces by one edge.
+    Splitting walks from a leaf root toward the largest live subtree and
+    cuts the first subtree of size at most xi*n; the cut order is then
+    reversed so every piece attaches to the union of earlier pieces by
+    one edge.
     """
     if tree.max_degree() > d:
         raise ParameterError("tree has degree %d > d=%d" % (tree.max_degree(), d))
     if not 0.0 <= eps < 1.0:
         raise ParameterError("eps must lie in [0, 1), got %r" % eps)
-    if n is None:
-        n = int(math.ceil(tree.m / (1.0 - eps) - 1e-9))
     if tree.m > (1.0 - eps) * n + 1e-9:
         raise ParameterError("tree too large: v(T)=%d > (1-eps)n=%.3f"
                              % (tree.m, (1.0 - eps) * n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import pytest
 
@@ -216,17 +216,6 @@ class ReferenceExposureOracle:
 
         self._presence = {move(k): v for k, v in self._presence.items()}
         self._colour = {move(k): v for k, v in self._colour.items()}
-
-
-def naive_external_neighbourhood(graph: ColouredGraph, block) -> Set[int]:
-    inside = set(block)
-    out = set()
-    for u, v in graph.edges:
-        if u in inside and v not in inside:
-            out.add(v)
-        if v in inside and u not in inside:
-            out.add(u)
-    return out
 
 
 def naive_is_rainbow(graph: ColouredGraph, subset=None) -> bool:
@@ -688,9 +677,42 @@ def brute_suzuki(graph: ColouredGraph) -> bool:
     return True
 
 
+def _connectivity_at_least(h, threshold: int) -> bool:
+    """Whether the networkx graph `h` is `threshold`-vertex-connected.
+
+    Decides the predicate, not the number: the connectivity is at most
+    the minimum degree, and it is the smallest local connectivity over
+    Even's witness pairs for a minimum-degree vertex v (v against each
+    non-neighbour, and each non-adjacent pair of neighbours of v), the
+    pairs networkx's node_connectivity uses.  Each flow is cut off once
+    it reaches `threshold`.  A single vertex counts as 0-connected.
+    """
+    import networkx as nx
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity, local_node_connectivity)
+    from networkx.algorithms.flow import build_residual_network
+
+    if threshold <= 0:
+        return True
+    if len(h) == 1 or not nx.is_connected(h):
+        return False
+    v, degree = min(h.degree(), key=lambda item: item[1])
+    if degree < threshold:
+        return False
+    aux = build_auxiliary_node_connectivity(h)
+    residual = build_residual_network(aux, "capacity")
+    around = set(h[v])
+    pairs = [(v, w) for w in h if w != v and w not in around]
+    pairs += [(x, y) for x, y in itertools.combinations(sorted(around), 2)
+              if y not in h[x]]
+    return all(local_node_connectivity(h, x, y, auxiliary=aux,
+                                       residual=residual, cutoff=threshold)
+               >= threshold for x, y in pairs)
+
+
 def check_partition_blocks(graph: ColouredGraph, partition, k: int) -> None:
     """Recount the partition contract from scratch: cover, disjointness,
-    size floor, and block connectivity via networkx."""
+    size floor, and block connectivity via networkx flows."""
     import math
 
     import networkx as nx
@@ -708,5 +730,4 @@ def check_partition_blocks(graph: ColouredGraph, partition, k: int) -> None:
         h.add_nodes_from(sorted(block))
         h.add_edges_from((u, v) for u, v in graph.edges
                          if u in block and v in block)
-        kappa = 0 if len(block) == 1 else nx.node_connectivity(h)
-        assert kappa >= threshold, (sorted(block), kappa, threshold)
+        assert _connectivity_at_least(h, threshold), (sorted(block), threshold)

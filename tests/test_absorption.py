@@ -1,6 +1,7 @@
 """Absorption stage: relabelling, edge slicing, anchor pools, absorb loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from rainbowtrees import (AbsorberIndex, AbsorptionFailure, AbsorptionState,
                           ColouredGraph, InfeasibleParameters, ParameterError,
                           PartitionFailure, RandomSource, StageFailure, Tree,
-                          absorb_leftovers, absorb_step, b_size_bound,
-                          complete_graph, compute_B, draw_permutation,
-                          embed_spanning, gen_random_bounded_tree,
-                          gen_seed_graph, measure_B_statistics,
-                          partition_edge_set, path_tree, select_fresh_part,
-                          spawn_trial_source, star_tree)
+                          TrialConfig, absorb_leftovers, absorb_step,
+                          b_size_bound, complete_graph, compute_B,
+                          draw_permutation, embed_spanning,
+                          gen_random_bounded_tree, gen_seed_graph, harness,
+                          partition_edge_set, path_tree, run_trials,
+                          select_fresh_part, spawn_trial_source, star_tree)
 from rainbowtrees.embedding import AlmostSpanningResult
 from rainbowtrees.exposure import ExposureOracle
 
@@ -116,18 +117,27 @@ def test_pool_bound_value():
         (0.5 / 12.0) ** 4 * 1200 / 45.0)
 
 
-def test_pool_statistics():
-    image = path_tree(6)
-    parts = (complete_graph(8),)
-    stats = measure_B_statistics(parts, range(6), image, 0.5,
-                                 source=RandomSource(31), samples=50)
-    assert stats.samples == 50
-    assert 0 <= stats.minimum <= stats.mean <= 6
-    assert stats.bound == pytest.approx(b_size_bound(0.5, 1, 8))
-    pinned = measure_B_statistics(parts, range(6), image, 0.5,
-                                  triples=[(0, 6, 7)])
-    assert pinned.samples == 1
-    assert pinned.minimum == pinned.mean == 6
+def test_pool_statistics(monkeypatch):
+    # a large-Buv trial reports the min and mean of the pools it sampled
+    sizes = []
+
+    def counted(*args):
+        pool = compute_B(*args)
+        sizes.append(len(pool))
+        return pool
+
+    monkeypatch.setattr(harness, "compute_B", counted)
+    config = TrialConfig(kind="lemma-stats", lemma_kind="large-Buv", n=80,
+                         d=2, delta=0.5, seed_kind="complete", eps=0.25,
+                         samples=50, base_seed=31)
+    (rec,) = run_trials(config)
+    stats = rec.metrics
+    assert stats["samples"] == len(sizes) == 50
+    assert stats["min"] == min(sizes)
+    assert stats["mean"] == pytest.approx(sum(sizes) / 50)
+    assert 0 <= stats["min"] <= stats["mean"] <= stats["anchors"]
+    assert stats["bound"] == pytest.approx(b_size_bound(0.5, 2, 80))
+    assert stats["violated"] == (min(sizes) < stats["bound"])
 
 
 # -- index bookkeeping -----------------------------------------------------
@@ -161,8 +171,9 @@ def test_index_validate_rejections():
 # -- single absorb steps on a hand-built state ------------------------------
 
 
-def hand_state(palette, seed_val, h_edges):
-    """Path 10..15 trimmed at 15, embedded as hosts 0..4, one slice."""
+def hand_state(palette, seed_val, h_edges, before=()):
+    """Path 10..15 trimmed at 15, embedded as hosts 0..4; the slices are
+    the edge lists `before` followed by `h_edges`."""
     tree = Tree(range(10, 16), [(a, a + 1) for a in range(10, 15)], 2)
     image = Tree(range(5), [(a, a + 1) for a in range(4)], 2)
     mapping = {node: node - 10 for node in range(10, 15)}
@@ -171,7 +182,8 @@ def hand_state(palette, seed_val, h_edges):
     oracle.record_block(range(5), list(edge_colours),
                         list(edge_colours.values()), stage=0)
     index = AbsorberIndex(i0_nodes=(10, 11, 12), anchors=(0, 1, 2),
-                          parts=(ColouredGraph(7, h_edges),),
+                          parts=tuple(ColouredGraph(7, edges) for edges
+                                      in before + (h_edges,)),
                           leftovers=(5, 6))
     return AbsorptionState(tree, image, index, mapping, edge_colours, oracle)
 
@@ -181,7 +193,7 @@ HAND_SLICE = [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2)]
 
 def test_absorb_step_rewires():
     state = hand_state(10 ** 6, 3, HAND_SLICE)
-    line = absorb_step(state, 5, 14, 0)
+    line = absorb_step(state, 5, 15)
     # with a huge palette the first candidate wins: anchor node 10 moves
     # from host 0 to host 5, and the re-attached leaf 15 lands on host 0
     assert line == "i=1 j*=1 |B|=2 chosen=0"
@@ -200,7 +212,7 @@ def test_absorb_step_collision_exhausts_pool():
     # the step fails
     state = hand_state(5, 3, HAND_SLICE)
     with pytest.raises(AbsorptionFailure) as err:
-        absorb_step(state, 5, 14, 0)
+        absorb_step(state, 5, 15)
     assert err.value.vertex == 5
     assert state.trace == ["i=1 j*=1 |B|=2 chosen=fail"]
     absorbs = [e for e in state.oracle.ledger if e[0] == "absorb"]
@@ -212,7 +224,7 @@ def test_absorb_step_skips_colliding_candidate():
     # seed found by search: anchor 0 draws a clashing colour, anchor 1
     # qualifies; the scan is lazy but charged per candidate it touches
     state = hand_state(12, 15, HAND_SLICE)
-    line = absorb_step(state, 5, 14, 0)
+    line = absorb_step(state, 5, 15)
     assert line == "i=1 j*=1 |B|=2 chosen=1"
     assert len([e for e in state.oracle.ledger if e[0] == "absorb"]) == 5
 
@@ -220,22 +232,41 @@ def test_absorb_step_skips_colliding_candidate():
 def test_absorb_step_validation():
     state = hand_state(100, 3, HAND_SLICE)
     with pytest.raises(ParameterError):
-        absorb_step(state, 5, 99, 0)          # unknown attachment node
+        absorb_step(state, 5, 99)             # not a tree node
     with pytest.raises(ParameterError):
-        absorb_step(state, 2, 14, 0)          # host 2 already carries a node
+        absorb_step(state, 2, 15)             # host 2 already carries a node
     with pytest.raises(ParameterError):
-        absorb_step(state, 5, 13, 0)          # node 13 has no free neighbour
-    with pytest.raises(AssertionError):
-        absorb_step(state, 5, 14, 1)          # slice 1 does not exist / wrong j*
+        absorb_step(state, 5, 14)             # node 14 is already embedded
+    assert state.trace == [] and state.oracle.ledger[1:] == []
 
-    # ambiguous attachment must be named explicitly
-    star = Tree([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)], 3)
-    stub = Tree([0], [], 3)
+    # the rejoining node must hang off the embedded tree by exactly one edge
+    path = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
+    stub = Tree([0], [], 2)
     oracle = ExposureOracle(4, 10, 0.5, RandomSource(8))
     index = AbsorberIndex((), (), (ColouredGraph(4, [(0, 1)]),), (1, 2, 3))
-    state = AbsorptionState(star, stub, index, {0: 0}, {}, oracle)
-    with pytest.raises(ParameterError):
-        absorb_step(state, 1, 0, 0)
+    lone = AbsorptionState(path, stub, index, {0: 0}, {}, oracle)
+    with pytest.raises(ParameterError, match="0 embedded neighbours"):
+        absorb_step(lone, 1, 2)
+    ends = AbsorptionState(path, stub, index, {0: 0, 2: 2}, {}, oracle)
+    with pytest.raises(ParameterError, match="2 embedded neighbours"):
+        absorb_step(ends, 1, 1)
+
+
+def test_absorb_step_picks_the_fresh_slice():
+    # a slice whose edges at the attachment host u = 4 were looked at is
+    # skipped: j* is select_fresh_part's first fresh slice
+    before = ([(4, 6)],)
+    state = hand_state(10 ** 6, 3, HAND_SLICE, before)
+    assert select_fresh_part(state.index.parts, 4, state.oracle) == 0
+    with pytest.raises(AbsorptionFailure):
+        absorb_step(state, 5, 15)             # slice 1 has no pool for (4, 5)
+    assert state.trace == ["i=1 j*=1 |B|=0 chosen=fail"]
+
+    state = hand_state(10 ** 6, 3, HAND_SLICE, before)
+    state.oracle.expose_colour((4, 6))
+    assert select_fresh_part(state.index.parts, 4, state.oracle) == 1
+    assert absorb_step(state, 5, 15) == "i=1 j*=2 |B|=2 chosen=0"
+    assert state.mapping[15] == 0 and state.mapping[10] == 5
 
 
 def test_select_fresh_part():
@@ -274,7 +305,11 @@ def test_absorb_leftovers_planted():
         assert "stage=r-degree" in stages
         assert "stage=shift" in stages
         assert "stage=partition" in stages
-        assert res.r_degree_ok is not None
+        # the largest degree of R, recounted edge by edge
+        degrees = Counter(v for pair in res.oracle.presence_edges()
+                          for v in pair)
+        assert res.r_max_degree == max(degrees.values(), default=0)
+        assert res.r_degree_ok == (res.r_max_degree <= 3 * math.log(n))
     assert wins == 10
 
 

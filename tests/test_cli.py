@@ -1,8 +1,17 @@
+import argparse
 import io
+import os
+import re
+import shlex
 
-from rainbowtrees import read_records
+import pytest
+
+from rainbowtrees import cli, harness, read_records
 from rainbowtrees.cli import main
 from rainbowtrees.io import parse_edge_list, read_text
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 
 def test_gen_gnp_deterministic(tmp_path):
@@ -53,6 +62,67 @@ def test_colour_reads_stdin(monkeypatch, capsys):
     assert main(["colour", "--in", "-", "--palette", "4"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "3 4"
+
+
+def test_dash_out_writes_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    gen = ["gen", "--n", "5", "--seed", "1"]
+    assert main(gen + ["--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert main(gen + ["--out", "g.txt"]) == 0
+    assert text and read_text("g.txt") == text
+    colour = ["colour", "--in", "g.txt", "--palette", "3", "--seed", "2"]
+    assert main(colour + ["--out", "-"]) == 0
+    tinted = capsys.readouterr().out
+    assert main(colour + ["--out", "c.txt"]) == 0
+    assert tinted and read_text("c.txt") == tinted
+    assert not (tmp_path / "-").exists()
+
+
+class _Built(Exception):
+    """Raised in place of running the trials of a built config."""
+
+
+def _readme_commands():
+    """Every `rainbowtrees ...` command in the README's sh blocks, as argv
+    lists without the program name."""
+    text = open(README, encoding="utf-8").read()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "rainbowtrees":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse_and_validate(monkeypatch):
+    def build_only(config, **_):
+        config.validate()
+        harness._preflight(config)
+        raise _Built(config)
+
+    monkeypatch.setattr(cli, "run_trials", build_only)
+    monkeypatch.setattr(harness, "run_trials", build_only)
+    parser = cli._build_parser()
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(subcommands)
+    built = 0
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.func in (cli._cmd_gen, cli._cmd_colour):
+            continue
+        with pytest.raises(_Built) as run:
+            args.func(args)
+        assert isinstance(run.value.args[0], harness.TrialConfig)
+        built += 1
+    assert built == len(commands) - 3      # two gen lines, one colour line
+    count = re.search(r"`rainbowtrees --help` lists (\w+) subcommands",
+                      open(README, encoding="utf-8").read()).group(1)
+    words = ("one two three four five six seven eight nine ten").split()
+    assert words.index(count) + 1 == len(subcommands)
 
 
 def test_rainbow_st_subcommand_writes_csv(tmp_path, capsys):

@@ -6,11 +6,11 @@ import pytest
 
 from rainbowtrees import (ColouredGraph, EmbedFailure, InfeasibleParameters,
                           ParameterError, RandomSource, RootEdgeFailure, Tree,
-                          colour_coverage, complete_graph, derive_parameters,
+                          complete_graph, derive_parameters,
                           embed_almost_spanning, embed_rooted_tree,
-                          format_embedding, format_trace,
-                          gen_random_bounded_tree, path_tree,
-                          select_root_edges, star_tree)
+                          format_trace, gen_random_bounded_tree, harness,
+                          lemma_stats, path_tree, select_root_edges,
+                          star_tree, uniform_colouring)
 from rainbowtrees.exposure import ExposureOracle
 
 from oracles import check_embedding, check_almost_spanning_result
@@ -18,6 +18,11 @@ from oracles import check_embedding, check_almost_spanning_result
 
 def cycle_graph(n):
     return ColouredGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def vertices(lo, hi):
+    """Edgeless host on the vertices lo..hi-1."""
+    return ColouredGraph(hi, [], vertex_set=range(lo, hi))
 
 
 # -- parameter derivation ----------------------------------------------------
@@ -44,8 +49,6 @@ def test_derive_parameters_validation():
         derive_parameters(0.3, 3, 100, zeta=0.5)     # above eps/(2(1-eps))
     with pytest.raises(ParameterError):
         derive_parameters(0.3, 3, 100, m_mode="other")
-    with pytest.raises(ParameterError):
-        derive_parameters(0.3, 3, 100, block_scale=0.5)
 
 
 def test_derive_parameters_infeasible_small_n():
@@ -66,10 +69,13 @@ def test_derive_parameters_override_escapes_caps():
 
 
 def test_block_size_identity_and_scale():
-    params = derive_parameters(0.25, 3, 2000, beta=0.12)
+    # the block is (1 + 3 zeta / 2) times the piece order, rounded up
+    params = derive_parameters(0.25, 3, 2000, beta=0.12, zeta=1 / 6)
     assert params.block_size(160) == math.ceil(1.25 * 160)
-    wide = derive_parameters(0.25, 3, 2000, beta=0.12, block_scale=1.6)
-    assert wide.block_size(160) == math.ceil(1.6 * 1.25 * 160)
+    assert params.block_size(1) == 2
+    narrow = derive_parameters(0.25, 3, 2000, beta=0.12, zeta=0.02)
+    assert narrow.block_size(160) == math.ceil(1.03 * 160)
+    assert narrow.block_size(100) == 103
 
 
 def test_balanced_block_respects_supply():
@@ -135,11 +141,14 @@ def test_embed_respects_pinned_root():
 def test_embed_validation():
     host = complete_graph(4)
     with pytest.raises(ParameterError):
-        embed_rooted_tree(host, path_tree(3), 9)
+        embed_rooted_tree(host, path_tree(3), 9, source=RandomSource(0))
+    with pytest.raises(ParameterError):                # tree bigger than host
+        embed_rooted_tree(host, path_tree(5), 0, source=RandomSource(0))
     with pytest.raises(ParameterError):
-        embed_rooted_tree(host, path_tree(5), 0)     # tree bigger than host
-    with pytest.raises(ParameterError):
-        embed_rooted_tree(host, path_tree(3), 0, root_vertex=17)
+        embed_rooted_tree(host, path_tree(3), 0, root_vertex=17,
+                          source=RandomSource(0))
+    with pytest.raises(TypeError):                     # the source is required
+        embed_rooted_tree(host, path_tree(3), 0)
 
 
 def test_embed_random_trees_into_gnp():
@@ -164,14 +173,14 @@ def test_embed_random_trees_into_gnp():
 
 def test_select_root_edges_zero_needed_exposes_nothing():
     oracle = ExposureOracle(20, 8, 1.0, RandomSource(9))
-    out = select_root_edges(0, range(1, 20), oracle, range(8), 0)
+    out = select_root_edges(0, vertices(1, 20), oracle, range(8), 0)
     assert out == ()
     assert oracle.ledger == []
 
 
 def test_select_root_edges_all_present():
     oracle = ExposureOracle(40, 12, 1.0, RandomSource(10))
-    pool = select_root_edges(0, range(1, 40), oracle, range(12), 4, stage=2)
+    pool = select_root_edges(0, vertices(1, 40), oracle, range(12), 4, stage=2)
     assert len(pool) == 4
     colours = [c for _, c in pool]
     assert colours == sorted(colours) and len(set(colours)) == 4
@@ -187,7 +196,7 @@ def test_select_root_edges_short_pool():
     oracle = ExposureOracle(30, 100, 1.0, RandomSource(11))
     # only two reservoir colours exist, so a quota of 9 cannot be met
     with pytest.raises(RootEdgeFailure) as err:
-        select_root_edges(0, range(1, 30), oracle, [3, 4], 9)
+        select_root_edges(0, vertices(1, 30), oracle, [3, 4], 9)
     assert len(err.value.pool) <= 2
     for (u, v), c in err.value.pool:
         assert c in (3, 4)
@@ -196,7 +205,7 @@ def test_select_root_edges_short_pool():
 def test_select_root_edges_nothing_present():
     oracle = ExposureOracle(30, 8, 0.0, RandomSource(12))
     with pytest.raises(RootEdgeFailure) as err:
-        select_root_edges(0, range(1, 30), oracle, range(8), 1)
+        select_root_edges(0, vertices(1, 30), oracle, range(8), 1)
     assert tuple(err.value.pool) == ()
     assert oracle.colour_exposure_count() == 0
 
@@ -204,13 +213,13 @@ def test_select_root_edges_nothing_present():
 def test_select_root_edges_root_inside_host():
     oracle = ExposureOracle(30, 8, 0.5, RandomSource(13))
     with pytest.raises(ParameterError):
-        select_root_edges(5, range(30), oracle, range(8), 1)
+        select_root_edges(5, vertices(0, 30), oracle, range(8), 1)
 
 
 def test_select_root_edges_colour_only_for_present():
     oracle = ExposureOracle(60, 6, 0.4, RandomSource(14))
     try:
-        select_root_edges(0, range(1, 60), oracle, range(6), 6)
+        select_root_edges(0, vertices(1, 60), oracle, range(6), 6)
     except RootEdgeFailure:
         pass
     present = sum(oracle.presence_of((0, v)) for v in range(1, 60))
@@ -320,18 +329,29 @@ def test_pipeline_blocks_must_fit():
 # -- small helpers ------------------------------------------------------------
 
 
-def test_colour_coverage():
-    g = ColouredGraph(4, [(0, 1), (1, 2), (2, 3)],
-                      colouring={(0, 1): 5, (1, 2): 7, (2, 3): 5},
-                      palette_size=8)
-    assert colour_coverage(g, range(6)) == 1
-    assert colour_coverage(g, [5, 7]) == 2
-    assert colour_coverage([1, 1, 2, 9], [1, 2, 3]) == 2
-    with pytest.raises(ParameterError):
-        colour_coverage(ColouredGraph(3, [(0, 1)]), [1])
+def test_colour_coverage(monkeypatch):
+    # the count of distinct colours below a = alpha n, which the colour
+    # lemma trials take over the whole graph (a) or around vertex 0 (b)
+    graphs = []
+
+    def kept(*args):
+        graphs.append(uniform_colouring(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(harness, "uniform_colouring", kept)
+    for kind in ("many-colours-a", "many-colours-b"):
+        del graphs[:]
+        stats = lemma_stats(kind, {"n": 300, "alpha": 0.2}, trials=4,
+                            base_seed=5)
+        assert len(graphs) == 4
+        for rec, g in zip(stats.records, graphs):
+            assert rec.metrics["a_size"] == 60
+            pairs = g.edges if kind == "many-colours-a" \
+                else [e for e in g.edges if 0 in e]
+            want = {g.colour_of(*e) for e in pairs} & set(range(60))
+            assert rec.metrics["got"] == len(want)
 
 
 def test_format_helpers():
-    assert format_embedding({2: 10, 0: 4}) == "0 4\n2 10\n"
     assert format_trace(()) == ""
     assert format_trace(("a", "b")) == "a\nb\n"

@@ -9,9 +9,8 @@ import pytest
 from rainbowtrees import (ColouredGraph, ExpanderFailure, ParameterError,
                           RandomSource, SparsifyFailure, complete_graph,
                           gen_gnp)
-from rainbowtrees.expanders import (EmbedThreshold, ExpandParams,
-                                    degrade_attach, ell1, ell2,
-                                    find_effective_expander,
+from rainbowtrees.expanders import (ExpandParams, degrade_attach, ell1,
+                                    ell2, find_effective_expander,
                                     is_eta_r_expander, sparsify,
                                     verify_expand_core)
 
@@ -52,12 +51,6 @@ def test_param_invariants():
         ExpandParams(theta=0.1, C=4.0, eta=0.2, r=2)   # r < 3
     with pytest.raises(ParameterError):
         ExpandParams(theta=0.1, C=1.0, eta=0.2, r=3)   # C must exceed 1
-    t = EmbedThreshold(eta=0.25, d=3, k=100)
-    assert t.ell2 == pytest.approx(ell2(0.25, 3, 100))
-    with pytest.raises(ParameterError):
-        EmbedThreshold(eta=0.5, d=3, k=100)
-    with pytest.raises(ParameterError):
-        EmbedThreshold(eta=0.25, d=1, k=100)
 
 
 def test_expander_check_examples():

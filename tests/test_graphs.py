@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
-                          complete_graph, external_neighbourhood, gen_gnp,
-                          gen_seed_graph, is_rainbow, perturb,
+                          complete_graph, gen_gnp, gen_seed_graph, perturb,
                           uniform_colouring)
 from rainbowtrees.graphs import SEED_KINDS, find_codes
 
-from oracles import (NaiveGraph, assert_matches_naive,
-                     naive_external_neighbourhood, naive_is_rainbow)
+from oracles import NaiveGraph, assert_matches_naive, naive_is_rainbow
 
 
 def test_coloured_graph_validation():
@@ -187,15 +185,15 @@ def test_uniform_colouring_chi_square():
 def test_is_rainbow_examples():
     tri = ColouredGraph(3, [(0, 1), (1, 2), (0, 2)],
                         {(0, 1): 0, (1, 2): 1, (0, 2): 2}, palette_size=3)
-    assert is_rainbow(tri)
+    assert tri.is_rainbow()
     rep = ColouredGraph(3, [(0, 1), (1, 2), (0, 2)],
                         {(0, 1): 0, (1, 2): 0, (0, 2): 1}, palette_size=2)
-    assert not is_rainbow(rep)
-    assert is_rainbow(rep, [(0, 1)])
-    assert is_rainbow(rep, [(0, 1), (0, 2)])
-    assert not is_rainbow(rep, [(0, 1), (1, 2)])
+    assert not rep.is_rainbow()
+    assert rep.without_edges([(1, 2), (0, 2)]).is_rainbow()
+    assert rep.without_edges([(1, 2)]).is_rainbow()
+    assert not rep.without_edges([(0, 2)]).is_rainbow()
     with pytest.raises(ParameterError):
-        is_rainbow(tri, [(0, 9)])
+        tri.uncoloured().is_rainbow()
 
 
 def test_is_rainbow_matches_naive():
@@ -204,32 +202,12 @@ def test_is_rainbow_matches_naive():
                               RandomSource(32, t))
         if not g.edges:
             continue
-        assert is_rainbow(g) == naive_is_rainbow(g)
-        some = sorted(g.edges)[: max(1, g.size // 2)]
-        assert is_rainbow(g, some) == naive_is_rainbow(g, some)
-
-
-def test_external_neighbourhood_examples():
-    k4 = complete_graph(4)
-    assert external_neighbourhood(k4, {0}) == {1, 2, 3}
-    path = ColouredGraph(3, [(0, 1), (1, 2)])
-    assert external_neighbourhood(path, {1}) == {0, 2}
-    assert external_neighbourhood(k4, set(range(4))) == frozenset()
-
-
-def test_external_neighbourhood_matches_naive_and_monotone():
-    gen = np.random.default_rng(77)
-    for t in range(40):
-        g = gen_gnp(12, 0.3, RandomSource(41, t))
-        x = set(int(v) for v in gen.choice(12, size=4, replace=False))
-        mine = external_neighbourhood(g, x)
-        assert mine == naive_external_neighbourhood(g, x)
-        assert not (mine & x)
-        # monotone under edge addition
-        u, v = int(gen.integers(0, 12)), int(gen.integers(0, 12))
-        if u != v and not g.has_edge(u, v):
-            bigger = ColouredGraph(12, set(g.edges) | {(min(u, v), max(u, v))})
-            assert external_neighbourhood(bigger, x) >= mine
+        assert g.is_rainbow() == naive_is_rainbow(g)
+        half = max(1, g.size // 2)
+        some = sorted(g.edges)[:half]
+        first = g.keep_edges(np.arange(g.size) < half)
+        assert sorted(first.edges) == some
+        assert first.is_rainbow() == naive_is_rainbow(g, some)
 
 
 def test_subgraph_keeps_labels():

@@ -80,6 +80,28 @@ def test_config_validation_kind_specific_rules():
                     knobs={"eps_override": 2.0}).validate()
 
 
+def test_config_knobs_per_kind():
+    derive = {"zeta": 0.1, "beta": 0.12, "rho": 0.05,
+              "expander_c_mode": "density", "m_mode": "balanced", "c_m": 3.0}
+    almost = dict(kind="almost-spanning", n=500, eps=0.25, d=3,
+                  tree_frac=0.08)
+    spanning = dict(kind="spanning", n=300, eps=0.05, d=3)
+    buv = dict(kind="lemma-stats", lemma_kind="large-Buv", n=300, d=2)
+    TrialConfig(**almost, knobs=derive).validate()
+    TrialConfig(**spanning, knobs={**derive, "eps_override": None}).validate()
+    # fixed constants of the pipelines, no longer knobs
+    retired = {"c_beta": 0.01, "c_rho": 0.01, "block_scale": 1.0,
+               "check_mode": "sampled", "check_trials": 60,
+               "embed_budget": None}
+    for base, keys in ((almost, retired),
+                       (spanning, {**retired, "c_ln": 3.0,
+                                   "partition_retries": 50}),
+                       (buv, {"partition_retries": 50})):
+        for key, value in keys.items():
+            with pytest.raises(ParameterError, match="unknown knob"):
+                TrialConfig(**base, knobs={key: value}).validate()
+
+
 def test_config_defaults_resolve():
     almost = TrialConfig(kind="almost-spanning", n=200)
     assert almost.resolved_p() == pytest.approx(10.0 * math.log(200) / 200)

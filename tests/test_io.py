@@ -1,12 +1,10 @@
-"""Text round trips for graphs and trees, with line-attributed errors."""
+"""Edge-list text round trips, with line-attributed errors."""
 
 import pytest
 
-from rainbowtrees import FormatError, RandomSource, gen_gnp, path_tree, \
-    star_tree, uniform_colouring, gen_random_bounded_tree
+from rainbowtrees import FormatError, RandomSource, gen_gnp, uniform_colouring
 from rainbowtrees.graphs import ColouredGraph
-from rainbowtrees.io import (format_edge_list, format_tree, parse_edge_list,
-                             parse_tree)
+from rainbowtrees.io import format_edge_list, parse_edge_list
 
 
 def test_edge_list_round_trip_uncoloured():
@@ -49,36 +47,3 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("5 0\n0 1 2\n")
     with pytest.raises(FormatError, match="line 2"):
         parse_edge_list("5 2\n0 1\n")
-
-
-def test_tree_round_trip():
-    for tree in (path_tree(7), star_tree(5),
-                 gen_random_bounded_tree(30, 3, RandomSource(5))):
-        text = format_tree(tree)
-        back = parse_tree(text)
-        assert back.m == tree.m
-        assert format_tree(back) == text
-
-
-def test_tree_relabelling_is_canonical():
-    t = path_tree(6)
-    sub = t.induced_subtree({2, 3, 4, 5})  # labels not 0-based
-    text = format_tree(sub)
-    back = parse_tree(text)
-    assert back.nodes == frozenset(range(4))
-    assert back.m == 4
-
-
-def test_tree_parse_errors():
-    with pytest.raises(FormatError):
-        parse_tree("")
-    with pytest.raises(FormatError):
-        parse_tree("0\n")
-    with pytest.raises(FormatError, match="line 2"):
-        parse_tree("3\n0 1 2\n")
-    with pytest.raises(FormatError, match="line 3"):
-        parse_tree("3\n0 1\n0 9\n")
-    with pytest.raises(FormatError):
-        parse_tree("3\n0 1\n")               # missing edge
-    with pytest.raises(FormatError):
-        parse_tree("4\n0 1\n1 2\n0 2\n")     # cycle, node 3 unreachable
