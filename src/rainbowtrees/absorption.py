@@ -62,8 +62,9 @@ def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
     precondition and an exhausted retry budget raise PartitionFailure,
     which is a legitimate trial outcome rather than a bug.
 
-    `r_edges`, when given, is the removed random edge set; the slices are
-    checked to be disjoint from it.
+    `r_edges`, when given, is the removed random edge set, as pairs or
+    as (k, 2) integer rows; the slices are checked to be disjoint from
+    it.
     """
     if int(d) != d or d < 1:
         raise ParameterError("d must be a positive integer, got %r" % d)
@@ -367,11 +368,14 @@ def _validate_spanning(state_mapping: Dict[int, int],
     assert set(state_mapping.values()) == set(range(n))
     assert len(edge_colours) == n - 1
     assert len(set(edge_colours.values())) == n - 1, "image is not rainbow"
-    for a, b in tree.edges:
-        pair = canonical_edge(state_mapping[a], state_mapping[b])
+    images = [canonical_edge(state_mapping[a], state_mapping[b])
+              for a, b in tree.edges]
+    # one lookup in the seed's rows; the oracle is asked about the rest
+    in_seed = seed.find_edges(images)[1].tolist()
+    for (a, b), pair, seen in zip(tree.edges, images, in_seed):
         assert pair in edge_colours, \
             "tree edge (%r, %r) has no embedded image" % (a, b)
-        assert seed.has_edge(*pair) or oracle.presence_of(pair), \
+        assert seen or oracle.presence_of(pair), \
             "image edge %r lies outside the host" % (pair,)
         assert oracle.colour_of(pair) == edge_colours[pair]
 
@@ -443,6 +447,9 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
                     for (a, b), c in edge_colours.items()}
     r_edges = oracle.presence_edges()
     _trace(trace, "shift", True, edges=len(r_edges))
+    # rows once, for the slicing and for the partition's overlap check
+    r_rows = np.fromiter(r_edges, dtype=np.dtype((np.int64, 2)),
+                         count=len(r_edges))
 
     t0_image = Tree((mapping[x] for x in trim.t0.nodes),
                     ((mapping[a], mapping[b]) for a, b in trim.t0.edges), d)
@@ -454,11 +461,11 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     anchors = tuple(mapping[x] for x in i0)
     _trace(trace, "anchors", True, count=len(anchors))
 
-    g_minus_r = seed.without_edges(r_edges)
+    g_minus_r = seed.without_edges(r_rows)
     try:
         parts = partition_edge_set(g_minus_r, d, delta,
                                    source.substream("partition"),
-                                   r_edges=r_edges)
+                                   r_edges=r_rows)
     except PartitionFailure as exc:
         _trace(trace, "partition", False, detail=str(exc.detail))
         return failure(exc.stage, str(exc))

@@ -42,10 +42,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _pair_rows(pairs: Iterable[Edge]) -> np.ndarray:
-    """`pairs` as canonical (u < v) int64 rows, in the given order."""
-    # a 2-vector dtype raises ValueError on an item of any other length;
-    # a lone label broadcasts to a loop, which raises below
-    rows = np.sort(np.fromiter(pairs, dtype=np.dtype((np.int64, 2))), axis=1)
+    """`pairs` as canonical (u < v) int64 rows, in the given order.
+
+    An (m, 2) integer array, such as another graph's edge_array(), is
+    read whole instead of row by row."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" \
+            and pairs.ndim == 2 and pairs.shape[1] == 2:
+        rows = np.sort(pairs.astype(np.int64), axis=1)
+    else:
+        # a 2-vector dtype raises ValueError on an item of any other
+        # length; a lone label broadcasts to a loop, which raises below
+        rows = np.sort(np.fromiter(pairs, dtype=np.dtype((np.int64, 2))),
+                       axis=1)
     loops = rows[:, 0] == rows[:, 1]
     if loops.any():
         canonical_edge(*rows[loops][0].tolist())   # raises on the loop
@@ -78,14 +86,14 @@ class ColouredGraph:
     The edges are stored once, as a canonical (u < v), duplicate-free
     (m, 2) int64 array in lexicographic order, next to an aligned colour
     array or None.  `edges` (a frozenset), `colouring` (a read-only
-    mapping, or None) and the neighbour index are views of those rows,
-    built on first use and cached.  The neighbour index is in CSR form:
+    mapping, or None), the edge codes and the neighbour index are views
+    of those rows, built on first use and cached.  The neighbour index is in CSR form:
     the neighbours of v, ascending, are `targets[start[v]:start[v + 1]]`;
     `neighbours`, `degree` and `adjacency()` read it.
     """
 
     __slots__ = ("n", "palette_size", "vertex_set", "_rows", "_colours",
-                 "_edges", "_colouring", "_csr", "_adj")
+                 "_edges", "_colouring", "_csr", "_adj", "_ecodes")
 
     def __init__(self, n: int, edges: Iterable[Edge],
                  colouring: Optional[Dict[Edge, int]] = None,
@@ -137,6 +145,7 @@ class ColouredGraph:
             else np.asarray(colours, dtype=np.int64)
         self.palette_size = 0 if colours is None else int(palette_size)
         self._edges = self._colouring = self._csr = self._adj = None
+        self._ecodes = None
 
     @classmethod
     def _from_rows(cls, n: int, rows, colours=None, palette_size: int = 0,
@@ -258,8 +267,11 @@ class ColouredGraph:
         return _read_only(self._rows)
 
     def edge_codes(self) -> np.ndarray:
-        """Edges as ascending int64 codes u * n + v, aligned with edge_array()."""
-        return _codes(self._rows, self.n)
+        """Edges as ascending int64 codes u * n + v, aligned with
+        edge_array(); read-only, computed on first use and cached."""
+        if self._ecodes is None:
+            self._ecodes = _read_only(_codes(self._rows, self.n))
+        return self._ecodes
 
     def find_edges(self, pairs: Iterable[Edge]
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -326,7 +338,11 @@ class ColouredGraph:
         if len(extra) and not (0 <= extra.min() and extra.max() < n
                                and inside[extra].all()):
             raise ParameterError("an added edge leaves the vertex set")
-        codes = np.union1d(_codes(self._rows, n), _codes(extra, n))
+        # merge the few new codes into the sorted ones: no full re-sort
+        codes = _codes(self._rows, n)
+        add = np.unique(_codes(extra, n))
+        add = add[~find_codes(codes, add)[1]]
+        codes = np.insert(codes, np.searchsorted(codes, add), add)
         return ColouredGraph._from_rows(
             n, np.stack((codes // n, codes % n), axis=1), vertex_set=vs)
 

@@ -450,14 +450,14 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
     seed = gen_seed_graph(n, delta, config.seed_kind,
                           src.substream("seed-graph"))
     rgraph = gen_gnp(n, config.resolved_p(), src.substream("random-part"))
-    gmr = seed.without_edges(rgraph.edges)
+    gmr = seed.without_edges(rgraph.edge_array())
     full = gen_random_bounded_tree(n, d, src.substream("tree"))
     r = int(math.floor(eps * n + 1e-9))
     trim = trim_to_size(full, n - r, src.substream("trim"))
     try:
         anchor_nodes = build_I0(trim.t0, full, d, eps)
         parts = partition_edge_set(gmr, d, delta, src.substream("slices"),
-                                   r_edges=rgraph.edges)
+                                   r_edges=rgraph.edge_array())
     except StageFailure as exc:
         return "fail", exc.stage, {"detail": str(exc), "bound": bound}
     if not anchor_nodes:

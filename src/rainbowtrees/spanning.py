@@ -370,6 +370,11 @@ def suzuki_check(graph: ColouredGraph
 # constructive finder (matroid intersection)
 
 
+# rows in the greedy warm start's first chunk, which is scanned unfiltered;
+# each later chunk is as long as all the rows before it
+GREEDY_CHUNK = 256
+
+
 def find_rainbow_spanning_tree(graph: ColouredGraph
                                ) -> Optional[FrozenSet[Pair]]:
     """A rainbow spanning tree of the coloured graph, or None.
@@ -380,6 +385,20 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     greedy rainbow forest seeds the search and exchange augmentation
     grows it, one shortest alternating path at a time, until it spans
     or provably cannot.
+
+    The greedy pass keeps, in row order, every row joining two forest
+    components on a colour not used yet.  Refusal is monotone: the
+    components only merge and the used colours only grow, so a row
+    refused at some point of the scan is refused again at its turn.
+    The rows are therefore scanned in chunks of doubling length, and at
+    the start of each chunk after the first, one vectorised test drops
+    every row whose ends already share a root or whose colour is
+    already used; the Python loop visits only the rows that survive,
+    and the scan stops once the forest spans.  A host with at most
+    GREEDY_CHUNK rows is one unfiltered chunk, with no array work in
+    the greedy pass.
+    Cost: O(m) vectorised work over O(log m) chunks, O(n) for the roots
+    per chunk, and Python time for the first chunk and the survivors.
     """
     if not graph.is_coloured:
         raise ParameterError("a rainbow tree needs an edge-coloured graph")
@@ -389,42 +408,64 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
         raise ParameterError("spanning tree of an empty graph")
     if n == 1:
         return frozenset()
+    if graph.palette_size < n - 1:
+        # a rainbow spanning tree needs n - 1 distinct colours
+        return None
 
     rows = graph.edge_array()
-    colours = graph.colour_array().tolist()
-    in_tree = np.zeros(len(rows), dtype=bool)
+    colours = graph.colour_array()
+    m = len(rows)
+    in_tree = np.zeros(m, dtype=bool)
     colour_used: Dict[int, int] = {}
     parent = list(range(graph.n))
 
-    # greedy warm start: scan the rows once and keep anything joining
-    # two components on a fresh colour
-    for i, ((u, v), c) in enumerate(zip(rows.tolist(), colours)):
-        if c in colour_used:
-            continue
-        ru, rv = _root(parent, u), _root(parent, v)
-        if ru == rv:
-            continue
-        parent[ru] = rv
-        in_tree[i] = True
-        colour_used[c] = i
+    # greedy warm start, chunk by chunk: [lo, hi) is the current chunk,
+    # `picks` its rows that can still be kept
+    lo, hi = 0, min(m, GREEDY_CHUNK)
+    picks = range(hi)
+    pairs, tints = rows[:hi].tolist(), colours[:hi].tolist()
+    while True:
+        for i, (u, v), c in zip(picks, pairs, tints):
+            if c in colour_used:
+                continue
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru == rv:
+                continue
+            parent[ru] = rv
+            in_tree[i] = True
+            colour_used[c] = i
+        if hi == m or len(colour_used) == n - 1:
+            break
+        lo, hi = hi, min(m, 2 * hi)
+        root = _roots(parent)
+        used = np.zeros(graph.palette_size, dtype=bool)
+        used[list(colour_used)] = True
+        ends = root[rows[lo:hi]]
+        picks = lo + ((ends[:, 0] != ends[:, 1])
+                      & ~used[colours[lo:hi]]).nonzero()[0]
+        pairs, tints = rows[picks].tolist(), colours[picks].tolist()
+        picks = picks.tolist()
 
     if len(colour_used) < n - 1:
-        # a rainbow spanning tree needs n - 1 distinct colours in the host
-        if len(set(colours)) < n - 1:
+        # nor in a host with fewer than n - 1 distinct colours
+        if np.count_nonzero(np.bincount(colours)) < n - 1:
             return None
         # connected iff the rows join up the greedy components; only rows
         # between two of them can merge anything
-        root = np.array([_root(parent, v) for v in range(graph.n)])
-        ends = root[rows]
+        ends = _roots(parent)[rows]
         for a, b in ends[ends[:, 0] != ends[:, 1]].tolist():
             parent[_root(parent, a)] = _root(parent, b)
         if len({_root(parent, v) for v in verts}) > 1:
             return None
 
-    # a rainbow forest holds one edge per used colour
-    while len(colour_used) < n - 1:
-        if not _augment(rows, colours, verts, in_tree, colour_used):
-            return None
+        # a rainbow forest holds one edge per used colour; `holder` maps
+        # each colour to its forest edge, -1 when free
+        holder = np.full(graph.palette_size, -1, dtype=np.int64)
+        holder[list(colour_used)] = list(colour_used.values())
+        for _ in range(n - 1 - len(colour_used)):
+            if not _augment(rows, colours, verts, in_tree, holder):
+                return None
+        colour_used = {c: i for c, i in enumerate(holder.tolist()) if i >= 0}
 
     picked = np.flatnonzero(in_tree)
     assert sorted(colour_used.values()) == picked.tolist(), \
@@ -440,6 +481,11 @@ def _root(parent, x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _roots(parent: List[int]) -> np.ndarray:
+    """Union-find root of every label, as an array."""
+    return np.array([_root(parent, v) for v in range(len(parent))])
 
 
 def _check_rainbow_spanning_tree(graph: ColouredGraph,
@@ -493,29 +539,38 @@ def _euler_forest(tree_rows: np.ndarray, verts: Sequence[int], labels: int
     return np.array(comp), tin, tin + np.array(size), up
 
 
-def _augment(rows: np.ndarray, colours: List[int], verts: Sequence[int],
-             in_tree: np.ndarray, colour_used: Dict[int, int]) -> bool:
+def _augment(rows: np.ndarray, colours: np.ndarray, verts: Sequence[int],
+             in_tree: np.ndarray, holder: np.ndarray) -> bool:
     """One exchange augmentation; False means the forest is maximum.
 
     Nodes of the search are edge indices.  Out-of-forest edges joining
     two forest components are the sources, out-of-forest edges of an
-    unused colour the sinks.  From an out-edge the walk may step to the
-    forest edge holding its colour; from a forest edge (a, b) to any
-    out-edge of its component that reconnects the two sides its removal
-    leaves behind.  Breadth-first order keeps the path shortest, which
-    is what makes the exchange valid in both matroids at once.
+    unused colour (`holder[colour] < 0`; `holder` maps each used colour
+    to its forest edge) the sinks.  From an out-edge the walk may step
+    to the forest edge holding its colour; from a forest edge (a, b) to
+    any out-edge of its component that reconnects the two sides its
+    removal leaves behind.  Breadth-first order keeps the path
+    shortest, which is what makes the exchange valid in both matroids
+    at once.
 
     One DFS of the forest gives every vertex an Euler interval
     [tin, tout).  With c the endpoint of (a, b) whose parent is the
     other, the side cut off is the subtree of c, so an out-edge crosses
     exactly when one endpoint has its tin in [tin[c], tout[c]): one
     vectorised test over the component's out-edges, kept in row order
-    so the search enqueues edges in the order of the sorted rows.  One
-    augmentation costs O(n + m) for the DFS and the masks over the rows,
-    O(m) per component the search enters, and, per popped forest edge,
-    one vectorised mask over its component's out-edges: O(n + m +
-    popped forest edges x component out-edges) when one component
-    holds the search, as it does once the forest is nearly spanning.
+    so the search enqueues edges in the order of the sorted rows.
+
+    The queue is FIFO, so the first sink popped is the first sink
+    enqueued.  The sink test therefore runs when edges are enqueued,
+    vectorised over the sources and then over each batch a forest edge
+    enqueues, and the search stops at the first hit: the same `prev`
+    chain and the same path as testing on pop, without popping and
+    masking for everything queued ahead of the sink.  One augmentation
+    costs O(n + m) for the DFS and the masks over the rows, O(m) per
+    component the search enters, and, per popped forest edge, one
+    vectorised mask over its component's out-edges: O(n + m + popped
+    forest edges x component out-edges), where only the forest edges
+    dequeued before the first sink is enqueued count.
     """
     comp, tin, tout, up = _euler_forest(rows[in_tree], verts, verts[-1] + 1)
     ends = comp[rows]
@@ -533,15 +588,13 @@ def _augment(rows: np.ndarray, colours: List[int], verts: Sequence[int],
     UNSEEN = -2
     prev = np.full(len(rows), UNSEEN, dtype=np.int64)
     prev[sources] = -1
-    queue: Deque[int] = deque(sources.tolist())
-    goal = -1
+    goal = _first_sink(sources, colours, holder)
+    queue: Deque[int] = deque(sources.tolist() if goal < 0 else ())
     while queue:
         edge = queue.popleft()
         if not in_tree[edge]:
-            mate = colour_used.get(colours[edge])
-            if mate is None:
-                goal = edge
-                break
+            # an enqueued out-edge is no sink: its colour has a holder
+            mate = int(holder[colours[edge]])
             if prev[mate] == UNSEEN:
                 prev[mate] = edge
                 queue.append(mate)
@@ -557,6 +610,9 @@ def _augment(rows: np.ndarray, colours: List[int], verts: Sequence[int],
         found = mine[below[:, 0] != below[:, 1]]
         found = found[prev[found] == UNSEEN]
         prev[found] = edge
+        goal = _first_sink(found, colours, holder)
+        if goal >= 0:
+            break
         queue.extend(found.tolist())
     if goal < 0:
         return False
@@ -567,9 +623,16 @@ def _augment(rows: np.ndarray, colours: List[int], verts: Sequence[int],
     while node >= 0:
         in_tree[node] = not in_tree[node]
         if in_tree[node]:
-            colour_used[colours[node]] = node
+            holder[colours[node]] = node
         node = int(prev[node])
     return True
+
+
+def _first_sink(batch: np.ndarray, colours: np.ndarray,
+                holder: np.ndarray) -> int:
+    """The first edge of `batch` whose colour is free, or -1."""
+    free = (holder[colours[batch]] < 0).nonzero()[0]
+    return int(batch[free[0]]) if len(free) else -1
 
 
 # ---------------------------------------------------------------------------

@@ -546,8 +546,8 @@ def _forest_components(tree_adj: Dict[int, Set[int]], verts) -> Dict[int, int]:
 
 
 def greedy_rainbow_forest(graph: ColouredGraph) -> Set[Pair]:
-    """One scan of the edges in lexicographic order, keeping every edge
-    that joins two components on a colour not used yet."""
+    """One scan of the edges in lexicographic order, row by row, keeping
+    every edge that joins two components on a colour not used yet."""
     colour_of = graph.colouring
     parent = {v: v for v in graph.vertex_set}
     forest: Set[Pair] = set()
@@ -579,6 +579,9 @@ def reference_rainbow_spanning_tree(graph: ColouredGraph
     edge to every out-edge of its component that crosses the cut its
     removal leaves, found by walking one side.  Sources are out-edges
     joining two forest components, sinks out-edges of a fresh colour.
+    The sink test runs when an edge is popped, and every step is plain
+    Python on tuples and sets: no chunked greedy scan, no Euler
+    intervals, no test at enqueue.
     """
     verts = sorted(graph.vertex_set)
     n = len(verts)

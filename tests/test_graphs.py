@@ -290,12 +290,19 @@ def test_edge_lookup_matches_isin():
         for (u, v), i, hit in zip(pairs, at.tolist(), found.tolist()):
             if hit:
                 assert rows[i].tolist() == sorted((u, v))
+        # the same pairs as an (m, 2) integer array, read whole
+        block = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+        at2, found2 = g.find_edges(block)
+        assert found2.tolist() == found.tolist()
+        assert at2[found2].tolist() == at[found].tolist()
     with pytest.raises(ParameterError):
         complete_graph(3).find_edges([(1, 1)])
     # a malformed pair raises instead of being re-paired with its neighbour
     g = complete_graph(4)
     for bad in ([(0, 1, 2), (3,)], [(0, 1), (2,)], [(0, 1), ()],
-                [(0, 1, 2), (0, 1, 3)]):
+                [(0, 1, 2), (0, 1, 3)], np.array([[0, 1, 2]])):
         for lookup in (g.find_edges, g.without_edges, g.union):
             with pytest.raises(ValueError):
                 lookup(bad)
+    with pytest.raises(ParameterError):
+        g.find_edges(np.array([[0, 1], [2, 2]]))

@@ -14,8 +14,9 @@ from rainbowtrees import (ColouredGraph, ParameterError, check_crossing_edges,
                           highly_connected_partition, is_k_connected,
                           partition_from_lists, spawn_trial_source,
                           suzuki_check, uniform_colouring, vertex_connectivity)
-from rainbowtrees.graphs import gen_seed_graph, perturb
-from rainbowtrees.spanning import SUZUKI_BUDGET, VertexPartition, _growth_strings
+from rainbowtrees.graphs import gen_gnp, gen_seed_graph, perturb
+from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, VertexPartition,
+                                   _growth_strings)
 
 from oracles import (brute_rainbow_spanning_tree_exists, brute_suzuki,
                      check_partition_blocks, greedy_rainbow_forest,
@@ -338,6 +339,35 @@ def test_finder_matches_reference_search():
         if deep == 30:
             break
     assert deep == 30
+
+
+def test_finder_matches_reference_across_greedy_chunks():
+    # hosts of up to five greedy chunks' worth of rows: perturbed
+    # clique-union hosts (a few cross edges) and G(n, p) hosts, palettes
+    # below, at and above n - 1; the reference scans row by row and
+    # tests for the goal when it pops an edge, so the library's chunk
+    # filter and goal test at enqueue must give the same tree or None
+    shapes = {"tree": 0, "none": 0, "augmented": 0, "5+ chunks": 0}
+    for trial in range(120):
+        src = spawn_trial_source(5150, trial)
+        n = 60 + (trial * 13) % 61
+        if trial % 2 == 0:
+            seed = gen_seed_graph(n, 0.4, "clique-union",
+                                  src.substream("seed"))
+            host = perturb(seed, n ** -1.5, src.substream("perturb")).union
+        else:
+            host = gen_gnp(n, (2.5 / n, 0.1, 0.3)[trial % 3],
+                           src.substream("gnp"))
+        palette = n - 1 + (-1, 0, 0, 1, 3)[trial % 5]
+        g = uniform_colouring(host, palette, src.substream("colour"))
+        tree = find_rainbow_spanning_tree(g)
+        assert tree == reference_rainbow_spanning_tree(g), (trial, n)
+        shapes["none" if tree is None else "tree"] += 1
+        if tree is not None and len(greedy_rainbow_forest(g)) < n - 1:
+            shapes["augmented"] += 1
+        if g.size > 8 * GREEDY_CHUNK:
+            shapes["5+ chunks"] += 1
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_finder_pinned_tree_at_acceptance_8():
