@@ -16,10 +16,9 @@ edges at the attachment vertex were never looked at before.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .embedding import (AlmostSpanningResult, _trace, derive_parameters,
 from .errors import (AbsorptionFailure, ParameterError, PartitionFailure,
                      StageFailure)
 from .exposure import ExposureOracle
-from .graphs import ColouredGraph, canonical_edge, find_codes
+from .graphs import ColouredGraph, canonical_edge
 from .rng import RandomSource
 from .trees import Tree, TrimResult, build_I0, trim_to_size
 
@@ -50,8 +49,7 @@ def draw_permutation(n: int, source: RandomSource) -> Dict[int, int]:
 
 
 def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
-                       source: RandomSource, *, retries: int = 50,
-                       r_edges: Optional[Iterable[Pair]] = None
+                       source: RandomSource, *, retries: int = 50
                        ) -> Tuple[ColouredGraph, ...]:
     """Split the edges into d slices, each with minimum degree delta*n/(2d).
 
@@ -61,10 +59,6 @@ def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
     removal of a sparse random graph from the seed; both the missing
     precondition and an exhausted retry budget raise PartitionFailure,
     which is a legitimate trial outcome rather than a bug.
-
-    `r_edges`, when given, is the removed random edge set, as pairs or
-    as (k, 2) integer rows; the slices are checked to be disjoint from
-    it.
     """
     if int(d) != d or d < 1:
         raise ParameterError("d must be a positive integer, got %r" % d)
@@ -79,10 +73,6 @@ def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
             % (g_minus_r.min_degree(), floor_pre),
             detail={"min_degree": g_minus_r.min_degree(),
                     "required": floor_pre})
-    if r_edges is not None:
-        overlap = int(g_minus_r.find_edges(r_edges)[1].sum())
-        assert not overlap, \
-            "input still contains %d removed random edges" % overlap
 
     bound = delta * n / (2.0 * d)
     gen = source.generator()
@@ -131,92 +121,36 @@ def b_size_bound(delta: float, d: int, n: int) -> float:
 # absorption state
 
 
-@dataclass
-class AbsorberIndex:
-    """Everything the absorption loop consults besides the tree itself.
-
-    `i0_nodes` are the anchor tree nodes, `anchors` their host images,
-    `parts` the edge-disjoint slices of the seed minus the random edges,
-    `used` the absorbers consumed so far (in order), and `leftovers` the
-    host vertices outside the embedded image, ascending; the k-th
-    leftover is absorbed while the k-th trimmed leaf (in reverse trim
-    order) rejoins the tree.
-    """
-
-    i0_nodes: Tuple[int, ...]
-    anchors: Tuple[int, ...]
-    parts: Tuple[ColouredGraph, ...]
-    leftovers: Tuple[int, ...]
-    used: List[int] = field(default_factory=list)
-
-    def validate(self, g_minus_r: Optional[ColouredGraph] = None,
-                 delta: Optional[float] = None,
-                 image: Optional[FrozenSet[int]] = None) -> None:
-        d = len(self.parts)
-        assert d >= 1
-        assert len(self.i0_nodes) == len(self.anchors)
-        assert len(set(self.anchors)) == len(self.anchors)
-        codes = np.sort(np.concatenate([h.edge_codes() for h in self.parts]))
-        assert (np.diff(codes) > 0).all(), "slices share an edge"
-        if g_minus_r is not None:
-            assert all(h.n == g_minus_r.n for h in self.parts)
-            assert find_codes(g_minus_r.edge_codes(), codes)[1].all(), \
-                "slices contain edges outside the sliced graph"
-            if delta is not None:
-                floor = delta * g_minus_r.n / (2.0 * d)
-                for h in self.parts:
-                    assert h.min_degree() + 1e-9 >= floor, \
-                        "a slice dropped below its degree floor"
-        assert len(set(self.used)) == len(self.used)
-        assert set(self.used) <= set(self.anchors), \
-            "a used absorber is not an anchor"
-        if image is not None:
-            n = self.parts[0].n
-            assert self.leftovers == tuple(sorted(set(range(n)) - set(image)))
-
-
 class AbsorptionState:
     """Mutable record of the growing tree during absorption.
 
-    `mapping` sends embedded tree nodes to host vertices, `edge_colours`
-    carries the current image edges with their colours, and `t0_image`
+    `mapping` sends embedded tree nodes to host vertices and `inverse`
+    sends them back; `edge_colours` carries the current image edges with
+    their colours and `colours` the set of those colours.  `t0_image`
     stays fixed at the originally embedded copy: the pool definition
-    always refers to it.
+    always refers to it.  `anchors` are the host images of the anchor
+    nodes, `parts` the edge-disjoint slices of the seed minus the random
+    edges, and `used` the absorbers consumed so far, in order.
     """
 
-    def __init__(self, tree: Tree, t0_image: Tree, index: AbsorberIndex,
-                 mapping: Dict[int, int], edge_colours: Dict[Pair, int],
-                 oracle: ExposureOracle,
+    def __init__(self, tree: Tree, t0_image: Tree, anchors: Sequence[int],
+                 parts: Sequence[ColouredGraph], mapping: Dict[int, int],
+                 edge_colours: Dict[Pair, int], oracle: ExposureOracle,
                  trace: Optional[List[str]] = None):
         self.tree = tree
         self.t0_image = t0_image
-        self.index = index
+        self.anchors = tuple(anchors)
+        self.parts = tuple(parts)
+        self.used: List[int] = []
         self.mapping = dict(mapping)
         self.inverse = {w: node for node, w in self.mapping.items()}
         assert len(self.inverse) == len(self.mapping), "image not injective"
-        self.nodes = set(self.mapping)
         self.edge_colours = dict(edge_colours)
         self.colours = set(self.edge_colours.values())
         assert len(self.colours) == len(self.edge_colours), \
             "starting image is not rainbow"
         self.oracle = oracle
-        self.i0_set = frozenset(index.i0_nodes)
         self.trace: List[str] = trace if trace is not None else []
-        self.step = 0
-
-    def check_image(self) -> None:
-        """The image must be a rainbow copy of the currently covered subtree."""
-        assert len(set(self.mapping.values())) == len(self.mapping)
-        covered = [e for e in self.tree.edges
-                   if e[0] in self.nodes and e[1] in self.nodes]
-        assert len(covered) == len(self.nodes) - 1
-        for a, b in covered:
-            pair = canonical_edge(self.mapping[a], self.mapping[b])
-            assert pair in self.edge_colours, \
-                "tree edge (%d, %d) lost its image" % (a, b)
-        assert len(self.edge_colours) == len(covered)
-        assert len(self.colours) == len(self.edge_colours), \
-            "image lost rainbow-ness"
 
 
 def select_fresh_part(parts: Sequence[ColouredGraph], u: int,
@@ -256,16 +190,16 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
     tree, oracle = state.tree, state.oracle
     if v in state.inverse:
         raise ParameterError("host vertex %d already carries a tree node" % v)
-    if v_node not in tree.nodes or v_node in state.nodes:
+    if v_node not in tree.nodes or v_node in state.mapping:
         raise ParameterError("node %r is not an unembedded tree node"
                              % (v_node,))
-    hooks = [w for w in tree.neighbours(v_node) if w in state.nodes]
+    hooks = [w for w in tree.neighbours(v_node) if w in state.mapping]
     if len(hooks) != 1:
         raise ParameterError("node %r has %d embedded neighbours, not one"
                              % (v_node, len(hooks)))
     u = state.mapping[hooks[0]]
-    j_star = select_fresh_part(state.index.parts, u, oracle)
-    h = state.index.parts[j_star]
+    j_star = select_fresh_part(state.parts, u, oracle)
+    h = state.parts[j_star]
 
     # nothing in this slice incident to v and the current image may have
     # been revealed yet; absorption is the only consumer of these pairs
@@ -274,12 +208,11 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
             assert not oracle.colour_exposed((v, w)), \
                 "slice %d colour at (%d, %d) leaked early" % (j_star, v, w)
 
-    pool_full = compute_B(u, v, h, state.index.anchors, state.t0_image)
-    used = set(state.index.used)
-    pool = [x for x in pool_full if x not in used]
-    assert len(pool) >= len(pool_full) - len(state.index.used)
+    used = set(state.used)
+    pool = [x for x in compute_B(u, v, h, state.anchors, state.t0_image)
+            if x not in used]
 
-    label = state.step + 1
+    label = len(state.used) + 1
     chosen = None
     kept: List[int] = []
     for x in pool:
@@ -301,25 +234,19 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
 
     x = chosen
     z = state.inverse[x]
-    assert z in state.i0_set, "absorber %d is not sitting on an anchor node" % x
     ys = sorted(state.t0_image.neighbours(x))
     # swing z's image edges from x onto v, then hang v_node on x
     for y in ys:
-        state.edge_colours.pop(canonical_edge(x, y))
+        state.colours.remove(state.edge_colours.pop(canonical_edge(x, y)))
     for y, c in zip(ys, kept[1:]):
-        assert y in h.neighbours(v)
         state.edge_colours[canonical_edge(y, v)] = c
-    assert x in h.neighbours(u)
     state.edge_colours[canonical_edge(u, x)] = kept[0]
+    state.colours.update(kept)
     state.mapping[z] = v
     state.mapping[v_node] = x
     state.inverse[x] = v_node
     state.inverse[v] = z
-    state.nodes.add(v_node)
-    state.colours = set(state.edge_colours.values())
-    state.index.used.append(x)
-    state.step += 1
-    state.check_image()
+    state.used.append(x)
 
     line = "i=%d j*=%d |B|=%d chosen=%d" % (label, j_star + 1, len(pool), x)
     state.trace.append(line)
@@ -429,27 +356,24 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
             used_absorbers=(), r_max_degree=None, r_degree_ok=None,
             almost=almost, oracle=oracle)
 
-    # reveal the full random edge set; its maximum degree is checked
-    # against an advisory cap of 3 ln n and recorded either way
-    r_edges = oracle.materialize_presence(kind="materialize", stage=0)
-    ends = np.fromiter(itertools.chain.from_iterable(r_edges), dtype=np.int64,
-                       count=2 * len(r_edges))
-    rmax = int(np.bincount(ends, minlength=n).max()) if n else 0
-    cap = 3.0 * math.log(n) if n > 1 else 3.0
-    rok = rmax <= cap + 1e-9
-    _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
-
-    # relocate: the embedded copy moves to a uniformly random position
+    # reveal the full random edge set, then relocate: the embedded copy
+    # moves to a uniformly random position
+    oracle.materialize_presence(kind="materialize", stage=0)
     perm = draw_permutation(n, source.substream("shift"))
     oracle.apply_permutation(perm)
     mapping = {node: perm[w] for node, w in mapping.items()}
     edge_colours = {canonical_edge(perm[a], perm[b]): c
                     for (a, b), c in edge_colours.items()}
     r_edges = oracle.presence_edges()
-    _trace(trace, "shift", True, edges=len(r_edges))
-    # rows once, for the slicing and for the partition's overlap check
     r_rows = np.fromiter(r_edges, dtype=np.dtype((np.int64, 2)),
                          count=len(r_edges))
+    # the maximum degree of R, which relabelling keeps, is checked against
+    # an advisory cap of 3 ln n and recorded either way
+    rmax = int(np.bincount(r_rows.ravel(), minlength=n).max())
+    cap = 3.0 * math.log(n) if n > 1 else 3.0
+    rok = rmax <= cap + 1e-9
+    _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
+    _trace(trace, "shift", True, edges=len(r_rows))
 
     t0_image = Tree((mapping[x] for x in trim.t0.nodes),
                     ((mapping[a], mapping[b]) for a, b in trim.t0.edges), d)
@@ -461,24 +385,20 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     anchors = tuple(mapping[x] for x in i0)
     _trace(trace, "anchors", True, count=len(anchors))
 
-    g_minus_r = seed.without_edges(r_rows)
     try:
-        parts = partition_edge_set(g_minus_r, d, delta,
-                                   source.substream("partition"),
-                                   r_edges=r_rows)
+        parts = partition_edge_set(seed.without_edges(r_rows), d, delta,
+                                   source.substream("partition"))
     except PartitionFailure as exc:
         _trace(trace, "partition", False, detail=str(exc.detail))
         return failure(exc.stage, str(exc))
     _trace(trace, "partition", True, parts=len(parts),
            min_degree=min(h.min_degree() for h in parts))
 
-    leftovers = tuple(sorted(set(range(n)) - set(mapping.values())))
-    index = AbsorberIndex(i0_nodes=tuple(i0), anchors=anchors, parts=parts,
-                          leftovers=leftovers)
-    index.validate(g_minus_r=g_minus_r, delta=delta,
-                   image=frozenset(mapping.values()))
-    state = AbsorptionState(tree, t0_image, index, mapping, edge_colours,
-                            oracle, trace=trace)
+    # the k-th leftover is absorbed while the k-th trimmed leaf, in
+    # reverse trim order, rejoins the tree
+    leftovers = sorted(set(range(n)) - set(mapping.values()))
+    state = AbsorptionState(tree, t0_image, anchors, parts, mapping,
+                            edge_colours, oracle, trace=trace)
     rejoin = tuple(reversed(trim.deleted))
     assert len(rejoin) == len(leftovers) == r
     try:
@@ -493,7 +413,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         success=True, stage=None, detail=None, trace=tuple(trace),
         mapping=dict(state.mapping), edge_colours=dict(state.edge_colours),
         eps_formula=eps_formula, eps_used=eps_used, r=r, perm=perm,
-        used_absorbers=tuple(index.used), r_max_degree=rmax, r_degree_ok=rok,
+        used_absorbers=tuple(state.used), r_max_degree=rmax, r_degree_ok=rok,
         almost=almost, oracle=oracle)
 
 

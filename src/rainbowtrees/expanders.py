@@ -269,12 +269,12 @@ def _peel(graph: ColouredGraph, lo: float, hi: Optional[int] = None
 
 @dataclass(frozen=True)
 class EffectiveExpander:
-    """A successfully extracted effective expander with its audit trail."""
+    """A successfully extracted effective expander, with the vertices
+    peeled and the edges capped on the way to it."""
 
     subgraph: ColouredGraph
     deleted: FrozenSet[int]
     capped_edges: FrozenSet[Tuple[int, int]]
-    core_check: ExpansionCheck
 
 
 def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
@@ -312,7 +312,7 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
             % (params.eta, params.r),
             detail={"item": 3, "witness": sorted(core.witness or ())})
     return EffectiveExpander(subgraph=sub, deleted=frozenset(deleted),
-                             capped_edges=frozenset(capped), core_check=core)
+                             capped_edges=frozenset(capped))
 
 
 def degrade_attach(graph: ColouredGraph, new_vertex: int,

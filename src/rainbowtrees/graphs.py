@@ -558,7 +558,7 @@ def perturb(seed: ColouredGraph, p: float, source: RandomSource) -> PerturbedGra
     if seed.is_coloured:
         seed = seed.uncoloured()
     r = gen_gnp(seed.n, p, source)
-    return PerturbedGraph(seed=seed, r_edges=r.edges, union=seed.union(r.edges))
+    return PerturbedGraph(seed, r.edges, seed.union(r.edges))
 
 
 def uniform_colouring(graph: ColouredGraph, palette_size: int,

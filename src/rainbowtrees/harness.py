@@ -456,8 +456,7 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
     trim = trim_to_size(full, n - r, src.substream("trim"))
     try:
         anchor_nodes = build_I0(trim.t0, full, d, eps)
-        parts = partition_edge_set(gmr, d, delta, src.substream("slices"),
-                                   r_edges=rgraph.edge_array())
+        parts = partition_edge_set(gmr, d, delta, src.substream("slices"))
     except StageFailure as exc:
         return "fail", exc.stage, {"detail": str(exc), "bound": bound}
     if not anchor_nodes:

@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rainbowtrees import (AbsorberIndex, AbsorptionFailure, AbsorptionState,
-                          ColouredGraph, InfeasibleParameters, ParameterError,
+from rainbowtrees import (AbsorptionFailure, AbsorptionState, ColouredGraph,
+                          InfeasibleParameters, ParameterError,
                           PartitionFailure, RandomSource, StageFailure, Tree,
                           TrialConfig, absorb_leftovers, absorb_step,
                           b_size_bound, complete_graph, compute_B,
@@ -64,12 +64,8 @@ def test_partition_precondition():
         partition_edge_set(sparse, 2, 0.5, RandomSource(1))
     assert err.value.detail["min_degree"] == 1
     assert err.value.detail["required"] == pytest.approx(4.5)
-
-
-def test_partition_rejects_random_edge_overlap():
-    g = complete_graph(10)
-    with pytest.raises(AssertionError):
-        partition_edge_set(g, 2, 0.5, RandomSource(1), r_edges=[(0, 1)])
+    with pytest.raises(ParameterError):
+        partition_edge_set(complete_graph(6), 0, 0.5, RandomSource(1))
 
 
 def test_partition_budget_exhausted():
@@ -140,34 +136,6 @@ def test_pool_statistics(monkeypatch):
     assert stats["violated"] == (min(sizes) < stats["bound"])
 
 
-# -- index bookkeeping -----------------------------------------------------
-
-
-def test_index_validate_rejections():
-    h1 = ColouredGraph(6, [(0, 1), (2, 3), (4, 5)])
-    h2 = ColouredGraph(6, [(0, 2), (1, 3), (4, 0)])
-    good = AbsorberIndex(i0_nodes=(10, 11), anchors=(0, 1), parts=(h1, h2),
-                         leftovers=(5,))
-    good.validate()
-
-    with pytest.raises(AssertionError):
-        AbsorberIndex((10, 11), (0, 0), (h1, h2), (5,)).validate()
-    with pytest.raises(AssertionError):
-        AbsorberIndex((10,), (0, 1), (h1, h2), (5,)).validate()
-    with pytest.raises(AssertionError):
-        AbsorberIndex((10, 11), (0, 1), (h1, h1), (5,)).validate()
-    with pytest.raises(AssertionError):
-        AbsorberIndex((10, 11), (0, 1), (h1, h2), (5,),
-                      used=[3]).validate()
-    host = ColouredGraph(6, [(0, 1), (2, 3), (4, 5)])
-    with pytest.raises(AssertionError):
-        AbsorberIndex((10, 11), (0, 1), (h1, h2), (5,)).validate(
-            g_minus_r=host)
-    with pytest.raises(AssertionError):
-        AbsorberIndex((10, 11), (0, 1), (h1, h2), (5,)).validate(
-            image=frozenset(range(6)) - {4})
-
-
 # -- single absorb steps on a hand-built state ------------------------------
 
 
@@ -181,11 +149,9 @@ def hand_state(palette, seed_val, h_edges, before=()):
     oracle = ExposureOracle(7, palette, 0.5, RandomSource(seed_val))
     oracle.record_block(range(5), list(edge_colours),
                         list(edge_colours.values()), stage=0)
-    index = AbsorberIndex(i0_nodes=(10, 11, 12), anchors=(0, 1, 2),
-                          parts=tuple(ColouredGraph(7, edges) for edges
-                                      in before + (h_edges,)),
-                          leftovers=(5, 6))
-    return AbsorptionState(tree, image, index, mapping, edge_colours, oracle)
+    parts = [ColouredGraph(7, edges) for edges in before + (h_edges,)]
+    return AbsorptionState(tree, image, (0, 1, 2), parts, mapping,
+                           edge_colours, oracle)
 
 
 HAND_SLICE = [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2)]
@@ -201,9 +167,9 @@ def test_absorb_step_rewires():
     assert state.mapping == {10: 5, 11: 1, 12: 2, 13: 3, 14: 4, 15: 0}
     assert sorted(state.edge_colours) == [(0, 4), (1, 2), (1, 5), (2, 3),
                                           (3, 4)]
-    assert state.index.used == [0]
+    assert state.used == [0]
     assert state.edge_colours[(1, 2)] == 1  # untouched image edge keeps its colour
-    state.check_image()
+    assert state.colours == set(state.edge_colours.values())
 
 
 def test_absorb_step_collision_exhausts_pool():
@@ -243,11 +209,11 @@ def test_absorb_step_validation():
     path = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
     stub = Tree([0], [], 2)
     oracle = ExposureOracle(4, 10, 0.5, RandomSource(8))
-    index = AbsorberIndex((), (), (ColouredGraph(4, [(0, 1)]),), (1, 2, 3))
-    lone = AbsorptionState(path, stub, index, {0: 0}, {}, oracle)
+    parts = (ColouredGraph(4, [(0, 1)]),)
+    lone = AbsorptionState(path, stub, (), parts, {0: 0}, {}, oracle)
     with pytest.raises(ParameterError, match="0 embedded neighbours"):
         absorb_step(lone, 1, 2)
-    ends = AbsorptionState(path, stub, index, {0: 0, 2: 2}, {}, oracle)
+    ends = AbsorptionState(path, stub, (), parts, {0: 0, 2: 2}, {}, oracle)
     with pytest.raises(ParameterError, match="2 embedded neighbours"):
         absorb_step(ends, 1, 1)
 
@@ -257,14 +223,14 @@ def test_absorb_step_picks_the_fresh_slice():
     # skipped: j* is select_fresh_part's first fresh slice
     before = ([(4, 6)],)
     state = hand_state(10 ** 6, 3, HAND_SLICE, before)
-    assert select_fresh_part(state.index.parts, 4, state.oracle) == 0
+    assert select_fresh_part(state.parts, 4, state.oracle) == 0
     with pytest.raises(AbsorptionFailure):
         absorb_step(state, 5, 15)             # slice 1 has no pool for (4, 5)
     assert state.trace == ["i=1 j*=1 |B|=0 chosen=fail"]
 
     state = hand_state(10 ** 6, 3, HAND_SLICE, before)
     state.oracle.expose_colour((4, 6))
-    assert select_fresh_part(state.index.parts, 4, state.oracle) == 1
+    assert select_fresh_part(state.parts, 4, state.oracle) == 1
     assert absorb_step(state, 5, 15) == "i=1 j*=2 |B|=2 chosen=0"
     assert state.mapping[15] == 0 and state.mapping[10] == 5
 

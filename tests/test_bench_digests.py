@@ -1,0 +1,33 @@
+"""The benchmark's stored digests as a regression check on the random streams.
+
+`perfbench/run.py` hashes the outcomes of the first ops of a run (timings
+excluded) and compares the hash with `perfbench/digests.json`.  A run
+with `--seconds 0` reaches exactly those ops, so each workload below
+checks in a few seconds that the library still draws and returns what it
+did when the digests were stored.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN = os.path.join(ROOT, "perfbench", "run.py")
+
+
+@pytest.mark.parametrize("workload", ["rst-300", "almost-2000", "absorb-600"])
+def test_digest_matches_the_reference(workload):
+    proc = subprocess.run(
+        [sys.executable, RUN, "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    (digest,) = [line for line in lines if line.startswith("digest ")]
+    assert digest.endswith("matches the reference"), digest
+    assert json.loads(lines[-1])["correct"] is True

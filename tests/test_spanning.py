@@ -14,6 +14,7 @@ from rainbowtrees import (ColouredGraph, ParameterError, check_crossing_edges,
                           highly_connected_partition, is_k_connected,
                           partition_from_lists, spawn_trial_source,
                           suzuki_check, uniform_colouring, vertex_connectivity)
+from rainbowtrees import spanning
 from rainbowtrees.graphs import gen_gnp, gen_seed_graph, perturb
 from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, VertexPartition,
                                    _growth_strings)
@@ -368,6 +369,41 @@ def test_finder_matches_reference_across_greedy_chunks():
         if g.size > 8 * GREEDY_CHUNK:
             shapes["5+ chunks"] += 1
     assert min(shapes.values()) >= 20, shapes
+
+
+def test_finder_augments_only_past_the_full_greedy_forest(monkeypatch):
+    # an augmentation from a source with a free colour adds the row the
+    # greedy would have kept next, so a warm start cut short still ends
+    # in the same tree; only the number of augmentations shows it
+    calls = []
+    augment = spanning._augment
+
+    def counted(*args):
+        calls.append(1)
+        return augment(*args)
+
+    monkeypatch.setattr(spanning, "_augment", counted)
+    found = short = 0
+    for trial in range(40):
+        src = spawn_trial_source(6160, trial)
+        n = 60 + (trial * 13) % 61
+        if trial % 2 == 0:
+            seed = gen_seed_graph(n, 0.4, "clique-union",
+                                  src.substream("seed"))
+            host = perturb(seed, n ** -1.5, src.substream("perturb")).union
+        else:
+            host = gen_gnp(n, 0.15, src.substream("gnp"))
+        g = uniform_colouring(host, n - 1 + trial % 3, src.substream("colour"))
+        assert g.size > GREEDY_CHUNK, (trial, g.size)
+        calls.clear()
+        tree = find_rainbow_spanning_tree(g)
+        if tree is None:
+            continue
+        missing = n - 1 - len(greedy_rainbow_forest(g))
+        assert len(calls) == missing, (trial, len(calls), missing)
+        found += 1
+        short += missing > 0
+    assert found >= 30 and short >= 20, (found, short)
 
 
 def test_finder_pinned_tree_at_acceptance_8():
