@@ -22,19 +22,17 @@ from .expanders import (EffectiveExpander, ExpandParams, degrade_attach, ell1,
                         ell2, find_effective_expander, is_eta_r_expander,
                         sparsify, verify_expand_core)
 from .exposure import ExposureError, ExposureOracle
-from .graphs import (ColouredGraph, PerturbedGraph, canonical_edge,
-                     complete_graph, gen_gnp, gen_seed_graph, perturb,
-                     uniform_colouring)
+from .graphs import (ColouredGraph, canonical_edge, complete_graph, gen_gnp,
+                     gen_seed_graph, perturb, uniform_colouring)
 from .harness import (CSV_HEADER, LEMMA_KINDS, TRIAL_KINDS, WILSON_Z,
                       LemmaStatsSummary, SuccessEstimate, TrialConfig,
                       TrialRecord, estimate, format_records, lemma_stats,
                       read_records, run_trials, wilson_interval,
                       write_records)
 from .rng import RandomSource, spawn_trial_source
-from .spanning import (SUZUKI_BUDGET, VertexPartition, check_crossing_edges,
+from .spanning import (SUZUKI_BUDGET, VertexPartition,
                        find_rainbow_spanning_tree, highly_connected_partition,
-                       is_k_connected, partition_from_lists, suzuki_check,
-                       vertex_connectivity)
+                       partition_from_lists, suzuki_check)
 from .trees import (RootSets, Tree, TreeDecomposition, TrimResult, build_I0,
                     compute_root_sets, decompose_tree, gen_random_bounded_tree,
                     path_tree, star_tree, trim_to_size)

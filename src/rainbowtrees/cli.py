@@ -67,7 +67,7 @@ def _cmd_gen(args) -> int:
         graph = gen_seed_graph(args.n, args.delta, args.kind,
                                src.substream("graph"))
         if args.p:
-            graph = perturb(graph, args.p, src.substream("perturb")).union
+            graph = perturb(graph, args.p, src.substream("perturb"))
     _emit_text(format_edge_list(graph), args.out)
     return 0
 

@@ -7,15 +7,13 @@ isolated vertices still count toward its order.
 
 Random models provided here: the binomial random graph, dense seed graphs
 of prescribed minimum degree, the perturbed union of a seed with a random
-graph (tracking which edges came from the random part), and uniform
-independent edge colourings.
+graph, and uniform independent edge colourings.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -453,16 +451,15 @@ def gen_gnp(n: int, p: float, source: RandomSource) -> ColouredGraph:
 
 
 def gen_seed_graph(n: int, delta: float, kind: str,
-                   source: Optional[RandomSource] = None,
-                   parts: Optional[int] = None) -> ColouredGraph:
+                   source: Optional[RandomSource] = None) -> ColouredGraph:
     """A dense graph on n vertices with minimum degree at least ceil(delta*n).
 
     Kinds: "complete"; "clique-union" (disjoint cliques, as equal as
     possible); "multipartite" (complete multipartite, balanced classes);
     "random-supergraph" (binomial graph above the degree threshold, with
-    deficient vertices repaired deterministically).  `parts` fixes the
-    number of cliques / classes; when omitted, the largest feasible
-    clique count (resp. smallest feasible class count) is used.
+    deficient vertices repaired deterministically).  Clique-union takes
+    the largest feasible clique count, multipartite the smallest
+    feasible class count.
     """
     if kind not in SEED_KINDS:
         raise ParameterError("unknown seed kind %r (choose from %s)"
@@ -476,20 +473,18 @@ def gen_seed_graph(n: int, delta: float, kind: str,
     if kind == "complete":
         g = complete_graph(n)
     elif kind == "clique-union":
-        if parts is None:
-            parts = max(1, int(1.0 / delta))
-            while parts > 1 and n // parts - 1 < need:
-                parts -= 1
+        parts = max(1, int(1.0 / delta))
+        while parts > 1 and n // parts - 1 < need:
+            parts -= 1
         if n // parts - 1 < need:
             raise ParameterError(
                 "clique-union with %d cliques on n=%d gives min degree %d < %d"
                 % (parts, n, n // parts - 1, need))
         g = _class_graph(n, parts, within=True)
     elif kind == "multipartite":
-        if parts is None:
-            parts = max(2, math.ceil(1.0 / (1.0 - delta)))
-            while parts < n and n - math.ceil(n / parts) < need:
-                parts += 1
+        parts = max(2, math.ceil(1.0 / (1.0 - delta)))
+        while parts < n and n - math.ceil(n / parts) < need:
+            parts += 1
         if n - math.ceil(n / parts) < need:
             raise ParameterError(
                 "complete multipartite with %d classes on n=%d gives "
@@ -537,28 +532,13 @@ def _class_graph(n: int, k: int, within: bool) -> ColouredGraph:
     return ColouredGraph._from_rows(n, rows[same == within])
 
 
-@dataclass(frozen=True)
-class PerturbedGraph:
-    """A seed graph unioned with an independent binomial random graph.
-
-    `r_edges` is the full sample of random edges, including those that
-    happened to coincide with seed edges; this is what makes the seed
-    minus the random part recoverable.
-    """
-
-    seed: ColouredGraph
-    r_edges: FrozenSet[Edge]
-    union: ColouredGraph = field(repr=False)
-
-
-def perturb(seed: ColouredGraph, p: float, source: RandomSource) -> PerturbedGraph:
-    """Overlay an independent binomial graph on `seed` (colouring discarded)."""
+def perturb(seed: ColouredGraph, p: float,
+            source: RandomSource) -> ColouredGraph:
+    """The union of `seed` with an independent binomial graph G(n, p)
+    drawn from `source`, uncoloured."""
     if seed.vertex_set != frozenset(range(seed.n)):
         raise ParameterError("perturbation needs a graph on its full label space")
-    if seed.is_coloured:
-        seed = seed.uncoloured()
-    r = gen_gnp(seed.n, p, source)
-    return PerturbedGraph(seed, r.edges, seed.union(r.edges))
+    return seed.union(gen_gnp(seed.n, p, source).edge_array())
 
 
 def uniform_colouring(graph: ColouredGraph, palette_size: int,

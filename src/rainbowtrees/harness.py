@@ -57,8 +57,7 @@ def _allowed_knobs(kind: str, lemma_kind: Optional[str]) -> frozenset:
     if kind == "spanning":
         return frozenset(_DERIVE_KEYS + ("eps_override",))
     if kind == "lemma-stats" and lemma_kind == "expand-membership":
-        return frozenset(("theta", "C", "eta", "r", "check_mode",
-                          "check_trials"))
+        return frozenset(("theta", "C", "eta", "r", "check_trials"))
     return frozenset()
 
 
@@ -82,8 +81,8 @@ class TrialConfig:
     instead.  `knobs` also carries pass-through tuning: for the two
     embedding kinds the derive_parameters keys zeta, beta, rho,
     expander_c_mode, m_mode and c_m; for expand-membership the expander
-    family parameters theta, C, eta, r and the check_mode / check_trials
-    of its membership test.  Unknown keys are rejected so typos fail
+    family parameters theta, C, eta, r and the check_trials of its
+    sampled membership test.  Unknown keys are rejected so typos fail
     loudly.
     """
 
@@ -411,9 +410,9 @@ def _trial_spanning(config: TrialConfig, src: RandomSource):
 def _trial_rainbow_st(config: TrialConfig, src: RandomSource):
     seed = gen_seed_graph(config.n, config.delta, config.seed_kind,
                           src.substream("seed-graph"))
-    pert = perturb(seed, config.resolved_p(), src.substream("perturb"))
+    union = perturb(seed, config.resolved_p(), src.substream("perturb"))
     palette = config.resolved_palette()
-    host = uniform_colouring(pert.union, palette, src.substream("colour"))
+    host = uniform_colouring(union, palette, src.substream("colour"))
     found = find_rainbow_spanning_tree(host)
     metrics = {"host_edges": host.size, "palette": palette}
     if found is None:
@@ -491,8 +490,7 @@ def _trial_expand(config: TrialConfig, src: RandomSource):
     g = gen_gnp(n, p, src.substream("graph"))
     try:
         out = find_effective_expander(
-            g, xp, mode=str(_knob(config, "check_mode", "sampled")),
-            trials=int(_knob(config, "check_trials", 200)),
+            g, xp, trials=int(_knob(config, "check_trials", 200)),
             source=src.substream("checks"))
     except ExpanderFailure as exc:
         return "fail", exc.stage, {"violated": True, "detail": str(exc),

@@ -6,19 +6,19 @@ partition, a uniformly coloured perturbed graph almost surely satisfies
 the classical partition criterion for rainbow spanning trees (every way
 of cutting the vertex set into s parts leaves at least s - 1 distinctly
 coloured crossing edges), which is both necessary and sufficient.  This
-module carries the partition builder with its connectivity audits, an
-exact checker of the criterion at small orders, a constructive finder
-based on matroid intersection, and the crossing-edge count the argument
-rests on.
+module carries the partition builder, an exact checker of the criterion
+at small orders, and a constructive finder based on matroid
+intersection.
 
-Connectivity is computed two independent ways on purpose: blocks are
-split along networkx minimum node cuts, while the audits rerun the
-numbers through a local max-flow implementation kept in this file.
+The partition builder certifies its own blocks: a block is final only
+once the witness-pair test that hunts for small cuts finds none, so
+connectivity is computed once, by networkx flows, during the
+construction.  `tests/oracles.check_partition_blocks` audits the blocks
+without sharing code with this module.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -69,67 +69,10 @@ def partition_from_lists(parts: Iterable[Iterable[int]]) -> VertexPartition:
 
 
 # ---------------------------------------------------------------------------
-# vertex connectivity by max flow
-
-# Local connectivity between two non-adjacent vertices equals the largest
-# number of internally vertex-disjoint paths between them, computed here
-# as max flow in the standard vertex-split digraph: every other vertex
-# becomes an in->out arc of capacity one, every edge a pair of arcs of
-# effectively unbounded capacity.
+# the highly connected partition
 
 
 Adjacency = Dict[int, Tuple[int, ...]]
-
-
-def _local_connectivity(adj: Adjacency, s: int, t: int,
-                        cap: Optional[int] = None) -> int:
-    """Max number of internally disjoint s-t paths, capped when asked.
-
-    Plain BFS augmentation on the split digraph; each round adds one
-    unit, so the cap doubles as a work bound for threshold questions
-    where the exact value past the cap is irrelevant.
-    """
-    if t in adj[s]:
-        raise ParameterError("local connectivity needs a non-adjacent pair")
-    limit = len(adj) if cap is None else int(cap)
-    if limit <= 0:
-        return 0
-    idx = {v: i for i, v in enumerate(sorted(adj))}
-    big = len(adj) + 1
-    # node 2i is the in-copy of vertex i, node 2i+1 the out-copy
-    residual: List[Dict[int, int]] = [{} for _ in range(2 * len(adj))]
-
-    def arc(a: int, b: int, c: int) -> None:
-        residual[a][b] = residual[a].get(b, 0) + c
-        residual[b].setdefault(a, 0)
-
-    for v, i in idx.items():
-        arc(2 * i, 2 * i + 1, big if v in (s, t) else 1)
-    for v in adj:
-        for w in adj[v]:
-            arc(2 * idx[v] + 1, 2 * idx[w], big)
-
-    source, sink = 2 * idx[s] + 1, 2 * idx[t]
-    value = 0
-    while value < limit:
-        prev: Dict[int, int] = {source: source}
-        queue: Deque[int] = deque([source])
-        while queue and sink not in prev:
-            a = queue.popleft()
-            for b, c in residual[a].items():
-                if c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            break
-        node = sink
-        while node != source:
-            above = prev[node]
-            residual[above][node] -= 1
-            residual[node][above] += 1
-            node = above
-        value += 1
-    return value
 
 
 def _components(adj: Adjacency) -> List[List[int]]:
@@ -151,67 +94,6 @@ def _components(adj: Adjacency) -> List[List[int]]:
     return comps
 
 
-def vertex_connectivity(graph: ColouredGraph,
-                        vertices: Optional[Iterable[int]] = None) -> int:
-    """Exact vertex connectivity of the graph, or of an induced subgraph.
-
-    The minimum is taken over a small candidate family anchored at a
-    minimum-degree vertex v: local connectivities from v to each of its
-    non-neighbours, and between non-adjacent pairs inside N(v).  Any
-    minimum cut either misses v (first family) or contains it, in which
-    case it separates two of v's neighbours (second family).  Complete
-    graphs are |V| - 1 by convention, single vertices and disconnected
-    graphs 0.
-    """
-    sub = graph if vertices is None else graph.subgraph(vertices)
-    adj = sub.adjacency()
-    n = len(adj)
-    if n <= 1 or len(_components(adj)) > 1:
-        return 0
-    if all(len(adj[v]) == n - 1 for v in adj):
-        return n - 1
-    v = min(sorted(adj), key=lambda x: len(adj[x]))
-    best = len(adj[v])
-    for u in sorted(adj):
-        if u != v and not sub.has_edge(u, v):
-            best = min(best, _local_connectivity(adj, v, u, cap=best))
-    for x, y in itertools.combinations(adj[v], 2):
-        if not sub.has_edge(x, y):
-            best = min(best, _local_connectivity(adj, x, y, cap=best))
-    return best
-
-
-def is_k_connected(graph: ColouredGraph, k: int,
-                   vertices: Optional[Iterable[int]] = None) -> bool:
-    """Whether the (induced) graph is k-connected, with capped flows.
-
-    Witness-set test: fix k vertices; a cut of fewer than k vertices
-    misses one of them, which then sits in a different component from
-    some non-neighbour.  All flows stop at k units, so the check stays
-    cheap when k is small even on large blocks.
-    """
-    if k <= 0:
-        return True
-    sub = graph if vertices is None else graph.subgraph(vertices)
-    adj = sub.adjacency()
-    n = len(adj)
-    if n <= k or len(_components(adj)) > 1:
-        return False
-    if min(len(adj[v]) for v in adj) < k:
-        return False
-    anchors = sorted(adj)[:k]
-    for a in anchors:
-        for u in sorted(adj):
-            if u != a and not sub.has_edge(u, a):
-                if _local_connectivity(adj, a, u, cap=k) < k:
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# the highly connected partition
-
-
 def _split_block(graph: ColouredGraph, block: FrozenSet[int],
                  threshold: int) -> Optional[Tuple[FrozenSet[int],
                                                    FrozenSet[int]]]:
@@ -220,13 +102,15 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
     A disconnected block sheds its smallest component (ties broken by
     vertex order); a block with a vertex cut below the threshold splits
     into cut-plus-smaller-side against the rest.  Complete and single
-    vertex blocks cannot split and are left to the final audit.
+    vertex blocks cannot split; they meet the threshold exactly when
+    they have more than `threshold` vertices, which the caller checks.
 
-    Cut hunting is the witness-pair test again, run entirely through
-    networkx flows so the construction stays independent of the audit:
-    a cut of fewer than `threshold` vertices misses one of the first
-    `threshold` anchors, which then has a non-neighbour across the cut,
-    and the minimum cut for that pair is itself below the threshold.
+    Cut hunting is Even's witness-pair test, through networkx flows cut
+    off at the threshold: a cut of fewer than `threshold` vertices
+    misses one of the first `threshold` anchors, which then has a
+    non-neighbour across the cut, and the minimum cut for that pair is
+    itself below the threshold.  So a None from a block of more than
+    `threshold` vertices certifies connectivity at least `threshold`.
     The splitting argument needs some cut below the threshold, not a
     globally minimum one, so the first such pair cut is used.
     """
@@ -270,9 +154,11 @@ def highly_connected_partition(graph: ColouredGraph, k: int
 
     Requires minimum degree at least k > 0.  Blocks with a small vertex
     cut are split along a minimum cut, the cut joining the smaller side,
-    until every block clears the threshold.  The outcome is audited with
-    the in-module flow-based connectivity check and the size floor; a
-    violation there is a bug, not a sample failure, hence plain asserts.
+    until every block clears the threshold.  Each final block is
+    certified by `_split_block`'s witness-pair test, given more than
+    `threshold` vertices; that order, the cover and the size floor are
+    asserted here.  A violation is a bug, not a sample failure, hence
+    plain asserts.
     """
     if k <= 0:
         raise ParameterError("k must be positive, got %r" % k)
@@ -297,8 +183,9 @@ def highly_connected_partition(graph: ColouredGraph, k: int
         assert len(block) >= k / 8.0, \
             "block of %d vertices is below the size floor %.2f" \
             % (len(block), k / 8.0)
-        assert is_k_connected(graph, threshold, block), \
-            "a block misses the connectivity threshold %d" % threshold
+        assert len(block) > threshold, \
+            "block of %d vertices cannot be %d-connected" \
+            % (len(block), threshold)
     return partition
 
 
@@ -633,31 +520,3 @@ def _first_sink(batch: np.ndarray, colours: np.ndarray,
     """The first edge of `batch` whose colour is free, or -1."""
     free = (holder[colours[batch]] < 0).nonzero()[0]
     return int(batch[free[0]]) if len(free) else -1
-
-
-# ---------------------------------------------------------------------------
-# crossing-edge supply
-
-
-def check_crossing_edges(graph: ColouredGraph, partition: VertexPartition,
-                         t: int) -> bool:
-    """Whether every pair of blocks has at least 2t crossing edges."""
-    partition.validate(graph.vertex_set)
-    if partition.t < 2:
-        return True
-    owner: Dict[int, int] = {}
-    for b, block in enumerate(partition.blocks):
-        for v in block:
-            owner[v] = b
-    counts: Dict[Pair, int] = {}
-    for u, v in graph.edges:
-        bu, bv = owner[u], owner[v]
-        if bu != bv:
-            key = (bu, bv) if bu < bv else (bv, bu)
-            counts[key] = counts.get(key, 0) + 1
-    need = 2 * t
-    for i in range(partition.t):
-        for j in range(i + 1, partition.t):
-            if counts.get((i, j), 0) < need:
-                return False
-    return True

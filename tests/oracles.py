@@ -702,6 +702,10 @@ def _connectivity_at_least(h, threshold: int) -> bool:
     v, degree = min(h.degree(), key=lambda item: item[1])
     if degree < threshold:
         return False
+    if threshold == 1:
+        # 1-connected means connected on two or more vertices, both
+        # checked above
+        return True
     aux = build_auxiliary_node_connectivity(h)
     residual = build_residual_network(aux, "capacity")
     around = set(h[v])

@@ -125,6 +125,15 @@ def test_readme_commands_parse_and_validate(monkeypatch):
     assert words.index(count) + 1 == len(subcommands)
 
 
+def test_readme_python_snippets_run():
+    # each python block runs on its own, as a reader would paste it
+    text = open(README, encoding="utf-8").read()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, README, "exec"), {"__name__": "__readme__"})
+
+
 def test_rainbow_st_subcommand_writes_csv(tmp_path, capsys):
     path = str(tmp_path / "runs.csv")
     assert main(["rainbow-st", "--n", "24", "--trials", "4", "--seed", "9",

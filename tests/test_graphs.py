@@ -105,14 +105,13 @@ def test_seed_graph_complete():
 
 
 def test_seed_graph_clique_union():
-    g = gen_seed_graph(10, 0.3, "clique-union", parts=2)
+    # the derived clique count is 2: int(1 / 0.3) = 3 cliques would
+    # leave degree 2 < ceil(0.3 * 10)
+    g = gen_seed_graph(10, 0.3, "clique-union")
     assert g.min_degree() == 4
     assert g.size == 2 * 10  # two K5s
     with pytest.raises(ParameterError):
-        gen_seed_graph(10, 0.95, "clique-union", parts=2)
-    # automatic part count finds a feasible split
-    h = gen_seed_graph(10, 0.3, "clique-union")
-    assert h.min_degree() >= 3
+        gen_seed_graph(10, 0.95, "clique-union")
 
 
 def test_seed_graph_multipartite():
@@ -131,27 +130,25 @@ def test_seed_graph_random_supergraph():
 
 def test_perturb_trivial():
     k4 = complete_graph(4)
-    out = perturb(k4, 0.0, RandomSource(1))
-    assert out.union.edges == k4.edges
-    assert out.r_edges == frozenset()
-    assert out.seed.without_edges(out.r_edges).edges == k4.edges
+    assert gen_gnp(4, 0.0, RandomSource(1)).edges == frozenset()
+    assert perturb(k4, 0.0, RandomSource(1)).edges == k4.edges
 
 
 def test_perturb_union_and_r_recovery():
+    # R is the G(n, p) drawn from the same source; the slices of the
+    # absorption stage are cut from the seed minus R
     seed = gen_seed_graph(40, 0.3, "clique-union")
     for t in range(25):
-        out = perturb(seed, 0.1, RandomSource(21, t))
-        assert seed.edges <= out.union.edges
-        assert out.union.edges == seed.edges | out.r_edges
-        g_minus = out.seed.without_edges(out.r_edges)
-        assert g_minus.edges == seed.edges - out.r_edges
-        assert not (g_minus.edges & out.r_edges)
+        union = perturb(seed, 0.1, RandomSource(21, t))
+        r_edges = gen_gnp(seed.n, 0.1, RandomSource(21, t)).edges
+        assert union.edges == seed.edges | r_edges
+        g_minus = seed.without_edges(r_edges)
+        assert g_minus.edges == seed.edges - r_edges
 
 
 def test_perturb_discards_colouring():
     seed = uniform_colouring(complete_graph(5), 7, RandomSource(2))
-    out = perturb(seed, 0.5, RandomSource(3))
-    assert not out.union.is_coloured
+    assert not perturb(seed, 0.5, RandomSource(3)).is_coloured
 
 
 def test_uniform_colouring_trivial():

@@ -87,8 +87,11 @@ def test_config_knobs_per_kind():
                   tree_frac=0.08)
     spanning = dict(kind="spanning", n=300, eps=0.05, d=3)
     buv = dict(kind="lemma-stats", lemma_kind="large-Buv", n=300, d=2)
+    expand = dict(kind="lemma-stats", lemma_kind="expand-membership", n=400)
     TrialConfig(**almost, knobs=derive).validate()
     TrialConfig(**spanning, knobs={**derive, "eps_override": None}).validate()
+    TrialConfig(**expand, knobs={"theta": 0.3, "C": 40.0, "eta": 0.5, "r": 2,
+                                 "check_trials": 40}).validate()
     # fixed constants of the pipelines, no longer knobs
     retired = {"c_beta": 0.01, "c_rho": 0.01, "block_scale": 1.0,
                "check_mode": "sampled", "check_trials": 60,
@@ -96,7 +99,8 @@ def test_config_knobs_per_kind():
     for base, keys in ((almost, retired),
                        (spanning, {**retired, "c_ln": 3.0,
                                    "partition_retries": 50}),
-                       (buv, {"partition_retries": 50})):
+                       (buv, {"partition_retries": 50}),
+                       (expand, {"check_mode": "sampled"})):
         for key, value in keys.items():
             with pytest.raises(ParameterError, match="unknown knob"):
                 TrialConfig(**base, knobs={key: value}).validate()

@@ -3,17 +3,14 @@ trees: pinned examples plus cross-checks against networkx and brute force."""
 
 import hashlib
 import itertools
-import math
 import random
 
-import networkx as nx
 import pytest
 
-from rainbowtrees import (ColouredGraph, ParameterError, check_crossing_edges,
-                          complete_graph, find_rainbow_spanning_tree,
-                          highly_connected_partition, is_k_connected,
-                          partition_from_lists, spawn_trial_source,
-                          suzuki_check, uniform_colouring, vertex_connectivity)
+from rainbowtrees import (ColouredGraph, ParameterError, complete_graph,
+                          find_rainbow_spanning_tree,
+                          highly_connected_partition, partition_from_lists,
+                          spawn_trial_source, suzuki_check, uniform_colouring)
 from rainbowtrees import spanning
 from rainbowtrees.graphs import gen_gnp, gen_seed_graph, perturb
 from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, VertexPartition,
@@ -22,13 +19,6 @@ from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, VertexPartition,
 from oracles import (brute_rainbow_spanning_tree_exists, brute_suzuki,
                      check_partition_blocks, greedy_rainbow_forest,
                      reference_rainbow_spanning_tree)
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return ColouredGraph(10, outer + spokes + inner)
 
 
 def two_cliques(m, shared=0):
@@ -48,62 +38,6 @@ def random_coloured(rng, n, p, palette):
     if not edges:
         return ColouredGraph(n, [])
     return ColouredGraph(n, edges, colouring=col, palette_size=palette)
-
-
-# ---------------------------------------------------------------------------
-# vertex connectivity
-
-
-def test_connectivity_pinned_values():
-    assert vertex_connectivity(complete_graph(6)) == 5
-    p4 = ColouredGraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert vertex_connectivity(p4) == 1
-    assert vertex_connectivity(petersen()) == 3
-
-
-def test_connectivity_edge_cases():
-    assert vertex_connectivity(ColouredGraph(1, [])) == 0
-    assert vertex_connectivity(ColouredGraph(4, [(0, 1), (2, 3)])) == 0
-    assert vertex_connectivity(ColouredGraph(2, [(0, 1)])) == 1
-    cycle = ColouredGraph(7, [(i, (i + 1) % 7) for i in range(7)])
-    assert vertex_connectivity(cycle) == 2
-    # complete bipartite K_{3,4} has connectivity 3
-    k34 = ColouredGraph(7, [(u, v) for u in range(3) for v in range(3, 7)])
-    assert vertex_connectivity(k34) == 3
-
-
-def test_connectivity_on_induced_subgraph():
-    g = two_cliques(5)
-    assert vertex_connectivity(g) == 0
-    assert vertex_connectivity(g, range(5)) == 4
-    assert vertex_connectivity(g, [0, 1, 5, 6]) == 0
-
-
-def test_connectivity_matches_networkx():
-    rng = random.Random(31)
-    for trial in range(120):
-        n = rng.randint(2, 12)
-        p = rng.choice([0.2, 0.4, 0.6, 0.8])
-        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
-                 if rng.random() < p]
-        g = ColouredGraph(n, edges)
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(edges)
-        assert vertex_connectivity(g) == nx.node_connectivity(h), edges
-
-
-def test_is_k_connected_agrees_with_exact_value():
-    rng = random.Random(32)
-    for trial in range(60):
-        n = rng.randint(2, 11)
-        p = rng.choice([0.3, 0.5, 0.7])
-        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
-                 if rng.random() < p]
-        g = ColouredGraph(n, edges)
-        kappa = vertex_connectivity(g)
-        for k in range(n + 1):
-            assert is_k_connected(g, k) == (k <= 0 or kappa >= k), (edges, k)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +74,41 @@ def test_partition_random_dense_graph_passes_audits():
     check_partition_blocks(g, part, k)
 
 
-def test_partition_seeded_sweep_recounted():
-    kinds = ["random-supergraph", "clique-union", "multipartite"]
+DENSE_KINDS = ("random-supergraph", "clique-union", "multipartite")
+
+
+def sweep_graphs():
+    """Twelve seeded seed graphs of three kinds, each with k its minimum
+    degree."""
     for i in range(12):
         src = spawn_trial_source(300 + i, 0)
         n = 24 + 4 * i
-        kind = kinds[i % 3]
         delta = [0.3, 0.4, 0.5][i % 3]
-        g = gen_seed_graph(n, delta, kind, src.substream("seed"))
-        k = g.min_degree()
+        g = gen_seed_graph(n, delta, DENSE_KINDS[i % 3], src.substream("seed"))
+        yield g, g.min_degree()
+
+
+def test_partition_seeded_sweep_recounted():
+    for g, k in sweep_graphs():
         part = highly_connected_partition(g, k)
         check_partition_blocks(g, part, k)
+
+
+def test_partition_pinned_blocks():
+    # the blocks of acceptance 10's 100 graphs and of the sweep's 12, so a
+    # change to the construction shows even where the audits still pass
+    acceptance = []
+    for t in range(100):
+        n = 20 + (t * 61) // 100
+        g = gen_seed_graph(n, 0.4, DENSE_KINDS[t % 3],
+                           spawn_trial_source(8950, t))
+        acceptance.append((g, int(0.4 * n)))
+    for graphs, want in ((acceptance, "817dd408785ae71715c706a4279d1741"),
+                         (sweep_graphs(), "08d633b49f62e2b198347587f3f8f967")):
+        blocks = [[sorted(b) for b in highly_connected_partition(g, k).blocks]
+                  for g, k in graphs]
+        digest = hashlib.blake2b(repr(blocks).encode(), digest_size=16)
+        assert digest.hexdigest() == want
 
 
 def test_partition_rejects_bad_parameters():
@@ -330,8 +288,8 @@ def test_finder_matches_reference_search():
         src = spawn_trial_source(4040, trial)
         n = 40 + (trial * 7) % 111
         seed = gen_seed_graph(n, 0.4, "clique-union", src.substream("seed"))
-        pert = perturb(seed, n ** -1.5, src.substream("perturb"))
-        host = uniform_colouring(pert.union, n - 1, src.substream("colour"))
+        union = perturb(seed, n ** -1.5, src.substream("perturb"))
+        host = uniform_colouring(union, n - 1, src.substream("colour"))
         if n - 1 - len(greedy_rainbow_forest(host)) < 2:
             continue
         assert find_rainbow_spanning_tree(host) == \
@@ -355,7 +313,7 @@ def test_finder_matches_reference_across_greedy_chunks():
         if trial % 2 == 0:
             seed = gen_seed_graph(n, 0.4, "clique-union",
                                   src.substream("seed"))
-            host = perturb(seed, n ** -1.5, src.substream("perturb")).union
+            host = perturb(seed, n ** -1.5, src.substream("perturb"))
         else:
             host = gen_gnp(n, (2.5 / n, 0.1, 0.3)[trial % 3],
                            src.substream("gnp"))
@@ -390,7 +348,7 @@ def test_finder_augments_only_past_the_full_greedy_forest(monkeypatch):
         if trial % 2 == 0:
             seed = gen_seed_graph(n, 0.4, "clique-union",
                                   src.substream("seed"))
-            host = perturb(seed, n ** -1.5, src.substream("perturb")).union
+            host = perturb(seed, n ** -1.5, src.substream("perturb"))
         else:
             host = gen_gnp(n, 0.15, src.substream("gnp"))
         g = uniform_colouring(host, n - 1 + trial % 3, src.substream("colour"))
@@ -412,8 +370,8 @@ def test_finder_pinned_tree_at_acceptance_8():
     n = 300
     src = spawn_trial_source(8800, 0)
     seed = gen_seed_graph(n, 0.4, "clique-union", src.substream("seed-graph"))
-    pert = perturb(seed, n ** -1.5, src.substream("perturb"))
-    host = uniform_colouring(pert.union, n - 1, src.substream("colour"))
+    union = perturb(seed, n ** -1.5, src.substream("perturb"))
+    host = uniform_colouring(union, n - 1, src.substream("colour"))
     tree = find_rainbow_spanning_tree(host)
     digest = hashlib.blake2b(repr(sorted(tree)).encode(), digest_size=16)
     assert digest.hexdigest() == "97df3864720a1abf44992fc82e1607ca"
@@ -442,36 +400,3 @@ def test_finder_at_moderate_scale():
     tree = find_rainbow_spanning_tree(col)
     assert tree is not None
     check_found_tree(col, tree)
-
-
-# ---------------------------------------------------------------------------
-# crossing edges
-
-
-def test_crossing_edges_examples():
-    k10 = complete_graph(10)
-    halves = partition_from_lists([range(5), range(5, 10)])
-    assert check_crossing_edges(k10, halves, 2)          # 25 >= 4
-    assert not check_crossing_edges(k10, halves, 13)     # 25 < 26
-
-    sparse = ColouredGraph(4, [(0, 1), (1, 2), (2, 3)])
-    pair = partition_from_lists([[0, 1], [2, 3]])
-    assert not check_crossing_edges(sparse, pair, 2)     # one crossing edge
-
-    single = partition_from_lists([range(10)])
-    assert check_crossing_edges(k10, single, 10 ** 6)    # vacuous
-
-
-def test_crossing_edges_all_pairs_counted():
-    # three blocks; starve exactly one pair
-    edges = set()
-    blocks = [[0, 1], [2, 3], [4, 5]]
-    for a, b in [(0, 1), (0, 2)]:
-        for u in blocks[a]:
-            for v in blocks[b]:
-                edges.add((u, v))
-    edges.add((2, 4))  # single edge between blocks 1 and 2
-    g = ColouredGraph(6, edges)
-    part = partition_from_lists(blocks)
-    assert check_crossing_edges(g, part, 2) is False
-    assert check_crossing_edges(g, part, 0) is True
