@@ -249,7 +249,6 @@ def _match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
         if partner is None:
             return None
         placed[v] = partner[1]
-    assert len(set(placed.values())) == len(nodes)
     return placed
 
 
@@ -336,7 +335,9 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     A level that cannot be perfected triggers a redraw of the previous
     level's matching, and up to 30 full restarts sit on top, within a
     budget of 60 level matchings per tree level.  Exhausting it is an
-    honest failure, not an error.
+    honest failure, not an error.  Every child is matched among the
+    unused neighbours of its parent's image, so a returned image is an
+    injective embedding by construction.
     """
     if root_node not in tree.nodes:
         raise ParameterError("root node %r not in the tree" % (root_node,))
@@ -371,14 +372,8 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
                                      root_vertex)
         spent += len(levels)
         best = max(best, reached)
-        if image is None:
-            continue
-        assert len(image) == tree.m
-        assert len(set(image.values())) == tree.m
-        for x, y in tree.edges:
-            assert host.has_edge(image[x], image[y]), \
-                "embedded edge (%d, %d) missing from the host" % (x, y)
-        return image
+        if image is not None:
+            return image
     raise EmbedFailure(
         "no embedding within budget %d: best attempt placed %d of %d"
         % (budget, best, tree.m), placed=best, total=tree.m)
@@ -508,14 +503,6 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
     trace: List[str] = []
     regime: Dict[str, Dict[str, bool]] = {}
 
-    def failure(stage: str, detail: str, hypothesis_met: bool,
-                reservoir_used) -> AlmostSpanningResult:
-        return AlmostSpanningResult(
-            success=False, stage=stage, detail=detail, trace=tuple(trace),
-            embedding=None, edge_colours={}, params=params,
-            hypothesis_met=hypothesis_met, regime=regime,
-            reservoir_used=frozenset(reservoir_used), oracle=oracle)
-
     decomposition = decompose_tree(tree, d, eps, params.xi, n=n)
     roots = compute_root_sets(decomposition)
     s = decomposition.s
@@ -554,44 +541,52 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
     blocks = [tuple(range(offsets[i], offsets[i] + sizes[i]))
               for i in range(s)]
 
+    # the oracle is the one colour book: an image edge takes the colour
+    # the oracle revealed for it, and the colour sets below are derived
+    # from the image's colours
     reservoir = frozenset(range(min(params.reservoir_size, palette_size)))
-    used_colours: set = set()
-    reservoir_used: set = set()
     edge_colours: Dict[Pair, int] = {}
     placement: Dict[int, int] = {}
     hypothesis_met = True
     quota = (d + 2) * (d + 2)
 
+    def failure(stage: str, detail: str, **counts) -> AlmostSpanningResult:
+        """Trace the failed step of piece `stage_no` and close the run."""
+        step = "available" if stage == "available-colours" else stage
+        _trace(trace, "%s-%d" % (step, stage_no), False, **counts)
+        return AlmostSpanningResult(
+            success=False, stage=stage, detail=detail, trace=tuple(trace),
+            embedding=None, edge_colours={}, params=params,
+            hypothesis_met=hypothesis_met, regime=regime,
+            reservoir_used=reservoir & set(edge_colours.values()),
+            oracle=oracle)
+
     for i in range(s):
         stage_no = i + 1
         piece_tree = roots.augmented_trees[i]
         block = blocks[i]
+        used = set(edge_colours.values())
 
-        available = frozenset(range(palette_size)) - used_colours - reservoir
+        available = frozenset(range(palette_size)) - used - reservoir
         if len(available) < (eps - params.rho) * n - 1e-9:
-            _trace(trace, "available-%d" % stage_no, False,
-                   available=len(available))
             return failure("available-colours",
                            "only %d colours available at stage %d"
                            % (len(available), stage_no),
-                           hypothesis_met, reservoir_used)
+                           available=len(available))
 
         oracle.assert_vertices_untouched(block)
 
         m = budgets[i] if budgets[i] is not None \
             else params.stage_edge_count(i, len(block))
         if m < 1:
-            _trace(trace, "sparsify-%d" % stage_no, False, m=m)
             return failure("sparsify",
                            "no workable edge budget for a block of %d "
-                           "vertices at this density" % len(block),
-                           hypothesis_met, reservoir_used)
+                           "vertices at this density" % len(block), m=m)
         if m > len(available):
-            _trace(trace, "sparsify-%d" % stage_no, False, m=m,
-                   available=len(available))
             return failure("sparsify",
                            "edge budget m=%d exceeds the %d available colours"
-                           % (m, len(available)), hypothesis_met, reservoir_used)
+                           % (m, len(available)),
+                           m=m, available=len(available))
         sample: dict = {}
         try:
             stage_graph = sparsify(block, p, palette_size, available, m,
@@ -600,9 +595,8 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         except SparsifyFailure as exc:
             oracle.record_block(block, sample.get("pairs", ()),
                                 sample.get("colours", ()), stage_no)
-            _trace(trace, "sparsify-%d" % stage_no, False,
-                   survivors=exc.survivors, needed=exc.needed)
-            return failure("sparsify", str(exc), hypothesis_met, reservoir_used)
+            return failure("sparsify", str(exc),
+                           survivors=exc.survivors, needed=exc.needed)
         oracle.record_block(block, sample["pairs"], sample["colours"], stage_no)
         _trace(trace, "sparsify-%d" % stage_no, True, edges=m,
                included=len(sample["pairs"]))
@@ -610,50 +604,44 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         C = params.stage_degree_scale(i, len(block), m)
         regime["stage-%d" % stage_no] = params.stage_regime(i, C)
         if C <= 1.0:
-            _trace(trace, "expander-%d" % stage_no, False, C="%.3g" % C)
             return failure("expander",
                            "degree scale C=%.3g is not above 1 at this n" % C,
-                           hypothesis_met, reservoir_used)
+                           C="%.3g" % C)
         expand = params.stage_expand_params(i, C)
         try:
             effective = find_effective_expander(
                 stage_graph, expand, mode="sampled", trials=60,
                 source=source.substream(("expander", i)))
         except ExpanderFailure as exc:
-            _trace(trace, "expander-%d" % stage_no, False,
-                   item=(exc.detail or {}).get("item"))
-            return failure("expander", str(exc), hypothesis_met, reservoir_used)
+            return failure("expander", str(exc),
+                           item=(exc.detail or {}).get("item"))
         sub = effective.subgraph
+        # the peel budget theta = zeta / 2 implies this only for zeta <= 1/3
         assert sub.order >= (1.0 + 0.75 * params.zeta) * piece_tree.m - 1e-9, \
             "effective expander too small for piece %d" % stage_no
         _trace(trace, "expander-%d" % stage_no, True, order=sub.order,
                deleted=len(effective.deleted))
 
-        stage_colour = dict(stage_graph.colouring)
         host = sub
         if i == 0:
             root_node = min(piece_tree.nodes)
             root_vertex = None
         else:
             root_node = decomposition.piece_root(i)
-            assert root_node in placement, \
-                "piece %d root was never embedded" % stage_no
             root_vertex = placement[root_node]
-            fresh = reservoir - used_colours
             try:
-                pool = select_root_edges(root_vertex, sub, oracle, fresh,
-                                         quota, stage=stage_no)
+                pool = select_root_edges(root_vertex, sub, oracle,
+                                         reservoir - used, quota,
+                                         stage=stage_no)
             except RootEdgeFailure as exc:
                 # a short pool can still carry the piece if it covers the
                 # root's child count; below that the stage is hopeless
                 root_children = sum(1 for e in piece_tree.edges
                                     if root_node in e)
                 if len(exc.pool) < root_children:
-                    _trace(trace, "root-edges-%d" % stage_no, False,
-                           found=len(exc.pool), needed=quota,
-                           children=root_children)
-                    return failure("root-edges", str(exc), hypothesis_met,
-                                   reservoir_used)
+                    return failure("root-edges", str(exc),
+                                   found=len(exc.pool), needed=quota,
+                                   children=root_children)
                 hypothesis_met = False
                 pool = tuple(exc.pool)
                 _trace(trace, "root-edges-%d" % stage_no, True,
@@ -666,36 +654,20 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
                 host = degrade_attach(sub, root_vertex, attach, d)
             else:
                 host = sub.union(attach, [root_vertex])
-            for pair, colour in pool:
-                stage_colour[pair] = colour
 
         try:
             mapping = embed_rooted_tree(host, piece_tree, root_node,
                                         root_vertex,
                                         source=source.substream(("embed", i)))
         except EmbedFailure as exc:
-            _trace(trace, "embed-%d" % stage_no, False, placed=exc.placed,
-                   total=exc.total)
-            return failure("embed", str(exc), hypothesis_met, reservoir_used)
+            return failure("embed", str(exc),
+                           placed=exc.placed, total=exc.total)
 
-        for node, vertex in mapping.items():
-            if i > 0 and node == root_node:
-                assert vertex == root_vertex
-                continue
-            assert node not in placement, "node %r embedded twice" % (node,)
-            placement[node] = vertex
+        # a later piece's root keeps the vertex it was pinned to
+        placement.update(mapping)
         for x, y in piece_tree.edges:
             pair = canonical_edge(mapping[x], mapping[y])
-            colour = stage_colour[pair]
-            assert colour not in used_colours, \
-                "colour %d reused across stages" % colour
-            assert pair not in edge_colours
-            used_colours.add(colour)
-            edge_colours[pair] = colour
-            if colour in reservoir:
-                reservoir_used.add(colour)
-        assert len(reservoir_used) <= s * quota, \
-            "reservoir leak exceeds its bound"
+            edge_colours[pair] = oracle.colour_of(pair)
         _trace(trace, "embed-%d" % stage_no, True, placed=piece_tree.m)
 
     assert len(placement) == tree.m
@@ -705,8 +677,6 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         assert pair in edge_colours, \
             "tree edge (%r, %r) has no embedded image" % (x, y)
         assert oracle.presence_of(pair), "image edge %r is not present" % (pair,)
-        assert oracle.colour_of(pair) == edge_colours[pair], \
-            "colour book differs from the oracle at %r" % (pair,)
     assert len(edge_colours) == tree.m - 1
     assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"
 
@@ -714,4 +684,4 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         success=True, stage=None, detail=None, trace=tuple(trace),
         embedding=placement, edge_colours=edge_colours, params=params,
         hypothesis_met=hypothesis_met, regime=regime,
-        reservoir_used=frozenset(reservoir_used), oracle=oracle)
+        reservoir_used=reservoir & set(edge_colours.values()), oracle=oracle)

@@ -111,47 +111,41 @@ def is_eta_r_expander(graph: ColouredGraph, eta: float, r: int,
     cap = min(cap, n)
     if cap < 1:
         return ExpansionCheck(True, True, None, 0)
-    verts, masks = _bit_adjacency(graph)
 
     if mode == "exact":
         if n > EXACT_SUBSET_LIMIT:
             raise ParameterError("exact expander check supports n <= %d, got %d"
                                  % (EXACT_SUBSET_LIMIT, n))
-        checked = 0
-        for size in range(1, cap + 1):
-            need = r * size
-            for combo in itertools.combinations(range(n), size):
-                xmask = 0
-                gamma = 0
-                for i in combo:
-                    xmask |= 1 << i
-                    gamma |= masks[i]
-                checked += 1
-                if (gamma & ~xmask).bit_count() < need:
-                    return ExpansionCheck(
-                        False, True, frozenset(verts[i] for i in combo), checked)
-        return ExpansionCheck(True, True, None, checked)
 
-    if mode != "sampled":
+        def candidates(size):
+            return itertools.combinations(range(n), size)
+    elif mode == "sampled":
+        if source is None:
+            raise ParameterError("sampled mode needs a RandomSource")
+        gen = source.generator()
+
+        def candidates(size):
+            return (gen.choice(n, size=size, replace=False).tolist()
+                    for _ in range(trials))
+    else:
         raise ParameterError("mode must be 'exact' or 'sampled', got %r" % mode)
-    if source is None:
-        raise ParameterError("sampled mode needs a RandomSource")
-    gen = source.generator()
+    certified = mode == "exact"
+    verts, masks = _bit_adjacency(graph)
     checked = 0
     for size in range(1, cap + 1):
         need = r * size
-        for _ in range(trials):
-            combo = gen.choice(n, size=size, replace=False)
+        for combo in candidates(size):
             xmask = 0
             gamma = 0
             for i in combo:
-                xmask |= 1 << int(i)
-                gamma |= masks[int(i)]
+                xmask |= 1 << i
+                gamma |= masks[i]
             checked += 1
             if (gamma & ~xmask).bit_count() < need:
-                return ExpansionCheck(
-                    False, False, frozenset(verts[int(i)] for i in combo), checked)
-    return ExpansionCheck(True, False, None, checked)
+                return ExpansionCheck(False, certified,
+                                      frozenset(verts[i] for i in combo),
+                                      checked)
+    return ExpansionCheck(True, certified, None, checked)
 
 
 def _qualifying_subsets(graph: ColouredGraph, min_deg: float) -> List[int]:
@@ -301,8 +295,8 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
             "peeled %d vertices, above the budget %.2f"
             % (len(deleted), budget), detail={"item": 1, "deleted": len(deleted)})
 
+    # _peel returns only once every degree lies in [lo, hi]
     sub = graph.subgraph(alive).without_edges(capped).uncoloured()
-    assert sub.min_degree() >= lo and sub.max_degree() <= hi
 
     core = verify_expand_core(sub, params.ell1, params.eta, params.r,
                               mode=mode, trials=trials, source=source)
@@ -409,10 +403,5 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     chosen = np.sort(survivors[gen.choice(len(survivors), size=m,
                                           replace=False)]) if m \
         else survivors[:0]
-    picked = cols[chosen]
-    assert len(chosen) == m, \
-        "sparsify produced %d edges, wanted %d" % (len(chosen), m)
-    assert len(set(picked.tolist())) == m, "sparsify output must be rainbow"
-    assert ok[picked].all(), "sparsify leaked a colour outside the allowed set"
-    return ColouredGraph._from_rows(n, labels[rows[chosen]], picked,
+    return ColouredGraph._from_rows(n, labels[rows[chosen]], cols[chosen],
                                     palette_size, verts)

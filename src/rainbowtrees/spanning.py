@@ -357,9 +357,9 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     picked = np.flatnonzero(in_tree)
     assert sorted(colour_used.values()) == picked.tolist(), \
         "colour bookkeeping out of sync"
-    tree = frozenset(map(tuple, rows[picked].tolist()))
-    _check_rainbow_spanning_tree(graph, tree)
-    return tree
+    pairs = rows[picked].tolist()
+    _check_rainbow_spanning_tree(verts, pairs, colours[picked].tolist())
+    return frozenset(map(tuple, pairs))
 
 
 def _root(parent, x: int) -> int:
@@ -375,18 +375,16 @@ def _roots(parent: List[int]) -> np.ndarray:
     return np.array([_root(parent, v) for v in range(len(parent))])
 
 
-def _check_rainbow_spanning_tree(graph: ColouredGraph,
-                                 tree: FrozenSet[Pair]) -> None:
-    """Audit a returned tree against the graph alone: n - 1 edges of the
-    graph, on distinct colours, closing no cycle, hence spanning."""
-    n = graph.order
-    assert len(tree) == n - 1, "tree has %d edges, not %d" % (len(tree), n - 1)
-    at, found = graph.find_edges(tree)
-    assert found.all(), "tree edge missing from the graph"
-    colours = graph.colour_array()[at].tolist()
-    assert len(set(colours)) == n - 1, "tree repeats a colour"
-    parent = {v: v for v in graph.vertex_set}
-    for u, v in tree:
+def _check_rainbow_spanning_tree(verts: Sequence[int], pairs: List[List[int]],
+                                 tints: List[int]) -> None:
+    """Audit the picked rows of the graph on the vertices `verts`, with
+    their colours: n - 1 rows, on distinct colours, closing no cycle,
+    hence a rainbow spanning tree."""
+    n = len(verts)
+    assert len(pairs) == n - 1, "tree has %d edges, not %d" % (len(pairs), n - 1)
+    assert len(set(tints)) == n - 1, "tree repeats a colour"
+    parent = {v: v for v in verts}
+    for u, v in pairs:
         ru, rv = _root(parent, u), _root(parent, v)
         assert ru != rv, "tree edges close a cycle"
         parent[ru] = rv

@@ -329,6 +329,10 @@ class RootSets:
 
 
 def compute_root_sets(dec: TreeDecomposition) -> RootSets:
+    """Group each later piece's root under the piece its connecting edge
+    lands in.  `decompose_tree` orders the pieces so that each one joins
+    the union of the earlier ones by one edge, so an anchor set meets only
+    later pieces, each at most once."""
     piece_of = {}
     for i, piece in enumerate(dec.pieces):
         for v in piece:
@@ -336,23 +340,10 @@ def compute_root_sets(dec: TreeDecomposition) -> RootSets:
     z: List[set] = [set() for _ in range(dec.s)]
     for k in range(1, dec.s):
         attach, root = dec.connecting[k]
-        host = piece_of[attach]
-        assert host < k, "connecting edge of piece %d lands in a later piece" % k
-        z[host].add(root)
+        z[piece_of[attach]].add(root)
     z_sets = tuple(frozenset(s) for s in z)
-    for i, zs in enumerate(z_sets):
-        for j, piece in enumerate(dec.pieces):
-            assert len(zs & piece) <= 1, "two anchors of piece %d in piece %d" % (i, j)
-        assert all(v not in dec.pieces[j] for v in zs for j in range(i + 1)), \
-            "anchor of piece %d lies in a piece it should precede" % i
-        for v in zs:
-            inside = [u for u in dec.tree.neighbours(v) if u in dec.pieces[i]]
-            assert len(inside) == 1, \
-                "anchor %d has %d neighbours in its host piece" % (v, len(inside))
     augmented = tuple(dec.tree.induced_subtree(dec.pieces[i] | z_sets[i])
                       for i in range(dec.s))
-    for i, t in enumerate(augmented):
-        assert t.m <= len(dec.pieces[i]) + dec.s, "augmented tree too large"
     return RootSets(z_sets=z_sets, augmented_trees=augmented)
 
 

@@ -1,5 +1,6 @@
 """Embedding pipeline: parameters, rooted embedding, root edges, stages."""
 
+import hashlib
 import math
 
 import pytest
@@ -324,6 +325,92 @@ def test_pipeline_blocks_must_fit():
     with pytest.raises(InfeasibleParameters):
         embed_almost_spanning(n, 0.3, n, tree, 0.25, 3, RandomSource(30),
                               params=params)
+
+
+def ln_p(k, n):
+    return k * math.log(n) / n
+
+
+# (n, p, palette, tree order, d, eps, derive_parameters knobs, seed, trials)
+PINNED_RUNS = (
+    # one piece: success; p = 0; edge budget above the colours; short
+    # survivors; C <= 1; too many vertices peeled; embed budget exhausted
+    (500, ln_p(10, 500), 500, 40, 3, 0.25,
+     dict(beta=0.12, m_mode="balanced"), 6600, 1),
+    (500, 0.0, 500, 40, 3, 0.25, dict(beta=0.12, m_mode="balanced"), 24, 1),
+    (200, 0.3, 200, 30, 2, 0.25,
+     dict(beta=0.5, zeta=0.02, m_mode="adaptive", c_m=8.0), 904, 1),
+    (200, ln_p(4, 200), 200, 16, 2, 0.25,
+     dict(beta=0.12, m_mode="adaptive", c_m=1.5), 900, 1),
+    (200, ln_p(4, 200), 200, 16, 2, 0.25,
+     dict(beta=0.12, m_mode="balanced"), 900, 1),
+    (200, 0.3, 200, 20, 2, 0.25, dict(beta=0.5, zeta=0.02, c_m=2.5), 904, 2),
+    (200, 0.3, 200, 30, 2, 0.25,
+     dict(beta=0.5, zeta=0.02, m_mode="adaptive", c_m=2.5), 904, 2),
+    # several pieces: success with the full root-edge quota (through
+    # degrade_attach); degraded root edges; blocks that do not fit; too
+    # few colours; root-edge and expander failures after reservoir use
+    (600, 1.0, 600, 120, 3, 0.25,
+     dict(beta=0.2, rho=0.2, m_mode="balanced"), 903, 1),
+    (300, 0.6, 300, 60, 2, 0.25,
+     dict(beta=0.1, rho=0.1, m_mode="balanced"), 903, 1),
+    (300, 0.6, 300, 90, 3, 0.25,
+     dict(beta=0.1, rho=0.1, m_mode="balanced"), 905, 1),
+    (200, ln_p(20, 200), 60, 20, 2, 0.5,
+     dict(beta=0.05, rho=0.2, m_mode="balanced"), 901, 1),
+    (200, ln_p(10, 200), 200, 40, 3, 0.25,
+     dict(beta=0.12, m_mode="balanced"), 900, 1),
+    (400, ln_p(20, 400), 400, 60, 3, 0.25,
+     dict(beta=0.05, rho=0.2, m_mode="balanced"), 905, 12),
+)
+
+
+def test_pipeline_output_pinned():
+    # every field of the result, so a change to the pipeline's bookkeeping
+    # shows even where the audits still pass
+    outcomes = set()
+    rows = []
+    for n, p, palette, order, d, eps, knobs, seed, trials in PINNED_RUNS:
+        params = derive_parameters(eps, d, n, **knobs)
+        for t in range(trials):
+            src = RandomSource(seed, t)
+            tree = gen_random_bounded_tree(order, d, src.substream("tree"))
+            try:
+                res = embed_almost_spanning(n, p, palette, tree, eps, d, src,
+                                            params=params)
+            except InfeasibleParameters as exc:
+                outcomes.add("infeasible")
+                rows.append((str(exc), exc.minimum_n))
+                continue
+            several = not res.trace[0].endswith(",pieces=1")
+            outcomes.add((res.stage, (res.detail or "")[:12],
+                          res.hypothesis_met, several,
+                          bool(res.reservoir_used)))
+            rows.append((
+                res.success, res.stage, res.detail, res.trace,
+                sorted(res.embedding.items()) if res.embedding else None,
+                sorted(res.edge_colours.items()), res.hypothesis_met,
+                sorted(res.reservoir_used),
+                sorted((k, sorted(v.items())) for k, v in res.regime.items())))
+    assert outcomes == {
+        (None, "", True, False, False),
+        (None, "", True, True, True),
+        (None, "", False, True, True),
+        ("sparsify", "no workable ", True, False, False),
+        ("sparsify", "edge budget ", True, False, False),
+        ("sparsify", "[sparsify] o", True, False, False),
+        ("sparsify", "[sparsify] o", True, True, False),
+        ("expander", "degree scale", True, False, False),
+        ("expander", "[expander] p", True, False, False),
+        ("expander", "[expander] p", False, True, True),
+        ("root-edges", "[root-edges]", True, True, False),
+        ("root-edges", "[root-edges]", False, True, True),
+        ("embed", "[embed] no e", True, False, False),
+        ("available-colours", "only 20 colo", True, True, False),
+        "infeasible",
+    }
+    digest = hashlib.blake2b(repr(rows).encode(), digest_size=16)
+    assert digest.hexdigest() == "79a26cb2c16854cc0b4398d0a17e8788"
 
 
 # -- small helpers ------------------------------------------------------------

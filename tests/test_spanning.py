@@ -21,9 +21,9 @@ from oracles import (brute_rainbow_spanning_tree_exists, brute_suzuki,
                      reference_rainbow_spanning_tree)
 
 
-def two_cliques(m, shared=0):
-    """Two K_m blocks overlapping in `shared` vertices."""
-    n = 2 * m - shared
+def two_cliques(m, shared=0, m2=None):
+    """A K_m and a K_m2 (K_m by default) overlapping in `shared` vertices."""
+    n = m + (m if m2 is None else m2) - shared
     a = range(m)
     b = range(m - shared, n)
     edges = set(itertools.combinations(a, 2))
@@ -64,6 +64,13 @@ def test_partition_splits_along_a_cut_vertex():
     part = highly_connected_partition(g, 34)
     assert sorted(len(b) for b in part.blocks) == [34, 35]
     check_partition_blocks(g, part, 34)
+    # a K91 and a K111 sharing vertex 90: min degree 90, threshold
+    # ceil(90^2 / (16 * 201)) = 3, and the cut joins the smaller side
+    g = two_cliques(91, shared=1, m2=111)
+    part = highly_connected_partition(g, 90)
+    assert sorted(sorted(b) for b in part.blocks) == [list(range(91)),
+                                                      list(range(91, 201))]
+    check_partition_blocks(g, part, 90)
 
 
 def test_partition_random_dense_graph_passes_audits():
