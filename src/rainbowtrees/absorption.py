@@ -99,17 +99,25 @@ def compute_B(u: int, v: int, part: ColouredGraph, anchors: Iterable[int],
               image_tree: Tree) -> Tuple[int, ...]:
     """Anchors adjacent to u whose image-tree neighbours all neighbour v.
 
-    Works on adjacency alone; no colour is revealed.  `image_tree` is the
-    embedded tree on host labels, and the test against it always uses the
-    original embedded copy, not the partially rewired one.
+    Works on adjacency alone; no colour is revealed.  Two lookups in the
+    slice's sorted rows answer it: the pairs (u, x) for the anchors x,
+    then the pairs (y, v) for the image-tree neighbours y of the anchors
+    that passed.  A loop is never an edge, so x = u or y = v rules x out.
+    `image_tree` is the embedded tree on host labels, and the test
+    against it always uses the original embedded copy, not the partially
+    rewired one.
     """
     if u == v:
         raise ParameterError("pool endpoints must differ, got u = v = %d" % u)
-    nu = set(part.neighbours(u))
-    nv = set(part.neighbours(v))
-    out = [x for x in set(int(a) for a in anchors)
-           if x in nu and set(image_tree.neighbours(x)) <= nv]
-    return tuple(sorted(out))
+    xs = sorted(set(int(a) for a in anchors) - {u})
+    near_u = part.find_edges([(u, x) for x in xs])[1].tolist()
+    cands = [(x, image_tree.neighbours(x))
+             for x, hit in zip(xs, near_u) if hit]
+    cands = [(x, ys) for x, ys in cands if v not in ys]
+    near_v = iter(part.find_edges([(y, v) for _, ys in cands for y in ys])[1]
+                  .tolist())
+    # all() over a list, so each x consumes exactly its own lookups
+    return tuple(x for x, ys in cands if all([next(near_v) for _ in ys]))
 
 
 def b_size_bound(delta: float, d: int, n: int) -> float:
@@ -155,13 +163,15 @@ class AbsorptionState:
 
 def select_fresh_part(parts: Sequence[ColouredGraph], u: int,
                       oracle: ExposureOracle) -> int:
-    """Index of the first slice with no revealed colour at vertex u.
+    """Index of the first slice with no revealed colour at vertex u: the
+    first in which no colour-revealed pair at u is an edge.
 
     Raises a structural StageFailure when every slice has already been
     looked at around u; the slicing exists precisely to prevent that.
     """
+    pairs = [(u, w) for w in oracle.colour_exposed_at(u)]
     for j, h in enumerate(parts):
-        if not any(oracle.colour_exposed((u, w)) for w in h.neighbours(u)):
+        if not h.find_edges(pairs)[1].any():
             return j
     raise StageFailure(
         "absorption",
@@ -201,12 +211,12 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
     j_star = select_fresh_part(state.parts, u, oracle)
     h = state.parts[j_star]
 
-    # nothing in this slice incident to v and the current image may have
-    # been revealed yet; absorption is the only consumer of these pairs
-    for w in h.neighbours(v):
-        if w in state.inverse:
-            assert not oracle.colour_exposed((v, w)), \
-                "slice %d colour at (%d, %d) leaked early" % (j_star, v, w)
+    # no colour-revealed pair between v and the current image may be an
+    # edge of this slice yet; absorption is the only consumer of these pairs
+    leaks = [(v, w) for w in oracle.colour_exposed_at(v) if w in state.inverse]
+    leaked = h.find_edges(leaks)[1]
+    assert not leaked.any(), "slice %d colour at (%d, %d) leaked early" \
+        % ((j_star,) + leaks[int(leaked.argmax())])
 
     used = set(state.used)
     pool = [x for x in compute_B(u, v, h, state.anchors, state.t0_image)

@@ -90,6 +90,13 @@ def _bit_adjacency(graph: ColouredGraph) -> Tuple[List[int], List[int]]:
     return verts, [sum(1 << pos[w] for w in adj[v]) for v in verts]
 
 
+def _check_mode(mode: str, source: Optional[RandomSource]) -> None:
+    if mode not in ("exact", "sampled"):
+        raise ParameterError("mode must be 'exact' or 'sampled', got %r" % mode)
+    if mode == "sampled" and source is None:
+        raise ParameterError("sampled mode needs a RandomSource")
+
+
 def is_eta_r_expander(graph: ColouredGraph, eta: float, r: int,
                       mode: str = "exact", trials: int = 400,
                       source: Optional[RandomSource] = None,
@@ -107,6 +114,7 @@ def is_eta_r_expander(graph: ColouredGraph, eta: float, r: int,
         raise ParameterError("eta must be positive, got %r" % eta)
     if r < 1:
         raise ParameterError("r must be >= 1, got %r" % r)
+    _check_mode(mode, source)
     cap = int(math.floor(eta * n + 1e-9)) if size_cap is None else int(size_cap)
     cap = min(cap, n)
     if cap < 1:
@@ -119,16 +127,12 @@ def is_eta_r_expander(graph: ColouredGraph, eta: float, r: int,
 
         def candidates(size):
             return itertools.combinations(range(n), size)
-    elif mode == "sampled":
-        if source is None:
-            raise ParameterError("sampled mode needs a RandomSource")
+    else:
         gen = source.generator()
 
         def candidates(size):
             return (gen.choice(n, size=size, replace=False).tolist()
                     for _ in range(trials))
-    else:
-        raise ParameterError("mode must be 'exact' or 'sampled', got %r" % mode)
     certified = mode == "exact"
     verts, masks = _bit_adjacency(graph)
     checked = 0
@@ -180,6 +184,7 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
     plus the cores of random induced subgraphs.
     """
     n = graph.order
+    _check_mode(mode, source)
     cap = int(math.floor(eta * n + 1e-9))
     if cap < 1:
         return ExpansionCheck(True, mode == "exact", None, 0)
@@ -197,10 +202,6 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
                 return ExpansionCheck(False, True, res.witness, checked)
         return ExpansionCheck(True, True, None, checked)
 
-    if mode != "sampled":
-        raise ParameterError("mode must be 'exact' or 'sampled', got %r" % mode)
-    if source is None:
-        raise ParameterError("sampled mode needs a RandomSource")
     gen = source.generator()
     checked = 0
     threshold = math.ceil(ell1_value - 1e-9)

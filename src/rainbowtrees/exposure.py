@@ -19,7 +19,7 @@ entry, and a relabelling appends ("permute", perm, 0).
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,6 +61,9 @@ class ExposureOracle:
         self.source = source
         self._presence: Dict[Pair, bool] = {}
         self._colour: Dict[Pair, int] = {}
+        # the other ends of each vertex's colour-revealed pairs, built from
+        # _colour on the first colour_exposed_at query
+        self._colour_at: Optional[Dict[int, List[int]]] = None
         # block number of each vertex, -1 outside every block
         self._block = np.full(self.n, -1, dtype=np.int64)
         self.ledger: List[Tuple[str, object, int]] = []
@@ -89,6 +92,21 @@ class ExposureOracle:
 
     def colour_exposed(self, pair) -> bool:
         return self._norm(pair) in self._colour
+
+    def colour_exposed_at(self, u: int) -> Tuple[int, ...]:
+        """The w, ascending, whose pair (u, w) has a revealed colour."""
+        u = int(u)
+        if not 0 <= u < self.n:
+            raise ParameterError("vertex %d outside range(%d)" % (u, self.n))
+        if self._colour_at is None:
+            self._colour_at = {}
+            self._index_colours(self._colour)
+        return tuple(sorted(self._colour_at.get(u, ())))
+
+    def _index_colours(self, pairs: Iterable[Pair]) -> None:
+        for a, b in pairs:
+            self._colour_at.setdefault(a, []).append(b)
+            self._colour_at.setdefault(b, []).append(a)
 
     def presence_of(self, pair) -> bool:
         """Already-revealed presence; consulting an unrevealed pair is a bug."""
@@ -125,6 +143,8 @@ class ExposureOracle:
         gen = self.source.substream(("tint",) + key).generator()
         value = int(gen.integers(0, self.palette_size))
         self._colour[key] = value
+        if self._colour_at is not None:
+            self._index_colours((key,))
         self.ledger.append((kind, key, stage))
         self._touched.update(key)
         return value
@@ -166,6 +186,7 @@ class ExposureOracle:
         self._block[verts] = self._block.max() + 1
         self._presence.update(dict.fromkeys(inc, True))
         self._colour.update(inc)
+        self._colour_at = None
         self.ledger.append(("block", tuple(verts), stage))
         self._touched.update(verts)
 
@@ -181,7 +202,8 @@ class ExposureOracle:
                            self.source.substream("materialize")).edge_array()
             # already decided pairs (inside a block or probed) keep their value
             ends = self._block[rows]
-            rows = rows[(ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1])]
+            rows = np.compress((ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1]),
+                               rows, axis=0)
             self._presence = {**dict.fromkeys(map(tuple, rows.tolist()), True),
                               **self._presence}
             self.presence_complete = True
@@ -228,6 +250,7 @@ class ExposureOracle:
 
         self._presence = {move(k): v for k, v in self._presence.items()}
         self._colour = {move(k): v for k, v in self._colour.items()}
+        self._colour_at = None
         self._block = self._block[np.argsort([perm[v] for v in range(self.n)])]
         self._touched = {perm[v] for v in self._touched}
         self.ledger.append(("permute", dict(perm), 0))

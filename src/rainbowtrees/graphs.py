@@ -292,13 +292,20 @@ class ColouredGraph:
 
     def _restrict(self, keep: np.ndarray,
                   vertex_set: FrozenSet[int]) -> "ColouredGraph":
-        cols = None if self._colours is None else self._colours[keep]
-        return ColouredGraph._from_rows(self.n, self._rows[keep], cols,
-                                        self.palette_size, vertex_set)
+        # np.compress selects the same rows as rows[keep], in the same
+        # order, without boolean indexing's 2-D cost
+        cols = None if self._colours is None \
+            else np.compress(keep, self._colours)
+        return ColouredGraph._from_rows(
+            self.n, np.compress(keep, self._rows, axis=0), cols,
+            self.palette_size, vertex_set)
 
     def keep_edges(self, mask: np.ndarray) -> "ColouredGraph":
         """Same vertex set, only the edge_array() rows where the boolean
         `mask` is true (colouring restricted)."""
+        if len(mask) != self.size:
+            raise ParameterError("mask of length %d for %d edges"
+                                 % (len(mask), self.size))
         return self._restrict(mask, self.vertex_set)
 
     def subgraph(self, vertices: Iterable[int]) -> "ColouredGraph":

@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import pytest
 
-from rainbowtrees.errors import ParameterError
+from rainbowtrees.errors import ParameterError, StageFailure
 from rainbowtrees.exposure import ExposureError
 from rainbowtrees.graphs import ColouredGraph, gen_gnp
 from rainbowtrees.rng import RandomSource
@@ -384,6 +384,29 @@ def check_anchor_set(i0, t0: Tree, tree: Tree) -> None:
     for a, b in itertools.combinations(chosen, 2):
         assert tree_distances(t0, a).get(b, 10 ** 9) >= 3, \
             "anchors %d, %d too close" % (a, b)
+
+
+def reference_compute_B(u: int, v: int, part: ColouredGraph, anchors,
+                        image_tree: Tree) -> Tuple[int, ...]:
+    """The absorber pool B(u, v) by neighbour scans: the anchors adjacent
+    to u in `part` whose image-tree neighbours all neighbour v there."""
+    if u == v:
+        raise ParameterError("pool endpoints must differ, got u = v = %d" % u)
+    nu = set(part.neighbours(u))
+    nv = set(part.neighbours(v))
+    out = [x for x in set(int(a) for a in anchors)
+           if x in nu and set(image_tree.neighbours(x)) <= nv]
+    return tuple(sorted(out))
+
+
+def reference_select_fresh_part(parts, u: int, oracle) -> int:
+    """The first slice in which no edge at u has a revealed colour, by
+    asking the oracle about each of u's neighbours there."""
+    for j, h in enumerate(parts):
+        if not any(oracle.colour_exposed((u, w)) for w in h.neighbours(u)):
+            return j
+    raise StageFailure("absorption", "no fresh slice at vertex %d" % u,
+                       detail={"structural": True, "vertex": u})
 
 
 def check_embedding(host: ColouredGraph, tree: Tree, image: Dict[int, int]) -> None:

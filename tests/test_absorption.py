@@ -11,14 +11,15 @@ from rainbowtrees import (AbsorptionFailure, AbsorptionState, ColouredGraph,
                           PartitionFailure, RandomSource, StageFailure, Tree,
                           TrialConfig, absorb_leftovers, absorb_step,
                           b_size_bound, complete_graph, compute_B,
-                          draw_permutation, embed_spanning,
+                          draw_permutation, embed_spanning, gen_gnp,
                           gen_random_bounded_tree, gen_seed_graph, harness,
                           partition_edge_set, path_tree, run_trials,
                           select_fresh_part, spawn_trial_source, star_tree)
 from rainbowtrees.embedding import AlmostSpanningResult
 from rainbowtrees.exposure import ExposureOracle
 
-from oracles import check_spanning_result
+from oracles import (check_spanning_result, reference_compute_B,
+                     reference_select_fresh_part)
 from synthetic import make_synthetic_state
 
 
@@ -136,6 +137,103 @@ def test_pool_statistics(monkeypatch):
     assert stats["violated"] == (min(sizes) < stats["bound"])
 
 
+# -- pools and fresh slices against the neighbour scans ----------------------
+
+
+def _fresh_part_or_none(select, parts, u, oracle):
+    try:
+        return select(parts, u, oracle)
+    except StageFailure:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
+    """compute_B and select_fresh_part answer as the neighbour scans of
+    tests/oracles.py do, on random slices of complete graphs and of
+    gen_gnp graphs, some on a partial vertex set, with colours revealed
+    before and after a relabelling."""
+    n = 30
+    gen = np.random.default_rng(seed)
+    src = RandomSource(4400 + seed)
+    seen = dict.fromkeys(("u is an anchor", "v is next to an anchor",
+                          "no anchors", "partial vertex set",
+                          "u has no revealed colour", "nonempty pool"), False)
+    for t in range(24):
+        if t % 3 == 0:
+            host = complete_graph(n)
+        else:
+            host = gen_gnp(n, float(gen.uniform(0.2, 0.9)),
+                           src.substream(("host", t)))
+        if t % 4 == 1:
+            host = host.subgraph(gen.choice(n, size=22, replace=False).tolist())
+            seen["partial vertex set"] = True
+        verts = sorted(host.vertex_set)
+        d = int(gen.integers(1, 4))
+        labels = gen.integers(0, d, size=host.size)
+        parts = [host.keep_edges(labels == j) for j in range(d)]
+
+        # an image tree on host labels, some of them outside the slice's
+        # vertex set when that set is partial
+        k = int(gen.integers(2, 16))
+        where = gen.choice(n, size=k, replace=False).tolist()
+        shape = gen_random_bounded_tree(k, 3, src.substream(("tree", t)))
+        image = Tree(where, ((where[a], where[b]) for a, b in shape.edges), 3)
+        if t % 5 == 2:
+            anchors = []
+            seen["no anchors"] = True
+        else:
+            anchors = gen.choice(where, size=int(gen.integers(1, k + 1)),
+                                 replace=False).tolist()
+
+        pairs = [tuple(gen.choice(verts, size=2, replace=False).tolist())
+                 for _ in range(3)]
+        for x in anchors:
+            if x in host.vertex_set:
+                u = x
+                v = next(w for w in verts if w != u)
+                pairs.append((u, v))
+                for y in image.neighbours(x):
+                    if y in host.vertex_set and y != u:
+                        pairs.append((u, y))
+                        other = verts[0] if verts[0] != y else verts[1]
+                        pairs.append((other, y))
+        for u, v in pairs:
+            seen["u is an anchor"] |= u in anchors
+            seen["v is next to an anchor"] |= any(
+                v in image.neighbours(x) for x in anchors)
+            for part in parts:
+                want = reference_compute_B(u, v, part, anchors, image)
+                assert compute_B(u, v, part, anchors, image) == want, \
+                    (t, u, v)
+                seen["nonempty pool"] |= bool(want)
+        with pytest.raises(ParameterError):
+            compute_B(verts[0], verts[0], parts[0], anchors, image)
+
+        oracle = ExposureOracle(n, 50, 0.5, src.substream(("oracle", t)))
+
+        def agree():
+            for u in verts:
+                got = _fresh_part_or_none(select_fresh_part, parts, u, oracle)
+                want = _fresh_part_or_none(reference_select_fresh_part,
+                                           parts, u, oracle)
+                assert got == want, (t, u)
+                seen["u has no revealed colour"] |= not any(
+                    oracle.colour_exposed((u, w)) for w in range(n) if w != u)
+
+        for rounds in range(3):
+            for _ in range(int(gen.integers(0, 2 * n))):
+                a, b = gen.choice(n, size=2, replace=False).tolist()
+                if not oracle.colour_exposed((a, b)):
+                    oracle.expose_colour((a, b))
+            agree()
+            if rounds == 1:
+                oracle.apply_permutation(
+                    dict(enumerate(gen.permutation(n).tolist())))
+                agree()
+    assert all(seen.values()), seen
+
+
 # -- single absorb steps on a hand-built state ------------------------------
 
 
@@ -233,6 +331,28 @@ def test_absorb_step_picks_the_fresh_slice():
     assert select_fresh_part(state.parts, 4, state.oracle) == 1
     assert absorb_step(state, 5, 15) == "i=1 j*=2 |B|=2 chosen=0"
     assert state.mapping[15] == 0 and state.mapping[10] == 5
+
+
+def test_absorb_step_asserts_on_a_leaked_slice_colour():
+    # the colour of (v, w) = (5, 0) lies in the chosen slice, and host 0
+    # carries a tree node: a step absorbing v = 5 must refuse to run
+    state = hand_state(10 ** 6, 3, HAND_SLICE)
+    state.oracle.expose_colour((5, 0))
+    with pytest.raises(AssertionError, match=r"\(5, 0\) leaked early"):
+        absorb_step(state, 5, 15)
+
+    # the same colour, revealed at (6, 0) and moved onto (5, 0) by a
+    # relabelling that swaps 5 and 6 after the oracle was first asked
+    # about vertex 6
+    state = hand_state(10 ** 6, 3, HAND_SLICE)
+    assert select_fresh_part(state.parts, 6, state.oracle) == 0
+    state.oracle.expose_colour((6, 0))
+    assert select_fresh_part(state.parts, 6, state.oracle) == 0
+    swap = {v: v for v in range(7)}
+    swap[5], swap[6] = 6, 5
+    state.oracle.apply_permutation(swap)
+    with pytest.raises(AssertionError, match=r"\(5, 0\) leaked early"):
+        absorb_step(state, 5, 15)
 
 
 def test_select_fresh_part():

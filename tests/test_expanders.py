@@ -91,6 +91,20 @@ def test_expander_exact_capacity():
         is_eta_r_expander(complete_graph(25), 0.2, 3, mode="exact")
 
 
+def test_mode_is_checked_before_the_size_cap():
+    # floor(0.2 * 3) = 0 leaves no set to check, but an unknown mode is
+    # still a caller's error
+    k3 = complete_graph(3)
+    with pytest.raises(ParameterError, match="mode"):
+        is_eta_r_expander(k3, 0.2, 3, mode="bogus")
+    with pytest.raises(ParameterError, match="mode"):
+        verify_expand_core(k3, 1.0, 0.2, 3, mode="bogus")
+    with pytest.raises(ParameterError, match="RandomSource"):
+        is_eta_r_expander(k3, 0.2, 3, mode="sampled")
+    with pytest.raises(ParameterError, match="RandomSource"):
+        verify_expand_core(k3, 1.0, 0.2, 3, mode="sampled")
+
+
 def test_expander_sampled_mode():
     # a long cycle is caught by sampling adjacent pairs
     c50 = cycle_graph(50)

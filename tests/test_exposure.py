@@ -235,7 +235,15 @@ def _outcome(call):
         return type(exc)
 
 
+def _assert_index_matches_scan(new, ref):
+    """colour_exposed_at(u) lists the w with colour_exposed((u, w))."""
+    for u in range(new.n):
+        assert new.colour_exposed_at(u) == tuple(
+            w for w in range(new.n) if w != u and ref.colour_exposed((u, w))), u
+
+
 def _assert_same_answers(new, ref):
+    _assert_index_matches_scan(new, ref)
     for pair in itertools.combinations(range(new.n), 2):
         for query in ("presence_exposed", "colour_exposed", "presence_of",
                       "colour_of"):
@@ -279,6 +287,9 @@ def test_matches_reference_oracle(seed, permute_first):
         u, v = sorted(gen.choice(n, 2, replace=False).tolist())
         if (u, v) not in chosen:
             both("expose_colour", (u, v))
+    # the by-vertex index is built here, so each later step must keep it
+    # current or drop it
+    _assert_index_matches_scan(new, ref)
     for block, pairs in zip(blocks, included):
         colours = gen.integers(0, palette, len(pairs)).tolist()
         both("record_block", block, pairs, colours, 1)
@@ -301,6 +312,19 @@ def test_matches_reference_oracle(seed, permute_first):
     both("expose_presence", (0, 2))
     both("record_block", [0, 1], [], [], 3)
     _assert_same_answers(new, ref)
+
+
+def test_colour_index_by_vertex():
+    o = make(n=6)
+    assert o.colour_exposed_at(2) == ()
+    o.expose_colour((2, 5))
+    o.expose_colour((0, 2))
+    assert o.colour_exposed_at(2) == (0, 5)
+    assert o.colour_exposed_at(5) == (2,) and o.colour_exposed_at(1) == ()
+    o.apply_permutation({v: (v + 1) % 6 for v in range(6)})
+    assert o.colour_exposed_at(3) == (0, 1) and o.colour_exposed_at(2) == ()
+    with pytest.raises(ParameterError):
+        o.colour_exposed_at(6)
 
 
 def test_apply_permutation_validates():

@@ -207,6 +207,14 @@ def test_is_rainbow_matches_naive():
         assert first.is_rainbow() == naive_is_rainbow(g, some)
 
 
+def test_keep_edges_mask_covers_every_row():
+    # np.compress would cut a short mask's rows silently
+    g = complete_graph(5)
+    for length in (g.size - 1, g.size + 1):
+        with pytest.raises(ParameterError):
+            g.keep_edges(np.ones(length, dtype=bool))
+
+
 def test_subgraph_keeps_labels():
     g = uniform_colouring(complete_graph(6), 10, RandomSource(8))
     sub = g.subgraph({1, 3, 5})
