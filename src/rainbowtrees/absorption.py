@@ -385,8 +385,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
     _trace(trace, "shift", True, edges=len(r_rows))
 
-    t0_image = Tree((mapping[x] for x in trim.t0.nodes),
-                    ((mapping[a], mapping[b]) for a, b in trim.t0.edges), d)
+    t0_image = trim.t0.relabel(mapping)
     try:
         i0 = build_I0(trim.t0, tree, d, eps_used)
     except StageFailure as exc:

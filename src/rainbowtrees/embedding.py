@@ -224,32 +224,96 @@ def _match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
     """Assign every node a distinct host from its candidate list.
 
     One Hopcroft-Karp run resolves the whole level's contention at once.
-    Candidate insertion order is shuffled so that a rerun can land on a
-    different maximum matching.  Returns None when some node stays
-    unmatched (the maximum matching misses it regardless of shuffling).
-    Sides are tagged with int tuples, never strings: string hashing
-    varies across processes and would leak into the matching order.
-    """
-    import networkx as nx
+    Each node's candidates are shuffled, nodes in a shuffled order, so
+    that a rerun can land on a different maximum matching.  Returns None
+    when some node stays unmatched (the maximum matching misses it
+    regardless of shuffling).
 
-    bip = nx.Graph()
-    left = [(0, v) for v in nodes]
-    bip.add_nodes_from(left)
+    The search visits a node's candidates in their shuffled order and
+    the nodes in the iteration order of the set of (0, v) tuples, the
+    order networkx's bipartite.sets gives its Hopcroft-Karp: the
+    matching is the one networkx finds on the same draws.  Int tuples
+    hash alike in every process, so that order does not vary.
+    """
     order = list(nodes)
     gen.shuffle(order)
+    shuffled = {}
     for v in order:
         ws = list(cand[v])
         gen.shuffle(ws)
-        for w in ws:
-            bip.add_edge((0, v), (1, w))
-    matching = nx.bipartite.hopcroft_karp_matching(bip, top_nodes=left)
-    placed = {}
-    for v in nodes:
-        partner = matching.get((0, v))
-        if partner is None:
-            return None
-        placed[v] = partner[1]
-    return placed
+        shuffled[v] = ws
+    left = [v for _, v in set((0, v) for v in nodes)]
+    size = len(left)
+    # hosts are numbered in order of first sight; mate_r[u] == size marks
+    # a free host, and dist[size] is the layer at which one is reached
+    right: Dict[int, int] = {}
+    nbrs = [[right.setdefault(w, len(right)) for w in shuffled[v]]
+            for v in left]
+    hosts = list(right)
+    inf = size + 2
+    mate_l = [-1] * size
+    mate_r = [size] * len(hosts)
+    dist = [0] * (size + 1)
+    while True:
+        # breadth-first layering from the free left nodes; dist[size] is
+        # the length of a shortest augmenting path
+        queue = [i for i in range(size) if mate_l[i] < 0]
+        for i in range(size):
+            dist[i] = 0 if mate_l[i] < 0 else inf
+        dist[size] = inf
+        for i in queue:
+            if dist[i] < dist[size]:
+                for u in nbrs[i]:
+                    j = mate_r[u]
+                    if dist[j] == inf:
+                        dist[j] = dist[i] + 1
+                        queue.append(j)
+        if dist[size] == inf:
+            break
+        for i in range(size):
+            if mate_l[i] < 0:
+                _augment_from(i, nbrs, mate_l, mate_r, dist, inf)
+    if -1 in mate_l:
+        return None
+    at = dict(zip(left, mate_l))
+    return {v: hosts[at[v]] for v in nodes}
+
+
+def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> bool:
+    """Depth-first search for an augmenting path along the layers `dist`,
+    from the free left node `root`; flips the path when found.
+
+    An explicit stack of (node, next neighbour position) replaces the
+    recursion, visiting the same edges in the same order.  A node whose
+    search fails is taken out of the layering (dist = inf)."""
+    size = len(mate_l)
+    stack = [[root, 0]]
+    while stack:
+        top = stack[-1]
+        i, k = top
+        ns = nbrs[i]
+        while k < len(ns):
+            j = mate_r[ns[k]]
+            if dist[j] == dist[i] + 1:
+                break
+            k += 1
+        if k == len(ns):
+            dist[i] = inf
+            stack.pop()
+            if stack:
+                stack[-1][1] += 1
+            continue
+        top[1] = k
+        if j != size:
+            stack.append([j, 0])
+            continue
+        # a free right node: flip every edge of the path on the stack
+        for i, k in stack:
+            u = nbrs[i][k]
+            mate_r[u] = i
+            mate_l[i] = u
+        return True
+    return False
 
 
 def _embed_pass(levels, parent, demand, adj, gen, root_vertex,

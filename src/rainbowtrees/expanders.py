@@ -206,7 +206,7 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
     checked = 0
     threshold = math.ceil(ell1_value - 1e-9)
     targets: List[FrozenSet[int]] = []
-    core = _peel(graph, threshold)[0]
+    core = _core(graph, threshold)
     if core:
         targets.append(core)
     for _ in range(8):
@@ -214,8 +214,8 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
             break
         want = int(gen.integers(max(1, n // 2), n + 1))
         sample = gen.choice(n, size=want, replace=False)
-        sub_core = _peel(graph.subgraph([verts[int(i)] for i in sample]),
-                         threshold)[0]
+        sub_core = _core(graph.subgraph([verts[int(i)] for i in sample]),
+                         threshold)
         if sub_core and sub_core not in targets:
             targets.append(sub_core)
     for t_idx, nodes in enumerate(targets):
@@ -229,15 +229,29 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
     return ExpansionCheck(True, False, None, checked)
 
 
-def _peel(graph: ColouredGraph, lo: float, hi: Optional[int] = None
-          ) -> Tuple[FrozenSet[int], List[Tuple[int, int]]]:
-    """Delete vertices of degree below `lo` and, when `hi` is given, cap
-    degrees above it, until both hold.
+def _core(graph: ColouredGraph, lo: float) -> FrozenSet[int]:
+    """The maximal vertex set whose induced subgraph has minimum degree at
+    least `lo` (it is unique): every vertex of degree below `lo` is
+    dropped, degrees are recounted over the rows left, until none drops."""
+    rows = graph.edge_array()
+    alive = np.zeros(graph.n, dtype=bool)
+    alive[list(graph.vertex_set)] = True
+    while True:
+        rows = np.compress(alive[rows].all(axis=1), rows, axis=0)
+        low = alive & (np.bincount(rows.ravel(), minlength=graph.n) < lo)
+        if not low.any():
+            return frozenset(np.flatnonzero(alive).tolist())
+        alive &= ~low
 
-    Capping sheds the highest-index neighbours first.  Returns the
-    surviving vertices and the capped edges in the order they were cut;
-    without `hi` the survivors are the maximal vertex set whose induced
-    subgraph has minimum degree at least `lo`.
+
+def _peel(graph: ColouredGraph, lo: float, hi: int
+          ) -> Tuple[FrozenSet[int], List[Tuple[int, int]]]:
+    """Delete vertices of degree below `lo` and cap degrees above `hi`,
+    until both hold.
+
+    Capping sheds the highest-index neighbours first, so the order of the
+    cuts matters.  Returns the surviving vertices and the capped edges in
+    the order they were cut.
     """
     adj: Dict[int, Set[int]] = {v: set(ns)
                                 for v, ns in graph.adjacency().items()}
@@ -249,8 +263,7 @@ def _peel(graph: ColouredGraph, lo: float, hi: Optional[int] = None
                 for u in adj.pop(v):
                     adj[u].discard(v)
             drop = [v for v in adj if len(adj[v]) < lo]
-        over = [] if hi is None else [v for v in sorted(adj)
-                                      if len(adj[v]) > hi]
+        over = [v for v in sorted(adj) if len(adj[v]) > hi]
         if not over:
             return frozenset(adj), capped
         for v in over:

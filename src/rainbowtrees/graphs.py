@@ -84,14 +84,15 @@ class ColouredGraph:
     The edges are stored once, as a canonical (u < v), duplicate-free
     (m, 2) int64 array in lexicographic order, next to an aligned colour
     array or None.  `edges` (a frozenset), `colouring` (a read-only
-    mapping, or None), the edge codes and the neighbour index are views
-    of those rows, built on first use and cached.  The neighbour index is in CSR form:
-    the neighbours of v, ascending, are `targets[start[v]:start[v + 1]]`;
-    `neighbours`, `degree` and `adjacency()` read it.
+    mapping, or None), the edge codes, the degrees and the neighbour
+    index are views of those rows, built on first use and cached.  The
+    neighbour index is in CSR form: the neighbours of v, ascending, are
+    `targets[start[v]:start[v + 1]]`; `neighbours`, `degree` and
+    `adjacency()` read it.
     """
 
     __slots__ = ("n", "palette_size", "vertex_set", "_rows", "_colours",
-                 "_edges", "_colouring", "_csr", "_adj", "_ecodes")
+                 "_edges", "_colouring", "_csr", "_adj", "_ecodes", "_degs")
 
     def __init__(self, n: int, edges: Iterable[Edge],
                  colouring: Optional[Dict[Edge, int]] = None,
@@ -143,7 +144,7 @@ class ColouredGraph:
             else np.asarray(colours, dtype=np.int64)
         self.palette_size = 0 if colours is None else int(palette_size)
         self._edges = self._colouring = self._csr = self._adj = None
-        self._ecodes = None
+        self._ecodes = self._degs = None
 
     @classmethod
     def _from_rows(cls, n: int, rows, colours=None, palette_size: int = 0,
@@ -230,12 +231,15 @@ class ColouredGraph:
         return hi - lo
 
     def _degrees(self) -> np.ndarray:
+        """Degrees of the vertices, in vertex_set order; cached."""
         if not self.vertex_set:
             raise ParameterError("degrees of an empty graph")
-        degs = np.bincount(self._rows.ravel(), minlength=self.n)
-        if len(self.vertex_set) < self.n:
-            degs = degs[list(self.vertex_set)]
-        return degs
+        if self._degs is None:
+            degs = np.bincount(self._rows.ravel(), minlength=self.n)
+            if len(self.vertex_set) < self.n:
+                degs = degs[list(self.vertex_set)]
+            self._degs = degs
+        return self._degs
 
     def min_degree(self) -> int:
         return int(self._degrees().min())
@@ -536,7 +540,8 @@ def _class_graph(n: int, k: int, within: bool) -> ColouredGraph:
     label = np.repeat(np.arange(k), sizes)
     rows = np.stack(np.triu_indices(n, 1), axis=1)
     same = label[rows[:, 0]] == label[rows[:, 1]]
-    return ColouredGraph._from_rows(n, rows[same == within])
+    return ColouredGraph._from_rows(n, np.compress(same == within, rows,
+                                                   axis=0))
 
 
 def perturb(seed: ColouredGraph, p: float,

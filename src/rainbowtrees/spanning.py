@@ -352,11 +352,8 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
         for _ in range(n - 1 - len(colour_used)):
             if not _augment(rows, colours, verts, in_tree, holder):
                 return None
-        colour_used = {c: i for c, i in enumerate(holder.tolist()) if i >= 0}
 
     picked = np.flatnonzero(in_tree)
-    assert sorted(colour_used.values()) == picked.tolist(), \
-        "colour bookkeeping out of sync"
     pairs = rows[picked].tolist()
     _check_rainbow_spanning_tree(verts, pairs, colours[picked].tolist())
     return frozenset(map(tuple, pairs))
@@ -457,7 +454,8 @@ def _augment(rows: np.ndarray, colours: np.ndarray, verts: Sequence[int],
     forest edges x component out-edges), where only the forest edges
     dequeued before the first sink is enqueued count.
     """
-    comp, tin, tout, up = _euler_forest(rows[in_tree], verts, verts[-1] + 1)
+    comp, tin, tout, up = _euler_forest(np.compress(in_tree, rows, axis=0),
+                                        verts, verts[-1] + 1)
     ends = comp[rows]
     out = ~in_tree
     joins = ends[:, 0] != ends[:, 1]

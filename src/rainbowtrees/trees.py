@@ -121,6 +121,24 @@ class Tree:
         es = [e for e in self.edges if e[0] in ns and e[1] in ns]
         return Tree(ns, es, self.d if d is None else d)
 
+    def relabel(self, mapping) -> "Tree":
+        """The same tree with every node v renamed to mapping[v].
+
+        The mapping must be injective on the nodes; the renamed copy is
+        a tree again, so only that is checked, not degrees or
+        connectivity."""
+        new = {v: int(mapping[v]) for v in self.nodes}
+        nodes = frozenset(new.values())
+        if len(nodes) != len(self.nodes):
+            raise ParameterError("relabelling is not injective on the nodes")
+        out = object.__new__(Tree)
+        out.nodes = nodes
+        out.edges = frozenset(_canon(new[u], new[v]) for u, v in self.edges)
+        out.d = self.d
+        out._adj = {new[v]: tuple(sorted(new[u] for u in ns))
+                    for v, ns in self._adj.items()}
+        return out
+
     def __eq__(self, other):
         return (isinstance(other, Tree) and self.nodes == other.nodes
                 and self.edges == other.edges)

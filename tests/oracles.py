@@ -409,6 +409,33 @@ def reference_select_fresh_part(parts, u: int, oracle) -> int:
                        detail={"structural": True, "vertex": u})
 
 
+def reference_match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
+    """A level's matching by networkx's Hopcroft-Karp, on the same draws
+    as `embedding._match_level`: nodes in a shuffled order, each with its
+    candidates shuffled and added as edges in that order.  None when some
+    node stays unmatched."""
+    import networkx as nx
+
+    bip = nx.Graph()
+    left = [(0, v) for v in nodes]
+    bip.add_nodes_from(left)
+    order = list(nodes)
+    gen.shuffle(order)
+    for v in order:
+        ws = list(cand[v])
+        gen.shuffle(ws)
+        for w in ws:
+            bip.add_edge((0, v), (1, w))
+    matching = nx.bipartite.hopcroft_karp_matching(bip, top_nodes=left)
+    placed = {}
+    for v in nodes:
+        partner = matching.get((0, v))
+        if partner is None:
+            return None
+        placed[v] = partner[1]
+    return placed
+
+
 def check_embedding(host: ColouredGraph, tree: Tree, image: Dict[int, int]) -> None:
     """Injective node map whose edges all exist in the host."""
     assert set(image) == set(tree.nodes), "domain mismatch"

@@ -14,7 +14,10 @@ from rainbowtrees import (ColouredGraph, EmbedFailure, InfeasibleParameters,
                           star_tree, uniform_colouring)
 from rainbowtrees.exposure import ExposureOracle
 
-from oracles import check_embedding, check_almost_spanning_result
+from rainbowtrees.embedding import _match_level
+
+from oracles import (check_almost_spanning_result, check_embedding,
+                     reference_match_level)
 
 
 def cycle_graph(n):
@@ -167,6 +170,36 @@ def test_embed_random_trees_into_gnp():
         placed += 1
     # mean host degree ~ 15 at 50% fill: failures should be rare
     assert placed >= 17
+
+
+def test_match_level_matches_networkx():
+    # levels of up to 60 nodes with up to 9 candidates each among a few more
+    # hosts; tight ones leave some node unmatched.  Both matchers draw
+    # from generators in the same state and must leave them alike.
+    import numpy as np
+
+    outcomes = set()
+    for t in range(300):
+        r = np.random.default_rng([71, t])
+        size = int(r.integers(1, 60))
+        nodes = r.choice(1000, size, replace=False).tolist()
+        hosts = r.choice(5000, size + int(r.integers(0, 20)),
+                         replace=False).tolist()
+        most = min(int(r.integers(1, 10)), len(hosts))
+        cand = {v: r.choice(hosts, int(r.integers(0 if t % 7 == 0 else 1,
+                                                  most + 1)),
+                            replace=False).tolist()
+                for v in nodes}
+        ours, ref = (np.random.default_rng([72, t]) for _ in range(2))
+        got = _match_level(nodes, cand, ours)
+        assert got == reference_match_level(nodes, cand, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        if got is not None:
+            assert list(got) == nodes
+            assert all(got[v] in cand[v] for v in nodes)
+            assert len(set(got.values())) == len(nodes)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 # -- root edges ---------------------------------------------------------------

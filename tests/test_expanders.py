@@ -9,8 +9,8 @@ import pytest
 from rainbowtrees import (ColouredGraph, ExpanderFailure, ParameterError,
                           RandomSource, SparsifyFailure, complete_graph,
                           gen_gnp)
-from rainbowtrees.expanders import (ExpandParams, degrade_attach, ell1,
-                                    ell2, find_effective_expander,
+from rainbowtrees.expanders import (ExpandParams, _core, degrade_attach,
+                                    ell1, ell2, find_effective_expander,
                                     is_eta_r_expander, sparsify,
                                     verify_expand_core)
 
@@ -159,6 +159,28 @@ def test_verify_core_sampled():
     assert res.is_expander and not res.certified
     exact = verify_expand_core(complete_graph(10), 8.0, 0.2, 3, mode="exact")
     assert exact.is_expander and exact.certified
+
+
+def test_core_matches_networkx_k_core():
+    # binomial graphs of mixed density on all or part of their labels, so
+    # some have isolated vertices and some an empty core
+    import networkx as nx
+
+    empty = 0
+    for t in range(60):
+        g = gen_gnp(40, [0.03, 0.1, 0.25][t % 3], RandomSource(73, t))
+        if t % 2:
+            g = g.subgraph(range(t % 5, 40, 2))
+        ref = nx.Graph()
+        ref.add_nodes_from(g.vertex_set)
+        ref.add_edges_from(g.edges)
+        for k in range(0, 8):
+            want = frozenset(nx.k_core(ref, k))
+            assert _core(g, k) == want
+            empty += not want
+    assert empty
+    assert _core(ColouredGraph(5, [], vertex_set=[1, 3]), 1) == frozenset()
+    assert _core(ColouredGraph(5, [], vertex_set=[1, 3]), 0) == {1, 3}
 
 
 def test_effective_expander_identity():
