@@ -214,8 +214,7 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
             break
         want = int(gen.integers(max(1, n // 2), n + 1))
         sample = gen.choice(n, size=want, replace=False)
-        sub_core = _core(graph.subgraph([verts[int(i)] for i in sample]),
-                         threshold)
+        sub_core = _core(graph, threshold, [verts[int(i)] for i in sample])
         if sub_core and sub_core not in targets:
             targets.append(sub_core)
     for t_idx, nodes in enumerate(targets):
@@ -229,13 +228,16 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
     return ExpansionCheck(True, False, None, checked)
 
 
-def _core(graph: ColouredGraph, lo: float) -> FrozenSet[int]:
-    """The maximal vertex set whose induced subgraph has minimum degree at
-    least `lo` (it is unique): every vertex of degree below `lo` is
-    dropped, degrees are recounted over the rows left, until none drops."""
+def _core(graph: ColouredGraph, lo: float,
+          within: Optional[Iterable[int]] = None) -> FrozenSet[int]:
+    """The maximal subset of `within` (default: every vertex) whose
+    induced subgraph has minimum degree at least `lo` (it is unique):
+    every vertex of degree below `lo` is dropped, degrees are recounted
+    over the rows left, until none drops.  It is the core of
+    `graph.subgraph(within)`, without building that subgraph."""
     rows = graph.edge_array()
     alive = np.zeros(graph.n, dtype=bool)
-    alive[list(graph.vertex_set)] = True
+    alive[list(graph.vertex_set if within is None else within)] = True
     while True:
         rows = np.compress(alive[rows].all(axis=1), rows, axis=0)
         low = alive & (np.bincount(rows.ravel(), minlength=graph.n) < lo)

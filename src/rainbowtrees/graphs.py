@@ -535,13 +535,33 @@ def gen_seed_graph(n: int, delta: float, kind: str,
 
 def _class_graph(n: int, k: int, within: bool) -> ColouredGraph:
     """The pairs inside (or, when not `within`, across) k balanced classes
-    of consecutive vertices."""
+    of consecutive vertices.
+
+    Each class's pairs are written straight into their slice of one
+    row array, in lexicographic order: inside a class of size s at
+    offset o, the `triu_indices` of s shifted by o; across, each vertex
+    of the class against every vertex of the later classes.  The
+    classes follow each other in vertex order, so the rows come out
+    sorted without a sort, and nothing beyond the rows and one class's
+    index arrays is allocated: no all-pairs array and no mask.
+    """
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    label = np.repeat(np.arange(k), sizes)
-    rows = np.stack(np.triu_indices(n, 1), axis=1)
-    same = label[rows[:, 0]] == label[rows[:, 1]]
-    return ColouredGraph._from_rows(n, np.compress(same == within, rows,
-                                                   axis=0))
+    starts = np.cumsum([0] + sizes).tolist()
+    counts = [s * (s - 1) // 2 if within else s * (n - hi)
+              for s, hi in zip(sizes, starts[1:])]
+    rows = np.empty((sum(counts), 2), dtype=np.int64)
+    at = 0
+    for lo, hi, count in zip(starts, starts[1:], counts):
+        block = rows[at:at + count]
+        if within:
+            iu, iv = np.triu_indices(hi - lo, 1)
+            np.add(iu, lo, out=block[:, 0])
+            np.add(iv, lo, out=block[:, 1])
+        else:
+            block[:, 0] = np.repeat(np.arange(lo, hi), n - hi)
+            block[:, 1] = np.tile(np.arange(hi, n), hi - lo)
+        at += count
+    return ColouredGraph._from_rows(n, rows)
 
 
 def perturb(seed: ColouredGraph, p: float,

@@ -283,9 +283,17 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     already used; the Python loop visits only the rows that survive,
     and the scan stops once the forest spans.  A host with at most
     GREEDY_CHUNK rows is one unfiltered chunk, with no array work in
-    the greedy pass.
-    Cost: O(m) vectorised work over O(log m) chunks, O(n) for the roots
-    per chunk, and Python time for the first chunk and the survivors.
+    the greedy pass.  The roots for a chunk's test come from pointer
+    jumping in numpy, and `parent` is then reset to them: the partition
+    is the same, so the pass keeps the same rows.
+
+    The endpoints are read as two contiguous columns, `us` and `vs`,
+    taken once per call; the chunk test, the connectivity pass and
+    `_augment` gather through them, never through the (m, 2) rows.
+    Cost: O(m) vectorised work over O(log m) chunks; per chunk, at most
+    O(log n) pointer-jumping passes of O(n) vectorised work each; Python
+    time for the first chunk and the survivors; then one `_augment` per
+    edge the greedy forest is short of spanning.
     """
     if not graph.is_coloured:
         raise ParameterError("a rainbow tree needs an edge-coloured graph")
@@ -300,6 +308,8 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
         return None
 
     rows = graph.edge_array()
+    # the endpoint columns, contiguous: every gather below is 1-D
+    us, vs = np.ascontiguousarray(rows.T)
     colours = graph.colour_array()
     m = len(rows)
     in_tree = np.zeros(m, dtype=bool)
@@ -310,9 +320,10 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     # `picks` its rows that can still be kept
     lo, hi = 0, min(m, GREEDY_CHUNK)
     picks = range(hi)
-    pairs, tints = rows[:hi].tolist(), colours[:hi].tolist()
+    heads, tails, tints = us[:hi].tolist(), vs[:hi].tolist(), \
+        colours[:hi].tolist()
     while True:
-        for i, (u, v), c in zip(picks, pairs, tints):
+        for i, u, v, c in zip(picks, heads, tails, tints):
             if c in colour_used:
                 continue
             ru, rv = _root(parent, u), _root(parent, v)
@@ -327,22 +338,28 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
         root = _roots(parent)
         used = np.zeros(graph.palette_size, dtype=bool)
         used[list(colour_used)] = True
-        ends = root[rows[lo:hi]]
-        picks = lo + ((ends[:, 0] != ends[:, 1])
+        picks = lo + ((root[us[lo:hi]] != root[vs[lo:hi]])
                       & ~used[colours[lo:hi]]).nonzero()[0]
-        pairs, tints = rows[picks].tolist(), colours[picks].tolist()
+        heads, tails, tints = us[picks].tolist(), vs[picks].tolist(), \
+            colours[picks].tolist()
         picks = picks.tolist()
 
     if len(colour_used) < n - 1:
         # nor in a host with fewer than n - 1 distinct colours
         if np.count_nonzero(np.bincount(colours)) < n - 1:
             return None
-        # connected iff the rows join up the greedy components; only rows
-        # between two of them can merge anything
-        ends = _roots(parent)[rows]
-        for a, b in ends[ends[:, 0] != ends[:, 1]].tolist():
-            parent[_root(parent, a)] = _root(parent, b)
-        if len({_root(parent, v) for v in verts}) > 1:
+        # connected iff the rows join up the n - len(colour_used) greedy
+        # components; only rows between two of them can merge any
+        root = _roots(parent)
+        ru, rv = root[us], root[vs]
+        cross = ru != rv
+        apart = n - len(colour_used)
+        for a, b in zip(ru[cross].tolist(), rv[cross].tolist()):
+            a, b = _root(parent, a), _root(parent, b)
+            if a != b:
+                parent[a] = b
+                apart -= 1
+        if apart > 1:
             return None
 
         # a rainbow forest holds one edge per used colour; `holder` maps
@@ -350,7 +367,7 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
         holder = np.full(graph.palette_size, -1, dtype=np.int64)
         holder[list(colour_used)] = list(colour_used.values())
         for _ in range(n - 1 - len(colour_used)):
-            if not _augment(rows, colours, verts, in_tree, holder):
+            if not _augment(us, vs, colours, verts, in_tree, holder):
                 return None
 
     picked = np.flatnonzero(in_tree)
@@ -368,8 +385,16 @@ def _root(parent, x: int) -> int:
 
 
 def _roots(parent: List[int]) -> np.ndarray:
-    """Union-find root of every label, as an array."""
-    return np.array([_root(parent, v) for v in range(len(parent))])
+    """Union-find root of every label, as an array, by pointer jumping:
+    each pass points every label at its grandparent, until none moves.
+    `parent` is then pointed at the roots, which keeps its partition."""
+    root = np.array(parent)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            parent[:] = root.tolist()
+            return root
+        root = up
 
 
 def _check_rainbow_spanning_tree(verts: Sequence[int], pairs: List[List[int]],
@@ -387,13 +412,14 @@ def _check_rainbow_spanning_tree(verts: Sequence[int], pairs: List[List[int]],
         parent[ru] = rv
 
 
-def _euler_forest(tree_rows: np.ndarray, verts: Sequence[int], labels: int
+def _euler_forest(heads: List[int], tails: List[int], verts: Sequence[int],
+                  labels: int
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
     """Component, Euler interval [tin, tout) and parent of every vertex
-    of the forest, from one iterative DFS; labels outside `verts` get
-    component -1."""
+    of the forest with edges (heads[i], tails[i]), from one iterative
+    DFS; labels outside `verts` get component -1."""
     nbrs: List[List[int]] = [[] for _ in range(labels)]
-    for u, v in tree_rows.tolist():
+    for u, v in zip(heads, tails):
         nbrs[u].append(v)
         nbrs[v].append(u)
     comp = [-1] * labels
@@ -421,8 +447,9 @@ def _euler_forest(tree_rows: np.ndarray, verts: Sequence[int], labels: int
     return np.array(comp), tin, tin + np.array(size), up
 
 
-def _augment(rows: np.ndarray, colours: np.ndarray, verts: Sequence[int],
-             in_tree: np.ndarray, holder: np.ndarray) -> bool:
+def _augment(us: np.ndarray, vs: np.ndarray, colours: np.ndarray,
+             verts: Sequence[int], in_tree: np.ndarray,
+             holder: np.ndarray) -> bool:
     """One exchange augmentation; False means the forest is maximum.
 
     Nodes of the search are edge indices.  Out-of-forest edges joining
@@ -438,38 +465,42 @@ def _augment(rows: np.ndarray, colours: np.ndarray, verts: Sequence[int],
     One DFS of the forest gives every vertex an Euler interval
     [tin, tout).  With c the endpoint of (a, b) whose parent is the
     other, the side cut off is the subtree of c, so an out-edge crosses
-    exactly when one endpoint has its tin in [tin[c], tout[c]): one
-    vectorised test over the component's out-edges, kept in row order
-    so the search enqueues edges in the order of the sorted rows.
+    exactly when one endpoint has its tin in [tin[c], tout[c]).  The
+    test runs over all rows at once, in row order, so the search
+    enqueues edges in the order of the sorted rows.  Besides out-edges
+    of c's component, only (a, b) itself and sources touching the
+    subtree can cross; both are reached already, so the `prev` filter
+    that drops reached edges leaves exactly the component's new
+    crossing out-edges.
 
     The queue is FIFO, so the first sink popped is the first sink
     enqueued.  The sink test therefore runs when edges are enqueued,
     vectorised over the sources and then over each batch a forest edge
     enqueues, and the search stops at the first hit: the same `prev`
     chain and the same path as testing on pop, without popping and
-    masking for everything queued ahead of the sink.  One augmentation
-    costs O(n + m) for the DFS and the masks over the rows, O(m) per
-    component the search enters, and, per popped forest edge, one
-    vectorised mask over its component's out-edges: O(n + m + popped
-    forest edges x component out-edges), where only the forest edges
-    dequeued before the first sink is enqueued count.
+    masking for everything queued ahead of the sink.
+
+    Cost: O(n) Python for the DFS; O(m) vectorised to find the sources
+    and to gather every row's endpoint tins, all through the endpoint
+    columns `us` and `vs` (1-D gathers, no (m, 2) row gather); and, per
+    popped forest edge, one vectorised test over the rows:
+    O(n + m x (1 + popped forest edges)), where only the forest edges
+    dequeued before the first sink is enqueued count.  In the hosts
+    measured the search enters one component holding nearly every
+    out-edge, so cutting out a component's out-edges first would cost
+    more than it saves.
     """
-    comp, tin, tout, up = _euler_forest(np.compress(in_tree, rows, axis=0),
+    tree = np.flatnonzero(in_tree)
+    comp, tin, tout, up = _euler_forest(us[tree].tolist(), vs[tree].tolist(),
                                         verts, verts[-1] + 1)
-    ends = comp[rows]
-    out = ~in_tree
-    joins = ends[:, 0] != ends[:, 1]
-    sources = (out & joins).nonzero()[0]
+    # a forest edge lies inside its component, so every joining row is out
+    sources = (comp[us] != comp[vs]).nonzero()[0]
     if not len(sources):
         return False
-    # out-edges inside a component, in row order; a component's share,
-    # with the tin of both endpoints, is cut out when first needed
-    internal = (out & ~joins).nonzero()[0]
-    owner = ends[internal, 0]
-    groups: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    tu, tv = tin[us], tin[vs]
 
     UNSEEN = -2
-    prev = np.full(len(rows), UNSEEN, dtype=np.int64)
+    prev = np.full(len(us), UNSEEN, dtype=np.int64)
     prev[sources] = -1
     goal = _first_sink(sources, colours, holder)
     queue: Deque[int] = deque(sources.tolist() if goal < 0 else ())
@@ -482,15 +513,11 @@ def _augment(rows: np.ndarray, colours: np.ndarray, verts: Sequence[int],
                 prev[mate] = edge
                 queue.append(mate)
             continue
-        a, b = rows[edge].tolist()
+        a, b = int(us[edge]), int(vs[edge])
         c = a if up[a] == b else b
-        k = int(comp[c])
-        if k not in groups:
-            mine = internal[owner == k]
-            groups[k] = mine, tin[rows[mine]]
-        mine, tins = groups[k]
-        below = (tins >= tin[c]) & (tins < tout[c])
-        found = mine[below[:, 0] != below[:, 1]]
+        lo, hi = tin[c], tout[c]
+        found = (((tu >= lo) & (tu < hi))
+                 != ((tv >= lo) & (tv < hi))).nonzero()[0]
         found = found[prev[found] == UNSEEN]
         prev[found] = edge
         goal = _first_sink(found, colours, holder)

@@ -42,3 +42,10 @@ def test_almost_spanning_digest_at_more_seeds(seed):
     # each level matching draws from the shared stream, so more seeds pin
     # more of the embedding's draws and matchings
     _check_digest("almost-2000", seed)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_rainbow_st_digest_at_more_seeds(seed):
+    # every tree the search returns is hashed, so more seeds pin more of
+    # the greedy pass and the exchange augmentations
+    _check_digest("rst-300", seed)

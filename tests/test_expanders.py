@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -163,7 +164,8 @@ def test_verify_core_sampled():
 
 def test_core_matches_networkx_k_core():
     # binomial graphs of mixed density on all or part of their labels, so
-    # some have isolated vertices and some an empty core
+    # some have isolated vertices and some an empty core; the core inside
+    # a vertex subset is the core of the induced subgraph
     import networkx as nx
 
     empty = 0
@@ -174,10 +176,15 @@ def test_core_matches_networkx_k_core():
         ref = nx.Graph()
         ref.add_nodes_from(g.vertex_set)
         ref.add_edges_from(g.edges)
+        # a random half of the vertices, as verify_expand_core samples them
+        half = sorted(random.Random(t).sample(sorted(g.vertex_set),
+                                              g.order // 2))
         for k in range(0, 8):
             want = frozenset(nx.k_core(ref, k))
             assert _core(g, k) == want
             empty += not want
+            assert _core(g, k, half) == frozenset(
+                nx.k_core(ref.subgraph(half), k)) == _core(g.subgraph(half), k)
     assert empty
     assert _core(ColouredGraph(5, [], vertex_set=[1, 3]), 1) == frozenset()
     assert _core(ColouredGraph(5, [], vertex_set=[1, 3]), 0) == {1, 3}

@@ -9,7 +9,7 @@ import pytest
 from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
                           complete_graph, gen_gnp, gen_seed_graph, perturb,
                           uniform_colouring)
-from rainbowtrees.graphs import SEED_KINDS, find_codes
+from rainbowtrees.graphs import SEED_KINDS, _class_graph, find_codes
 
 from oracles import NaiveGraph, assert_matches_naive, naive_is_rainbow
 
@@ -119,6 +119,27 @@ def test_seed_graph_multipartite():
     assert g.min_degree() >= 4
     # complete bipartite K_{5,5}
     assert g.size == 25
+
+
+def test_class_graph_matches_the_pair_mask():
+    # the reference: every pair of range(n), kept or dropped by whether
+    # its ends share a class
+    def masked(n, k, within):
+        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+        label = np.repeat(np.arange(k), sizes)
+        rows = np.stack(np.triu_indices(n, 1), axis=1)
+        same = label[rows[:, 0]] == label[rows[:, 1]]
+        return rows[same == within]
+
+    for n in range(2, 41):
+        for k in range(1, 7):
+            for within in (True, False):
+                g = _class_graph(n, k, within)
+                want = masked(n, k, within)
+                rows = g.edge_array()
+                assert rows.dtype == want.dtype, (n, k, within)
+                assert np.array_equal(rows, want), (n, k, within)
+                assert g.vertex_set == frozenset(range(n))
 
 
 def test_seed_graph_random_supergraph():

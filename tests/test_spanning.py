@@ -3,6 +3,7 @@ trees: pinned examples plus cross-checks against networkx and brute force."""
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -71,6 +72,23 @@ def test_partition_splits_along_a_cut_vertex():
     assert sorted(sorted(b) for b in part.blocks) == [list(range(91)),
                                                       list(range(91, 201))]
     check_partition_blocks(g, part, 90)
+
+
+def test_partition_cut_joins_the_smaller_side_not_the_lower_labels():
+    # the larger clique comes first, so the smaller side of the cut holds
+    # the higher labels.  A K111 and a K91 sharing vertex 110: n = 201,
+    # k = 90, threshold ceil(90^2 / (16 * 201)) = 3, and the cut vertex
+    # joins the K91.  A K102 and a K100 sharing vertices 100 and 101:
+    # n = 200, k = 99, threshold ceil(99^2 / (16 * 200)) = 4, and the
+    # 2-cut joins the K100's other 98 vertices
+    for m, shared, m2, want in ((111, 1, 91, [range(110), range(110, 201)]),
+                                (102, 2, 100, [range(100), range(100, 200)])):
+        g = two_cliques(m, shared=shared, m2=m2)
+        k = g.min_degree()
+        assert math.ceil(k * k / (16 * g.order)) > shared
+        part = highly_connected_partition(g, k)
+        assert [sorted(b) for b in part.blocks] == [list(r) for r in want]
+        check_partition_blocks(g, part, k)
 
 
 def test_partition_random_dense_graph_passes_audits():
@@ -305,6 +323,27 @@ def test_finder_matches_reference_search():
         if deep == 30:
             break
     assert deep == 30
+
+
+@pytest.mark.parametrize("kind", ["multipartite", "random-supergraph"])
+def test_finder_matches_reference_on_more_seed_kinds(kind):
+    # perturbed multipartite and random-supergraph hosts at palette n - 1,
+    # as rainbow-st trials build them; only hosts whose greedy forest is
+    # at least two edges short count, so each needs two augmentations or
+    # more
+    deep = 0
+    for trial in range(80):
+        src = spawn_trial_source(7070, trial)
+        n = 60 + (trial * 23) % 91
+        seed = gen_seed_graph(n, 0.4, kind, src.substream("seed"))
+        union = perturb(seed, n ** -1.5, src.substream("perturb"))
+        host = uniform_colouring(union, n - 1, src.substream("colour"))
+        if n - 1 - len(greedy_rainbow_forest(host)) < 2:
+            continue
+        assert find_rainbow_spanning_tree(host) == \
+            reference_rainbow_spanning_tree(host), (trial, n)
+        deep += 1
+    assert deep >= 10, deep
 
 
 def test_finder_matches_reference_across_greedy_chunks():
