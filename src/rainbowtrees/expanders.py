@@ -181,7 +181,14 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
 
     Exact mode (n <= 18) enumerates all qualifying subgraphs.  Sampled
     mode strips the graph to its ceil(ell1)-core and expansion-checks it,
-    plus the cores of random induced subgraphs.
+    plus the cores of random induced subgraphs.  The core of an induced
+    subgraph lies inside the core of the whole graph, so when the latter
+    is empty no sample is drawn, and the check passes, uncertified, after
+    0 sets.  At desk scale that is the usual case: ell1 exceeds every
+    degree of a stage graph, so the core condition holds vacuously (in
+    the almost-spanning pipeline at n = 2000, ell1 is about 700, and the
+    graph a stage checks has about 260 vertices, 800 edges and degrees of
+    at most floor(10C) = 15).
     """
     n = graph.order
     _check_mode(mode, source)
@@ -202,13 +209,13 @@ def verify_expand_core(graph: ColouredGraph, ell1_value: float, eta: float,
                 return ExpansionCheck(False, True, res.witness, checked)
         return ExpansionCheck(True, True, None, checked)
 
+    threshold = math.ceil(ell1_value - 1e-9)
+    core = _core(graph, threshold)
+    if not core:
+        return ExpansionCheck(True, False, None, 0)
     gen = source.generator()
     checked = 0
-    threshold = math.ceil(ell1_value - 1e-9)
-    targets: List[FrozenSet[int]] = []
-    core = _core(graph, threshold)
-    if core:
-        targets.append(core)
+    targets: List[FrozenSet[int]] = [core]
     for _ in range(8):
         if n < 2:
             break
@@ -251,20 +258,21 @@ def _peel(graph: ColouredGraph, lo: float, hi: int
     """Delete vertices of degree below `lo` and cap degrees above `hi`,
     until both hold.
 
-    Capping sheds the highest-index neighbours first, so the order of the
-    cuts matters.  Returns the surviving vertices and the capped edges in
-    the order they were cut.
+    The first deletions leave the `lo`-core, which is unique, so it is
+    taken from `_core`.  A core's degrees are at most the graph's, so
+    only when a degree of the graph exceeds `hi` is a neighbour-set dict
+    of the core built for the capping, which sheds the highest-index
+    neighbours of each vertex over `hi`, in ascending vertex order, and
+    then deletes again; the order of the cuts matters.  Returns the
+    surviving vertices and the capped edges in the order they were cut.
     """
-    adj: Dict[int, Set[int]] = {v: set(ns)
-                                for v, ns in graph.adjacency().items()}
+    alive = _core(graph, lo)
+    if not alive or graph.max_degree() <= hi:
+        return alive, []
+    adj: Dict[int, Set[int]] = {
+        v: set(ns) for v, ns in graph.subgraph(alive).adjacency().items()}
     capped: List[Tuple[int, int]] = []
     while True:
-        drop = [v for v in adj if len(adj[v]) < lo]
-        while drop:
-            for v in drop:
-                for u in adj.pop(v):
-                    adj[u].discard(v)
-            drop = [v for v in adj if len(adj[v]) < lo]
         over = [v for v in sorted(adj) if len(adj[v]) > hi]
         if not over:
             return frozenset(adj), capped
@@ -275,6 +283,12 @@ def _peel(graph: ColouredGraph, lo: float, hi: int
                 adj[v].remove(u)
                 adj[u].remove(v)
                 capped.append(canonical_edge(u, v))
+        drop = [v for v in adj if len(adj[v]) < lo]
+        while drop:
+            for v in drop:
+                for u in adj.pop(v):
+                    adj[u].discard(v)
+            drop = [v for v in adj if len(adj[v]) < lo]
 
 
 @dataclass(frozen=True)
@@ -365,9 +379,11 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     when fewer than m allowed colours appear among the survivors.
 
     When `sample_out` is a dict it receives the raw inclusion sample:
-    "pairs" (every included pair, block labels) and "colours" (their
-    colours), so a caller tracking edge exposure can record what this
-    call revealed.  The draw itself is unchanged.
+    "pairs", every included pair in block labels as a (k, 2) int64 array
+    of canonical (u < v) rows in lexicographic order, and "colours",
+    their colours as an aligned int64 array, so a caller tracking edge
+    exposure can hand them to `ExposureOracle.record_block` as they are.
+    The draw itself is unchanged.
     """
     verts = sorted(set(int(v) for v in block))
     if palette_size < 1:
@@ -395,8 +411,8 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     cols = gen.integers(0, palette_size, size=len(rows))
     labels = np.array(verts, dtype=np.int64)
     if sample_out is not None:
-        sample_out["pairs"] = list(map(tuple, labels[rows].tolist()))
-        sample_out["colours"] = cols.tolist()
+        sample_out["pairs"] = labels[rows]
+        sample_out["colours"] = cols
 
     # (S.3) one uniform representative per allowed colour, in colour
     # order: one draw of offsets into the allowed colour classes, each

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from .errors import ParameterError, RainbowTreesError
-from .graphs import gen_gnp
+from .graphs import _pair_rows, gen_gnp
 from .rng import RandomSource
 
 Pair = Tuple[int, int]
@@ -161,28 +161,55 @@ class ExposureOracle:
         their colours drawn.  The values were sampled by the sparsifier;
         this merely makes the oracle remember them.  Blocks are vertex
         disjoint, and no pair of a block may have been exposed before.
+
+        `included_pairs` is a (k, 2) integer array, such as `sparsify`'s
+        `sample_out["pairs"]`, or any iterable of pairs in either
+        orientation; it is paired with `colours` as `zip` pairs them.
+        The pairs are checked together, in numpy, before anything is
+        written, so a rejected block leaves no trace: a loop, a label
+        outside range(n) or a pair leaving the block raises
+        ParameterError, and so does a colour off the palette.
         """
         if self.presence_complete:
             raise ExposureError("cannot register a block after materialization")
-        inside = set(int(v) for v in vertices)
-        verts = sorted(inside)
+        verts = sorted({int(v) for v in vertices})
         if verts and not (0 <= verts[0] and verts[-1] < self.n):
             raise ParameterError("block vertices outside range(%d)" % self.n)
-        inc = {}
-        for pair, c in zip(included_pairs, colours):
-            key = self._norm(pair)
-            if key[0] not in inside or key[1] not in inside:
-                raise ParameterError("included pair %r leaves the block" % (key,))
-            inc[key] = int(c)
+        if not isinstance(included_pairs, np.ndarray):
+            included_pairs = list(included_pairs)
+        cols = np.asarray(colours if isinstance(colours, np.ndarray)
+                          else list(colours), dtype=np.int64)
+        k = min(len(included_pairs), len(cols))
+        rows = _pair_rows(included_pairs[:k])
+        cols = cols[:k]
+        if k and not (0 <= rows[:, 0].min() and rows[:, 1].max() < self.n):
+            raise ParameterError("an included pair lies outside range(%d)"
+                                 % self.n)
+        inside = np.zeros(self.n, dtype=bool)
+        inside[verts] = True
+        leaves = ~inside[rows].all(axis=1)
+        if leaves.any():
+            raise ParameterError("included pair %r leaves the block"
+                                 % (tuple(rows[leaves.argmax()].tolist()),))
+        us, vs = rows.T.tolist()
+        inc = dict(zip(zip(us, vs), cols.tolist()))
         if (self._block[verts] >= 0).any():
             raise ExposureError("block shares a vertex with an earlier block")
-        if any(u in inside and v in inside for u, v in self._presence):
+        # every pair with a revealed presence has both ends touched
+        touched = self._touched.intersection(verts)
+        if touched and any(u in touched and v in touched
+                           for u, v in self._presence):
             raise ExposureError("a block pair had its presence exposed before")
-        for key, c in inc.items():
-            if key in self._colour:
-                raise ExposureError("block pair %r colour exposed twice" % (key,))
-            if not 0 <= c < self.palette_size:
-                raise ParameterError("colour %d outside the palette" % c)
+        if not self._colour.keys().isdisjoint(inc) or (
+                k and not (0 <= cols.min() and cols.max() < self.palette_size)):
+            # the first offending pair in order decides the error, as a
+            # check of one pair at a time would
+            for key, c in inc.items():
+                if key in self._colour:
+                    raise ExposureError("block pair %r colour exposed twice"
+                                        % (key,))
+                if not 0 <= c < self.palette_size:
+                    raise ParameterError("colour %d outside the palette" % c)
         self._block[verts] = self._block.max() + 1
         self._presence.update(dict.fromkeys(inc, True))
         self._colour.update(inc)

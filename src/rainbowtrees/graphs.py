@@ -347,13 +347,19 @@ class ColouredGraph:
         if len(extra) and not (0 <= extra.min() and extra.max() < n
                                and inside[extra].all()):
             raise ParameterError("an added edge leaves the vertex set")
-        # merge the few new codes into the sorted ones: no full re-sort
-        codes = _codes(self._rows, n)
-        add = np.unique(_codes(extra, n))
-        add = add[~find_codes(codes, add)[1]]
-        codes = np.insert(codes, np.searchsorted(codes, add), add)
+        # merge the new rows into the sorted old ones, no full re-sort: as
+        # 16-byte records, a 1-D insert copies the old rows between the
+        # insertion points and writes each new row in its place
+        codes = self.edge_codes() if n == self.n else _codes(self._rows, n)
+        add, first = np.unique(_codes(extra, n), return_index=True)
+        fresh = ~find_codes(codes, add)[1]
+        record = np.dtype((np.void, 16))
+        merged = np.insert(
+            np.ascontiguousarray(self._rows).view(record).ravel(),
+            np.searchsorted(codes, add[fresh]),
+            np.ascontiguousarray(extra[first[fresh]]).view(record).ravel())
         return ColouredGraph._from_rows(
-            n, np.stack((codes // n, codes % n), axis=1), vertex_set=vs)
+            n, merged.view(np.int64).reshape(-1, 2), vertex_set=vs)
 
     def uncoloured(self) -> "ColouredGraph":
         return ColouredGraph._from_rows(self.n, self._rows,

@@ -361,6 +361,35 @@ def naive_min_degree_subsets(graph: ColouredGraph, k: float):
     return found
 
 
+def reference_peel(graph: ColouredGraph, lo: float, hi: int
+                   ) -> Tuple[FrozenSet[int], List[Pair]]:
+    """`expanders._peel` on a dict of neighbour sets from the first
+    deletion on: delete every vertex of degree below `lo` until none is
+    left, then cap each vertex over `hi` (ascending) by shedding its
+    highest-index neighbours, and repeat until both hold.  Returns the
+    survivors and the capped edges in the order they were cut."""
+    adj: Dict[int, Set[int]] = {v: set(ns)
+                                for v, ns in graph.adjacency().items()}
+    capped: List[Pair] = []
+    while True:
+        drop = [v for v in adj if len(adj[v]) < lo]
+        while drop:
+            for v in drop:
+                for u in adj.pop(v):
+                    adj[u].discard(v)
+            drop = [v for v in adj if len(adj[v]) < lo]
+        over = [v for v in sorted(adj) if len(adj[v]) > hi]
+        if not over:
+            return frozenset(adj), capped
+        for v in over:
+            for u in sorted(adj[v], reverse=True):
+                if len(adj[v]) <= hi:
+                    break
+                adj[v].remove(u)
+                adj[u].remove(v)
+                capped.append((min(u, v), max(u, v)))
+
+
 def tree_distances(tree: Tree, x: int) -> Dict[int, int]:
     dist = {x: 0}
     frontier = [x]

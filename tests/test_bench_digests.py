@@ -49,3 +49,11 @@ def test_rainbow_st_digest_at_more_seeds(seed):
     # every tree the search returns is hashed, so more seeds pin more of
     # the greedy pass and the exchange augmentations
     _check_digest("rst-300", seed)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_absorb_digest_at_more_seeds(seed):
+    # each op's planted input is written through the oracle's block
+    # interface, so more seeds pin more block writes along with the
+    # absorb loop's draws
+    _check_digest("absorb-600", seed)

@@ -5,17 +5,21 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rainbowtrees import (ColouredGraph, ExpanderFailure, ParameterError,
                           RandomSource, SparsifyFailure, complete_graph,
                           gen_gnp)
-from rainbowtrees.expanders import (ExpandParams, _core, degrade_attach,
-                                    ell1, ell2, find_effective_expander,
+from rainbowtrees import expanders
+from rainbowtrees.expanders import (ExpandParams, ExpansionCheck, _core,
+                                    _peel, degrade_attach, ell1, ell2,
+                                    find_effective_expander,
                                     is_eta_r_expander, sparsify,
                                     verify_expand_core)
 
-from oracles import naive_is_eta_r_expander, naive_min_degree_subsets
+from oracles import (naive_is_eta_r_expander, naive_min_degree_subsets,
+                     reference_peel)
 
 
 def cycle_graph(n):
@@ -160,6 +164,98 @@ def test_verify_core_sampled():
     assert res.is_expander and not res.certified
     exact = verify_expand_core(complete_graph(10), 8.0, 0.2, 3, mode="exact")
     assert exact.is_expander and exact.certified
+
+
+def _sampled_check_drawing_every_sample(graph, ell1_value, eta, r, trials,
+                                        source):
+    """verify_expand_core's sampled mode without the empty-core return:
+    the eight samples are drawn and peeled whatever the whole graph's
+    core is."""
+    n = graph.order
+    cap = int(math.floor(eta * n + 1e-9))
+    if cap < 1:
+        return ExpansionCheck(True, False, None, 0)
+    verts = sorted(graph.vertex_set)
+    gen = source.generator()
+    checked = 0
+    threshold = math.ceil(ell1_value - 1e-9)
+    targets = []
+    core = _core(graph, threshold)
+    if core:
+        targets.append(core)
+    for _ in range(8):
+        if n < 2:
+            break
+        want = int(gen.integers(max(1, n // 2), n + 1))
+        sample = gen.choice(n, size=want, replace=False)
+        sub_core = _core(graph, threshold, [verts[int(i)] for i in sample])
+        if sub_core and sub_core not in targets:
+            targets.append(sub_core)
+    for t_idx, nodes in enumerate(targets):
+        res = is_eta_r_expander(graph.subgraph(nodes), eta, r, mode="sampled",
+                                trials=trials,
+                                source=source.substream(("core", t_idx)),
+                                size_cap=cap)
+        checked += res.sets_checked
+        if not res.is_expander:
+            return ExpansionCheck(False, False, res.witness, checked)
+    return ExpansionCheck(True, False, None, checked)
+
+
+def test_empty_core_returns_before_sampling(monkeypatch):
+    # thresholds above the maximum degree, and from 1 up to it, so that
+    # some cores are empty with degrees at the threshold and some are not;
+    # the result is the full sampled path's, and only a non-empty core
+    # draws and peels the eight samples
+    calls = []
+
+    def counting_core(graph, lo, within=None):
+        calls.append(within is None)
+        return _core(graph, lo, within)
+
+    monkeypatch.setattr(expanders, "_core", counting_core)
+    seen = {"above max degree": 0, "empty below": 0, "non-empty": 0}
+    for t in range(24):
+        g = gen_gnp(20 + 2 * t, [0.1, 0.2, 0.35][t % 3], RandomSource(87, t))
+        if t % 2:
+            g = g.subgraph(range(t % 3, g.n, 2))
+        top = g.max_degree()
+        for ell in sorted({top + 0.5, top + 1, 3 * top + 7, 1, 2,
+                           top // 2 + 0.5, top}):
+            source = RandomSource(88, t)
+            want = _sampled_check_drawing_every_sample(g, ell, 0.25, 2, 10,
+                                                       source)
+            del calls[:]
+            got = verify_expand_core(g, ell, 0.25, 2, mode="sampled",
+                                     trials=10, source=source)
+            assert got == want, (t, ell)
+            if _core(g, math.ceil(ell - 1e-9)):
+                seen["non-empty"] += 1
+                assert calls == [True] + [False] * 8
+            else:
+                seen["above max degree" if ell > top else "empty below"] += 1
+                assert got == ExpansionCheck(True, False, None, 0)
+                assert calls == [True]
+    assert min(seen.values()) >= 10, seen
+
+
+def test_peel_matches_the_dict_of_sets_peel():
+    # the same survivors and the same capped edges in the same order as
+    # the reference, with bands that cap (small hi) and bands that do not
+    capping = not_capping = 0
+    for t in range(40):
+        g = gen_gnp(24 + t, [0.08, 0.15, 0.3][t % 3], RandomSource(89, t))
+        if t % 2:
+            g = g.subgraph(range(t % 4, g.n, 2))
+        for lo, hi in [(1, 2), (2, 3), (2.5, 4), (3, 6), (2, 100), (0, 3),
+                       (4, 3)]:
+            want = reference_peel(g, lo, hi)
+            assert _peel(g, lo, hi) == want, (t, lo, hi)
+            if want[1]:
+                capping += 1
+            elif want[0]:
+                not_capping += 1
+    assert capping >= 40 and not_capping >= 40, (capping, not_capping)
 
 
 def test_core_matches_networkx_k_core():
@@ -439,6 +535,12 @@ def test_sparsify_pinned_stream(case):
                    out.colour_array().tolist())
         except SparsifyFailure as exc:
             got = ("fail", exc.survivors, exc.needed)
-        h.update(repr((got, sample.get("pairs"), sample.get("colours")))
-                 .encode())
+        # the sample is handed out as arrays; it is hashed in the list
+        # form the pins were taken from
+        pairs, colours = sample["pairs"], sample["colours"]
+        assert pairs.dtype == colours.dtype == np.int64
+        assert pairs.shape == (len(colours), 2)
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        h.update(repr((got, list(map(tuple, pairs.tolist())),
+                       colours.tolist())).encode())
     assert h.hexdigest() == SPARSIFY_PINS[case]

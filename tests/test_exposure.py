@@ -118,6 +118,94 @@ def test_record_block_rejects_bad_input():
                         ("tint", (6, 7), 0)]
 
 
+def _state(o):
+    """Everything a block write touches, dict key order included."""
+    return (list(o._presence.items()), list(o._colour.items()),
+            o._block.tolist(), o.ledger, o._touched)
+
+
+def test_record_block_rejects_bad_arrays():
+    # the rejections above, with the pairs and colours as int64 arrays,
+    # and a loop; each leaves no trace, on the oracle or its ledger
+    def arrays(pairs, colours):
+        return (np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                np.array(colours, dtype=np.int64))
+
+    o = make(n=8)
+    clean = _state(o)
+    for vertices, pairs, colours, error in [
+            ([0, 1, 2], [(0, 5)], [1], ParameterError),   # leaves the block
+            ([0, 1, 2], [(1, 1)], [1], ParameterError),   # a loop
+            ([0, 1, 2], [(0, 1), (2, 2)], [1, 2], ParameterError),
+            ([0, 1, 2], [(0, 8)], [1], ParameterError),   # outside range(8)
+            ([0, 1, 2], [(-1, 0)], [1], ParameterError),
+            ([0, 1, 2], [(0, 1)], [16], ParameterError),  # colour off-palette
+            ([0, 1, 2], [(0, 1)], [-1], ParameterError)]:
+        with pytest.raises(error):
+            o.record_block(np.array(vertices), *arrays(pairs, colours), 1)
+        assert _state(o) == clean
+    o.record_block(np.array([0, 1, 2]), *arrays([(0, 1)], [1]), 1)
+    for call, error in [
+            (lambda: o.record_block([1, 2, 3], *arrays([(2, 3)], [2]), 2),
+             ExposureError),                              # (1,2) again
+            (lambda: o.record_block([4, 5], *arrays([(4, 5)], [99]), 2),
+             ParameterError),                             # colour off-palette
+            (lambda: o.expose_presence((4, 5)), None),
+            (lambda: o.record_block([4, 5, 6], *arrays([(5, 6)], [2]), 2),
+             ExposureError),                              # (4,5) probed
+            (lambda: o.expose_colour((6, 7)), None),
+            (lambda: o.record_block([6, 7], *arrays([(7, 6)], [2]), 2),
+             ExposureError),                              # colour again
+            (lambda: o.record_block([7, 8], *arrays([], []), 2),
+             ParameterError)]:                            # outside range(8)
+        if error is None:
+            call()
+            continue
+        before = _state(o)
+        with pytest.raises(error):
+            call()
+        assert _state(o) == before
+    assert not o.presence_exposed((5, 6)) and not o.colour_exposed((5, 6))
+    assert o.ledger == [("block", (0, 1, 2), 1), ("probe", (4, 5), 0),
+                        ("tint", (6, 7), 0)]
+    o.materialize_presence()
+    with pytest.raises(ExposureError):
+        o.record_block([3], *arrays([], []), 3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_record_block_arrays_match_lists(seed):
+    """A block handed over as arrays, canonical as `sparsify` writes them
+    or in mixed orientation, leaves the oracle as the same block handed
+    over as lists does, dict key order included, and both answer as the
+    per-pair reference oracle does."""
+    n, palette, p = 30, 11, 0.3
+    gen = np.random.default_rng(seed)
+    lists, canon, mixed = (ExposureOracle(n, palette, p, RandomSource(seed))
+                           for _ in range(3))
+    ref = ReferenceExposureOracle(n, palette, p, RandomSource(seed))
+    blocks = np.array_split(gen.permutation(n - 4), 3)
+    for o in (lists, canon, mixed, ref):
+        o.expose_presence((n - 4, n - 3))
+        o.expose_colour((n - 2, 0))
+    for stage, block in enumerate(blocks, 1):
+        pairs = [q for q in itertools.combinations(sorted(block.tolist()), 2)
+                 if gen.random() < 0.4]
+        flipped = [(v, u) if gen.random() < 0.5 else (u, v) for u, v in pairs]
+        colours = gen.integers(0, palette, len(pairs))
+        lists.record_block(block.tolist(), flipped, colours.tolist(), stage)
+        canon.record_block(block, np.array(pairs, dtype=np.int64)
+                           .reshape(-1, 2), colours, stage)
+        mixed.record_block(iter(block.tolist()),
+                           np.array(flipped, dtype=np.int64).reshape(-1, 2),
+                           colours, stage)
+        ref.record_block(block.tolist(), flipped, colours.tolist(), stage)
+        assert _state(canon) == _state(lists) == _state(mixed)
+        assert all(type(c) is int for c in canon._colour.values())
+    assert len(canon.ledger) == 5
+    _assert_same_answers(canon, ref)
+
+
 def test_block_sharing_a_vertex_is_rejected():
     # blocks are vertex disjoint, even when no pair of the new block was
     # decided before

@@ -290,6 +290,19 @@ def test_core_matches_naive_graph(kind, coloured, on_subset):
              and b in ref.vertex_set] + [(n, verts[0]), (verts[-1], n)]
     assert_matches_naive(g.union(extra, [n]), ref.union(extra, [n]))
 
+    # rows cut from the front, the middle and the back come back in
+    # place, with duplicates of kept rows and of each other, at the same
+    # label space and at a grown one
+    ordered = sorted(ref.edges)
+    cut = [ordered[0], ordered[len(ordered) // 2], ordered[-1]]
+    thin, thin_ref = g.without_edges(cut), ref.without_edges(cut)
+    back = [cut[2], cut[0][::-1], cut[1], cut[0]] + ordered[1:3]
+    assert_matches_naive(thin.union(back), thin_ref.union(back))
+    assert_matches_naive(thin.union(back, [n + 2]),
+                         thin_ref.union(back, [n + 2]))
+    assert_matches_naive(thin.union(back[:1]), thin_ref.union(back[:1]))
+    assert_matches_naive(g.union([]), ref.union([]))
+
 
 def test_edge_lookup_matches_isin():
     gen = np.random.default_rng(65)
