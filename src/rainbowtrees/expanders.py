@@ -325,8 +325,12 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
             "peeled %d vertices, above the budget %.2f"
             % (len(deleted), budget), detail={"item": 1, "deleted": len(deleted)})
 
-    # _peel returns only once every degree lies in [lo, hi]
-    sub = graph.subgraph(alive).without_edges(capped).uncoloured()
+    # _peel returns only once every degree lies in [lo, hi]; a step that
+    # peels or caps nothing would only copy every row
+    sub = graph.subgraph(alive) if deleted else graph
+    if capped:
+        sub = sub.without_edges(capped)
+    sub = sub.uncoloured()
 
     core = verify_expand_core(sub, params.ell1, params.eta, params.r,
                               mode=mode, trials=trials, source=source)

@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -560,13 +559,15 @@ def run_trials(config: TrialConfig, *,
     if config.trials == 0:
         return []
     workers = 1 if workers is None else int(workers)
-    if workers <= 1 or config.trials == 1 \
-            or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_one(config, i) for i in range(config.trials)]
-    jobs = [(config, i) for i in range(config.trials)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, config.trials)) as pool:
-        return pool.map(_trial_entry, jobs)
+    if workers > 1 and config.trials > 1:
+        # the pool's module loads only when a batch is forked
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            jobs = [(config, i) for i in range(config.trials)]
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(min(workers, config.trials)) as pool:
+                return pool.map(_trial_entry, jobs)
+    return [_run_one(config, i) for i in range(config.trials)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
-import networkx as nx
 import numpy as np
-from networkx.algorithms.connectivity import (
-    build_auxiliary_node_connectivity, local_node_connectivity,
-    minimum_st_node_cut)
-from networkx.algorithms.flow import build_residual_network
 
 from .errors import ParameterError
 from .graphs import ColouredGraph
@@ -126,6 +121,13 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
         return None
     if threshold <= 1:
         return None
+    # networkx loads on the first cut search: no trial reaches one
+    import networkx as nx
+    from networkx.algorithms.connectivity import (
+        build_auxiliary_node_connectivity, local_node_connectivity,
+        minimum_st_node_cut)
+    from networkx.algorithms.flow import build_residual_network
+
     h = nx.Graph()
     h.add_nodes_from(sorted(block))
     h.add_edges_from(sub.edge_array().tolist())
@@ -399,13 +401,13 @@ def _roots(parent: List[int]) -> np.ndarray:
 
 def _check_rainbow_spanning_tree(verts: Sequence[int], pairs: List[List[int]],
                                  tints: List[int]) -> None:
-    """Audit the picked rows of the graph on the vertices `verts`, with
-    their colours: n - 1 rows, on distinct colours, closing no cycle,
-    hence a rainbow spanning tree."""
+    """Audit the picked rows of the graph on the sorted, non-empty
+    vertices `verts`, with their colours: n - 1 rows, on distinct
+    colours, closing no cycle, hence a rainbow spanning tree."""
     n = len(verts)
     assert len(pairs) == n - 1, "tree has %d edges, not %d" % (len(pairs), n - 1)
     assert len(set(tints)) == n - 1, "tree repeats a colour"
-    parent = {v: v for v in verts}
+    parent = list(range(verts[-1] + 1))
     for u, v in pairs:
         ru, rv = _root(parent, u), _root(parent, v)
         assert ru != rv, "tree edges close a cycle"

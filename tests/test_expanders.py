@@ -1,5 +1,6 @@
 """Expander lab: predicates, extraction, degradation, sparsification."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -10,7 +11,7 @@ import pytest
 
 from rainbowtrees import (ColouredGraph, ExpanderFailure, ParameterError,
                           RandomSource, SparsifyFailure, complete_graph,
-                          gen_gnp)
+                          gen_gnp, uniform_colouring)
 from rainbowtrees import expanders
 from rainbowtrees.expanders import (ExpandParams, ExpansionCheck, _core,
                                     _peel, degrade_attach, ell1, ell2,
@@ -305,6 +306,42 @@ def test_effective_expander_caps_high_degree():
     assert len(out.capped_edges) == 1
     assert out.subgraph.max_degree() <= 10
     assert out.subgraph.min_degree() >= 2
+
+
+def test_effective_expander_subgraph_matches_the_three_step_copy():
+    # the returned graph is subgraph(alive).without_edges(capped)
+    # .uncoloured() of the reference peel, whether the step peels, caps,
+    # both or neither; a step that does neither copies no row
+    seen = collections.Counter()
+    for t in range(36):
+        g = gen_gnp(30 + t, [0.05, 0.15, 0.4][t % 3], RandomSource(91, t))
+        if t % 4 == 1:
+            g = uniform_colouring(g, g.size + 1, RandomSource(92, t))
+        elif t % 4 == 3:
+            g = g.union([], range(g.n, g.n + 3))
+        for C in (1.05, 1.5, 2.0):
+            params = ExpandParams(theta=0.49, C=C, eta=0.2, r=3)
+            alive, capped = reference_peel(g, C, math.floor(10 * C))
+            try:
+                out = find_effective_expander(g, params, mode="sampled",
+                                              trials=5,
+                                              source=RandomSource(93, t))
+            except ExpanderFailure:
+                seen["failed"] += 1
+                continue
+            want = g.subgraph(alive).without_edges(capped).uncoloured()
+            sub = out.subgraph
+            assert (sub.n, sub.vertex_set) == (want.n, want.vertex_set)
+            assert sub.edge_array().tolist() == want.edge_array().tolist()
+            assert not sub.is_coloured and sub.palette_size == 0
+            assert out.deleted == g.vertex_set - alive
+            assert out.capped_edges == frozenset(capped)
+            assert np.shares_memory(sub.edge_array(), g.edge_array()) \
+                == (alive == g.vertex_set and not capped)
+            seen[(bool(out.deleted), bool(capped), g.is_coloured)] += 1
+    assert min(seen[(peeled, capping, False)] for peeled in (False, True)
+               for capping in (False, True)) >= 2, seen
+    assert seen[(False, False, True)] and seen[(False, True, True)], seen
 
 
 def test_effective_expander_failure_items():

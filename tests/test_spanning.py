@@ -15,6 +15,7 @@ from rainbowtrees import (ColouredGraph, ParameterError, complete_graph,
 from rainbowtrees import spanning
 from rainbowtrees.graphs import gen_gnp, gen_seed_graph, perturb
 from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, VertexPartition,
+                                   _check_rainbow_spanning_tree,
                                    _growth_strings)
 
 from oracles import (brute_rainbow_spanning_tree_exists, brute_suzuki,
@@ -437,6 +438,18 @@ def test_finder_on_a_vertex_subset():
                           colouring={(1, 3): 0, (5, 6): 1}, palette_size=2,
                           vertex_set={1, 3, 5, 6})
     assert find_rainbow_spanning_tree(split) is None
+
+
+def test_closing_audit_flags_each_defect():
+    # vertices 1, 3, 5 and 6 of labels up to 7, as in the subset test
+    verts = [1, 3, 5, 6]
+    _check_rainbow_spanning_tree(verts, [[1, 3], [1, 5], [5, 6]], [0, 1, 2])
+    for pairs, tints, message in (
+            ([[1, 3], [1, 5]], [0, 1], "edges"),
+            ([[1, 3], [1, 5], [5, 6]], [0, 1, 0], "colour"),
+            ([[1, 3], [1, 5], [3, 5]], [0, 1, 2], "cycle")):
+        with pytest.raises(AssertionError, match=message):
+            _check_rainbow_spanning_tree(verts, pairs, tints)
 
 
 def test_finder_at_moderate_scale():
