@@ -12,6 +12,11 @@ anchor whose revealed colours are fresh: the anchor's tree role moves to
 the incoming vertex and the anchor itself becomes the new leaf.  The
 slices exist so that every step can draw its colours from a slice whose
 edges at the attachment vertex were never looked at before.
+
+A step queries a slice only through sorted-code lookups (`find_edges`)
+of the few pairs it asks about, so no neighbour index is built on a
+slice.  The grown image is audited once, by `_validate_spanning` at the
+end.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ Pair = Tuple[int, int]
 # relabelling
 
 
-def draw_permutation(n: int, source: RandomSource) -> Dict[int, int]:
-    """A uniformly random bijection of range(n), as an old -> new dict."""
-    arr = source.generator().permutation(n)
-    return {i: int(arr[i]) for i in range(n)}
+def draw_permutation(n: int, source: RandomSource) -> List[int]:
+    """A uniformly random permutation of range(n), as a list with
+    perm[old] the new label."""
+    return source.generator().permutation(n).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +54,11 @@ def draw_permutation(n: int, source: RandomSource) -> Dict[int, int]:
 
 
 def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
-                       source: RandomSource, *, retries: int = 50
-                       ) -> Tuple[ColouredGraph, ...]:
+                       source: RandomSource) -> Tuple[ColouredGraph, ...]:
     """Split the edges into d slices, each with minimum degree delta*n/(2d).
 
     Every edge lands in a uniformly chosen slice; the draw is repeated
-    (up to `retries` times) until all degree floors hold.  The input must
+    (up to 50 times) until all degree floors hold.  The input must
     already have minimum degree 0.9*delta*n, the floor that survives the
     removal of a sparse random graph from the seed; both the missing
     precondition and an exhausted retry budget raise PartitionFailure,
@@ -76,7 +80,7 @@ def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
 
     bound = delta * n / (2.0 * d)
     gen = source.generator()
-    for _ in range(max(1, retries)):
+    for _ in range(50):
         labels = gen.integers(0, d, size=g_minus_r.size)
         parts = []
         for j in range(d):
@@ -87,8 +91,8 @@ def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
         else:
             return tuple(parts)
     raise PartitionFailure(
-        "no slicing met the degree floor %.2f in %d draws" % (bound, retries),
-        detail={"bound": bound, "retries": retries})
+        "no slicing met the degree floor %.2f in 50 draws" % bound,
+        detail={"bound": bound, "draws": 50})
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,7 @@ class SpanningResult:
     eps_formula: float
     eps_used: float
     r: int
-    perm: Optional[Dict[int, int]]
+    perm: Optional[List[int]]
     used_absorbers: Tuple[int, ...]
     r_max_degree: Optional[int]
     r_degree_ok: Optional[bool]
@@ -339,7 +343,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     trace: List[str] = list(base_trace or [])
     trace.extend(almost.trace)
     oracle = almost.oracle
-    perm: Optional[Dict[int, int]] = None
+    perm: Optional[List[int]] = None
     rmax: Optional[int] = None
     rok: Optional[bool] = None
 
@@ -354,75 +358,62 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         return failure(almost.stage or "almost", almost.detail or "")
     mapping = dict(almost.embedding)
     edge_colours = dict(almost.edge_colours)
+    used: Sequence[int] = ()
 
-    if r == 0:
-        # the trimmed tree already spans; nothing to absorb
-        _validate_spanning(mapping, edge_colours, tree, seed, oracle)
-        _trace(trace, "absorb", True, absorbed=0)
-        return SpanningResult(
-            success=True, stage=None, detail=None, trace=tuple(trace),
-            mapping=mapping, edge_colours=edge_colours,
-            eps_formula=eps_formula, eps_used=eps_used, r=0, perm=None,
-            used_absorbers=(), r_max_degree=None, r_degree_ok=None,
-            almost=almost, oracle=oracle)
+    # with r = 0 the trimmed tree already spans; nothing to absorb
+    if r:
+        # reveal the full random edge set, then relocate: the embedded copy
+        # moves to a uniformly random position
+        oracle.materialize_presence()
+        perm = draw_permutation(n, source.substream("shift"))
+        oracle.apply_permutation(perm)
+        mapping = {node: perm[w] for node, w in mapping.items()}
+        edge_colours = {canonical_edge(perm[a], perm[b]): c
+                        for (a, b), c in edge_colours.items()}
+        r_rows = oracle.presence_edges()
+        # the maximum degree of R, which relabelling keeps, is checked
+        # against an advisory cap of 3 ln n and recorded either way
+        rmax = int(np.bincount(r_rows.ravel(), minlength=n).max())
+        cap = 3.0 * math.log(n) if n > 1 else 3.0
+        rok = rmax <= cap + 1e-9
+        _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
+        _trace(trace, "shift", True, edges=len(r_rows))
 
-    # reveal the full random edge set, then relocate: the embedded copy
-    # moves to a uniformly random position
-    oracle.materialize_presence(kind="materialize", stage=0)
-    perm = draw_permutation(n, source.substream("shift"))
-    oracle.apply_permutation(perm)
-    mapping = {node: perm[w] for node, w in mapping.items()}
-    edge_colours = {canonical_edge(perm[a], perm[b]): c
-                    for (a, b), c in edge_colours.items()}
-    r_edges = oracle.presence_edges()
-    r_rows = np.fromiter(r_edges, dtype=np.dtype((np.int64, 2)),
-                         count=len(r_edges))
-    # the maximum degree of R, which relabelling keeps, is checked against
-    # an advisory cap of 3 ln n and recorded either way
-    rmax = int(np.bincount(r_rows.ravel(), minlength=n).max())
-    cap = 3.0 * math.log(n) if n > 1 else 3.0
-    rok = rmax <= cap + 1e-9
-    _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
-    _trace(trace, "shift", True, edges=len(r_rows))
+        t0_image = trim.t0.relabel(mapping)
+        try:
+            i0 = build_I0(trim.t0, tree, d, eps_used)
+            anchors = tuple(mapping[x] for x in i0)
+            _trace(trace, "anchors", True, count=len(anchors))
+            parts = partition_edge_set(seed.without_edges(r_rows), d, delta,
+                                       source.substream("partition"))
+        except StageFailure as exc:
+            _trace(trace, exc.stage, False, detail=str(exc.detail))
+            return failure(exc.stage, str(exc))
+        _trace(trace, "partition", True, parts=len(parts),
+               min_degree=min(h.min_degree() for h in parts))
 
-    t0_image = trim.t0.relabel(mapping)
-    try:
-        i0 = build_I0(trim.t0, tree, d, eps_used)
-    except StageFailure as exc:
-        _trace(trace, exc.stage, False, detail=str(exc.detail))
-        return failure(exc.stage, str(exc))
-    anchors = tuple(mapping[x] for x in i0)
-    _trace(trace, "anchors", True, count=len(anchors))
+        # the k-th leftover is absorbed while the k-th trimmed leaf, in
+        # reverse trim order, rejoins the tree
+        leftovers = sorted(set(range(n)) - set(mapping.values()))
+        state = AbsorptionState(tree, t0_image, anchors, parts, mapping,
+                                edge_colours, oracle, trace=trace)
+        rejoin = tuple(reversed(trim.deleted))
+        assert len(rejoin) == len(leftovers) == r
+        try:
+            for k in range(r):
+                absorb_step(state, leftovers[k], rejoin[k])
+        except StageFailure as exc:
+            return failure(exc.stage, str(exc))
+        mapping, edge_colours, used = (state.mapping, state.edge_colours,
+                                       state.used)
 
-    try:
-        parts = partition_edge_set(seed.without_edges(r_rows), d, delta,
-                                   source.substream("partition"))
-    except PartitionFailure as exc:
-        _trace(trace, "partition", False, detail=str(exc.detail))
-        return failure(exc.stage, str(exc))
-    _trace(trace, "partition", True, parts=len(parts),
-           min_degree=min(h.min_degree() for h in parts))
-
-    # the k-th leftover is absorbed while the k-th trimmed leaf, in
-    # reverse trim order, rejoins the tree
-    leftovers = sorted(set(range(n)) - set(mapping.values()))
-    state = AbsorptionState(tree, t0_image, anchors, parts, mapping,
-                            edge_colours, oracle, trace=trace)
-    rejoin = tuple(reversed(trim.deleted))
-    assert len(rejoin) == len(leftovers) == r
-    try:
-        for k in range(r):
-            absorb_step(state, leftovers[k], rejoin[k])
-    except StageFailure as exc:
-        return failure(exc.stage, str(exc))
-
-    _validate_spanning(state.mapping, state.edge_colours, tree, seed, oracle)
+    _validate_spanning(mapping, edge_colours, tree, seed, oracle)
     _trace(trace, "absorb", True, absorbed=r)
     return SpanningResult(
         success=True, stage=None, detail=None, trace=tuple(trace),
-        mapping=dict(state.mapping), edge_colours=dict(state.edge_colours),
+        mapping=dict(mapping), edge_colours=dict(edge_colours),
         eps_formula=eps_formula, eps_used=eps_used, r=r, perm=perm,
-        used_absorbers=tuple(state.used), r_max_degree=rmax, r_degree_ok=rok,
+        used_absorbers=tuple(used), r_max_degree=rmax, r_degree_ok=rok,
         almost=almost, oracle=oracle)
 
 

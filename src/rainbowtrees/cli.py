@@ -2,11 +2,10 @@
 
 Subcommands: gen (random or dense-seed graphs as edge-list text), colour
 (uniform edge colouring), embed-almost / embed-spanning / rainbow-st
-(Monte Carlo sugar over one pipeline each), montecarlo (the generic
-form), and lemma-stats (violation frequencies for the supporting
-inequalities).  Every run reproduces from --seed; trial i draws from
-stream (seed, i).  Trial records go to CSV rows
-`trial,seed,outcome,stage,metric_json,ms`.
+(Monte Carlo trials over one pipeline each), and lemma-stats (violation
+frequencies for the supporting inequalities).  Every run reproduces from
+--seed; trial i draws from stream (seed, i).  Trial records go to CSV
+rows `trial,seed,outcome,stage,metric_json,ms`.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _cmd_colour(args) -> int:
     return 0
 
 
-def _cmd_montecarlo(args) -> int:
+def _cmd_trials(args) -> int:
     config = TrialConfig(kind=args.kind, n=args.n, p=args.p,
                          palette_size=args.palette, eps=args.eps,
                          delta=args.delta, alpha=args.alpha, d=args.d,
@@ -207,14 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=blurb)
         _add_common(sp)
         _add_trial_extras(sp)
-        sp.set_defaults(func=_cmd_montecarlo, kind=kind)
-
-    sp = sub.add_parser("montecarlo", help="generic trial runner")
-    sp.add_argument("--kind", required=True,
-                    choices=("almost-spanning", "spanning", "rainbow-st"))
-    _add_common(sp)
-    _add_trial_extras(sp)
-    sp.set_defaults(func=_cmd_montecarlo)
+        sp.set_defaults(func=_cmd_trials, kind=kind)
 
     sp = sub.add_parser("lemma-stats",
                         help="violation frequencies for supporting bounds")

@@ -10,6 +10,12 @@ then placed level by level with one bipartite matching per level.  All
 host randomness flows
 through an exposure oracle, so audits can confirm the procedure never
 consulted an edge or colour before the stage that reveals it.
+
+The oracle is the pipeline's one colour book: an image edge takes the
+colour the oracle revealed for it, and the free, reservoir and used
+colour sets are derived from the image's colours.  The closing audit
+(injective placement, every tree edge imaged and present, one distinct
+colour per edge) is the one audit of the image.
 """
 
 from __future__ import annotations
@@ -316,8 +322,8 @@ def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> bool:
     return False
 
 
-def _embed_pass(levels, parent, demand, adj, gen, root_vertex,
-                backjumps: int = 4) -> Tuple[Optional[Dict[int, int]], int]:
+def _embed_pass(levels, parent, demand, adj, gen,
+                root_vertex) -> Tuple[Optional[Dict[int, int]], int]:
     """One full attempt at a level-synchronous embedding.
 
     Places the root, then every deeper level in one bipartite matching
@@ -326,7 +332,7 @@ def _embed_pass(levels, parent, demand, adj, gen, root_vertex,
     neighbours as the node has children, so the next level is never
     doomed by an obviously starved choice.  When a level cannot be
     perfectly matched, the previous level's matching is redrawn up to
-    `backjumps` times before the pass gives up.  Returns (image or None,
+    4 times before the pass gives up.  Returns (image or None,
     nodes placed in the deepest attempt).
     """
     root = levels[0][0]
@@ -365,7 +371,7 @@ def _embed_pass(levels, parent, demand, adj, gen, root_vertex,
 
     placed_best = 1
     i = 1
-    tries_left = {i: backjumps for i in range(1, len(levels))}
+    tries_left = {i: 4 for i in range(1, len(levels))}
     while i < len(levels):
         level = levels[i]
         placed = _match_level(level, candidates(level), gen)
@@ -412,8 +418,8 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
         raise ParameterError("root vertex %r outside the host" % (root_vertex,))
 
     gen = source.generator()
-    order = tree.bfs_order(root_node)
     parent = tree.parent_map(root_node)
+    order = list(parent)
     adj = host.adjacency()
 
     demand = {v: 0 for v in tree.nodes}

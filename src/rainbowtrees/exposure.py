@@ -13,13 +13,15 @@ the pairs it included, matching what the sampling actually consumed.
 A block is stored as its vertex set plus its included pairs, so a pair
 inside it that was not included is absent without an entry of its own.
 The ledger is append-only: a block is one ("block", vertices, stage)
-entry, and a relabelling appends ("permute", perm, 0).
+entry, and a relabelling appends ("permute", perm, 0).  The by-vertex
+index behind `colour_exposed_at` is built on first use, kept current by
+`expose_colour` and dropped by `record_block` and `apply_permutation`.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -217,12 +219,12 @@ class ExposureOracle:
         self.ledger.append(("block", tuple(verts), stage))
         self._touched.update(verts)
 
-    def materialize_presence(self, kind: str = "materialize",
-                             stage: int = 0) -> FrozenSet[Pair]:
+    def materialize_presence(self) -> np.ndarray:
         """Decide presence for every still-unrevealed pair, in bulk.
 
-        Returns the full edge set of the random perturbation.  Colours stay
-        lazy.  Idempotent after the first call.
+        Returns the edge rows of the random perturbation, as
+        presence_edges() does.  Colours stay lazy.  Idempotent after the
+        first call.
         """
         if not self.presence_complete:
             rows = gen_gnp(self.n, self.p,
@@ -234,14 +236,18 @@ class ExposureOracle:
             self._presence = {**dict.fromkeys(map(tuple, rows.tolist()), True),
                               **self._presence}
             self.presence_complete = True
-            self.ledger.append((kind, None, stage))
+            self.ledger.append(("materialize", None, 0))
         return self.presence_edges()
 
-    def presence_edges(self) -> FrozenSet[Pair]:
-        """Edge set of the perturbation; requires a prior materialization."""
+    def presence_edges(self) -> np.ndarray:
+        """Edges of the perturbation as lexicographically sorted canonical
+        (m, 2) int64 rows, like ColouredGraph.edge_array(); requires a
+        prior materialization."""
         if not self.presence_complete:
             raise ExposureError("presence has not been fully materialized")
-        return frozenset(compress(self._presence, self._presence.values()))
+        rows = np.fromiter(compress(self._presence, self._presence.values()),
+                           dtype=np.dtype((np.int64, 2)))
+        return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
 
     # -- audits ------------------------------------------------------------
 
@@ -258,18 +264,19 @@ class ExposureOracle:
 
     # -- label transport ---------------------------------------------------
 
-    def apply_permutation(self, perm: Dict[int, int]) -> None:
-        """Relabel all recorded exposure through a bijection of range(n).
+    def apply_permutation(self, perm: Sequence[int]) -> None:
+        """Relabel all recorded exposure through a permutation of range(n),
+        given as a list with perm[old] the new label.
 
         Used by the randomness-shift argument: transporting the revealed
         pairs keeps the joint law intact because unrevealed pairs are
         exchangeable.  Earlier ledger entries keep their labels; the
         permutation is logged after them.
         """
-        if (len(perm) != self.n
-                or set(perm) != set(range(self.n))
-                or set(perm.values()) != set(range(self.n))):
-            raise ParameterError("perm must be a bijection of range(%d)" % self.n)
+        # sorted() of a dict would read its keys
+        if isinstance(perm, dict) or sorted(perm) != list(range(self.n)):
+            raise ParameterError("perm must list a permutation of range(%d)"
+                                 % self.n)
 
         def move(pair: Pair) -> Pair:
             a, b = perm[pair[0]], perm[pair[1]]
@@ -278,6 +285,6 @@ class ExposureOracle:
         self._presence = {move(k): v for k, v in self._presence.items()}
         self._colour = {move(k): v for k, v in self._colour.items()}
         self._colour_at = None
-        self._block = self._block[np.argsort([perm[v] for v in range(self.n)])]
+        self._block = self._block[np.argsort(perm)]
         self._touched = {perm[v] for v in self._touched}
-        self.ledger.append(("permute", dict(perm), 0))
+        self.ledger.append(("permute", tuple(perm), 0))

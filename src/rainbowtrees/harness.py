@@ -21,6 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .absorption import (b_size_bound, compute_B, draw_permutation,
@@ -143,13 +144,13 @@ class TrialConfig:
         if self.kind not in TRIAL_KINDS:
             raise ParameterError("unknown trial kind %r; expected one of %s"
                                  % (self.kind, ", ".join(TRIAL_KINDS)))
-        if int(self.n) != self.n or self.n < 1:
+        if not isinstance(self.n, Integral) or self.n < 1:
             raise ParameterError("n must be a positive integer, got %r"
                                  % (self.n,))
-        if int(self.trials) != self.trials or self.trials < 0:
+        if not isinstance(self.trials, Integral) or self.trials < 0:
             raise ParameterError("trials must be a nonnegative integer, "
                                  "got %r" % (self.trials,))
-        if int(self.base_seed) != self.base_seed \
+        if not isinstance(self.base_seed, Integral) \
                 or not 0 <= self.base_seed < 2 ** 64:
             raise ParameterError("base_seed must be a 64-bit nonnegative "
                                  "integer, got %r" % (self.base_seed,))
@@ -167,7 +168,7 @@ class TrialConfig:
         if self.alpha < 0.0:
             raise ParameterError("alpha must be nonnegative, got %r"
                                  % (self.alpha,))
-        if int(self.d) != self.d or self.d < 1:
+        if not isinstance(self.d, Integral) or self.d < 1:
             raise ParameterError("d must be a positive integer, got %r"
                                  % (self.d,))
         if self.tree_source not in TREE_SOURCES:
@@ -183,7 +184,7 @@ class TrialConfig:
         if not 0.0 < self.beta <= 1.0:
             raise ParameterError("beta must lie in (0, 1], got %r"
                                  % (self.beta,))
-        if int(self.samples) != self.samples or self.samples < 1:
+        if not isinstance(self.samples, Integral) or self.samples < 1:
             raise ParameterError("samples must be a positive integer, got %r"
                                  % (self.samples,))
 
@@ -428,7 +429,8 @@ def _trial_many_colours(config: TrialConfig, src: RandomSource,
     col = uniform_colouring(g, n, src.substream("colour"))
     a_count = int(round(config.alpha * n))
     if per_vertex:
-        at_u = {col.colour_of(0, w) for w in col.neighbours(0)}
+        at, hit = col.find_edges([(0, w) for w in range(1, order)])
+        at_u = set(col.colour_array()[at[hit]].tolist())
         got = sum(1 for c in at_u if c < a_count)
         bound = float(config.d)
     else:
@@ -461,8 +463,7 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
         return "fail", "build-I0", {"detail": "anchor target is zero",
                                     "bound": bound}
     perm = draw_permutation(n, src.substream("shift"))
-    image_tree = Tree((perm[x] for x in trim.t0.nodes),
-                      ((perm[a], perm[b]) for a, b in trim.t0.edges), d)
+    image_tree = trim.t0.relabel(perm)
     anchors = tuple(sorted(perm[x] for x in anchor_nodes))
     gen = src.substream("triples").generator()
     sizes = []
@@ -518,7 +519,8 @@ def _dispatch(config: TrialConfig, src: RandomSource):
 
 
 def _run_one(config: TrialConfig, trial: int) -> TrialRecord:
-    src = spawn_trial_source(config.base_seed, trial)
+    # a numpy integer seed would overflow RandomSource's 128-bit key
+    src = spawn_trial_source(int(config.base_seed), trial)
     start = time.perf_counter()
     outcome, stage, metrics = _dispatch(config, src)
     ms = (time.perf_counter() - start) * 1000.0

@@ -128,14 +128,15 @@ def _split_block(graph: ColouredGraph, block: FrozenSet[int],
         minimum_st_node_cut)
     from networkx.algorithms.flow import build_residual_network
 
+    verts = sorted(block)
     h = nx.Graph()
-    h.add_nodes_from(sorted(block))
+    h.add_nodes_from(verts)
     h.add_edges_from(sub.edge_array().tolist())
     aux = build_auxiliary_node_connectivity(h)
     res = build_residual_network(aux, "capacity")
-    for a in sorted(block)[:threshold]:
-        for u in sorted(block):
-            if u == a or sub.has_edge(u, a):
+    for a in verts[:threshold]:
+        for u in verts:
+            if u == a or u in adj[a]:
                 continue
             k_au = local_node_connectivity(h, a, u, auxiliary=aux,
                                            residual=res, cutoff=threshold)

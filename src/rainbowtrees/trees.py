@@ -59,7 +59,7 @@ class Tree:
                 raise ParameterError("node %d has degree %d > bound %d"
                                      % (v, len(ns), self.d))
         # connectivity: BFS must reach every node
-        if len(self._bfs(min(self.nodes))) != len(self.nodes):
+        if len(self.parent_map(min(self.nodes))) != len(self.nodes):
             raise ParameterError("edge set is not connected")
 
     # -- structure queries ------------------------------------------------
@@ -82,25 +82,14 @@ class Tree:
             return list(self.nodes)
         return sorted(v for v in self.nodes if len(self._adj[v]) == 1)
 
-    def _bfs(self, root: int) -> List[int]:
-        seen = {root}
-        order = [root]
-        at = 0
-        while at < len(order):
-            for u in self._adj[order[at]]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-            at += 1
-        return order
-
     def bfs_order(self, root: Optional[int] = None) -> List[int]:
         if root is None:
             root = min(self.nodes)
-        return self._bfs(root)
+        return list(self.parent_map(root))
 
     def parent_map(self, root: int) -> Dict[int, Optional[int]]:
-        """Parent of every node when rooted at `root` (root maps to None)."""
+        """Parent of every node when rooted at `root` (root maps to None),
+        keyed in BFS order."""
         parents: Dict[int, Optional[int]] = {root: None}
         queue = [root]
         at = 0
@@ -286,7 +275,7 @@ def decompose_tree(tree: Tree, d: int, eps: float, xi: float,
     leaves = tree.leaves()
     root = leaves[0]
     parent = tree.parent_map(root)
-    order = tree.bfs_order(root)
+    order = list(parent)
 
     alive = set(tree.nodes)
     size = {v: 0 for v in tree.nodes}

@@ -11,6 +11,7 @@ import itertools
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
 import pytest
 
 from rainbowtrees.errors import ParameterError, StageFailure
@@ -189,8 +190,7 @@ class ReferenceExposureOracle:
                 raise ParameterError("colour %d outside the palette" % c)
             self._colour[key] = c
 
-    def materialize_presence(self, kind: str = "materialize",
-                             stage: int = 0) -> FrozenSet[Pair]:
+    def materialize_presence(self) -> np.ndarray:
         if not self.presence_complete:
             fresh = gen_gnp(self.n, self.p,
                             self.source.substream("materialize")).edges
@@ -198,16 +198,16 @@ class ReferenceExposureOracle:
             self.presence_complete = True
         return self.presence_edges()
 
-    def presence_edges(self) -> FrozenSet[Pair]:
+    def presence_edges(self) -> np.ndarray:
         if not self.presence_complete:
             raise ExposureError("presence has not been fully materialized")
-        return frozenset(k for k, v in self._presence.items() if v)
+        present = sorted(k for k, v in self._presence.items() if v)
+        return np.array(present, dtype=np.int64).reshape(-1, 2)
 
-    def apply_permutation(self, perm: Dict[int, int]) -> None:
-        if (len(perm) != self.n
-                or set(perm) != set(range(self.n))
-                or set(perm.values()) != set(range(self.n))):
-            raise ParameterError("perm must be a bijection of range(%d)"
+    def apply_permutation(self, perm: List[int]) -> None:
+        if (isinstance(perm, dict) or len(perm) != self.n
+                or set(perm) != set(range(self.n))):
+            raise ParameterError("perm must list a permutation of range(%d)"
                                  % self.n)
 
         def move(pair: Pair) -> Pair:
@@ -563,7 +563,7 @@ def check_spanning_result(res, tree: Tree, seed: ColouredGraph) -> None:
         assert fields["chosen"] != "fail"
 
     if res.r > 0:
-        assert res.perm is not None and sorted(res.perm.values()) == list(range(n))
+        assert res.perm is not None and sorted(res.perm) == list(range(n))
         assert res.r_max_degree is not None and res.r_max_degree >= 0
 
     # absorption never looks at the same pair twice

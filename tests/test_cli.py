@@ -145,18 +145,6 @@ def test_rainbow_st_subcommand_writes_csv(tmp_path, capsys):
     assert all(row["seed"] == 9 for row in rows)
 
 
-def test_montecarlo_matches_sugar_command(tmp_path):
-    sugar = str(tmp_path / "sugar.csv")
-    generic = str(tmp_path / "generic.csv")
-    common = ["--n", "22", "--trials", "3", "--seed", "4"]
-    assert main(["rainbow-st"] + common + ["--out", sugar]) == 0
-    assert main(["montecarlo", "--kind", "rainbow-st"] + common
-                + ["--out", generic]) == 0
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "ms"}
-                          for r in rows]
-    assert strip(read_records(sugar)) == strip(read_records(generic))
-
-
 def test_lemma_stats_subcommand(tmp_path, capsys):
     path = str(tmp_path / "lemma.csv")
     assert main(["lemma-stats", "--kind", "many-colours-a", "--n", "300",

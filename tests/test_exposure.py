@@ -236,12 +236,17 @@ def test_materialize_presence():
     forced = o.presence_of((0, 1))
     edges = o.materialize_presence()
     assert o.presence_complete
-    assert (((0, 1) in edges) == forced)
-    # idempotent: a second call returns the same set and adds no ledger entry
+    # sorted canonical int64 rows, like ColouredGraph.edge_array()
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+    assert (edges[:, 0] < edges[:, 1]).all()
+    assert edges.tolist() == sorted(edges.tolist())
+    assert ([0, 1] in edges.tolist()) == forced
+    # idempotent: a second call returns the same rows and adds no ledger
+    # entry
     marks = len(o.ledger)
-    assert o.materialize_presence() == edges
+    assert np.array_equal(o.materialize_presence(), edges)
     assert len(o.ledger) == marks
-    assert o.presence_edges() == edges
+    assert np.array_equal(o.presence_edges(), edges)
     # unseen pairs have a definite answer now, but cannot be re-exposed
     assert o.presence_of((10, 11)) in (False, True)
     with pytest.raises(ExposureError):
@@ -260,15 +265,15 @@ def test_materialize_keeps_block_pairs_absent():
     o.record_block(range(6), [(0, 1), (2, 5)], [3, 4], stage=1)
     edges = o.materialize_presence()
     inside = set(itertools.combinations(range(6), 2))
-    assert edges == (set(itertools.combinations(range(10), 2)) - inside
-                     | {(0, 1), (2, 5)})
+    assert set(map(tuple, edges.tolist())) == (
+        set(itertools.combinations(range(10), 2)) - inside | {(0, 1), (2, 5)})
     assert not o.presence_of((1, 2)) and o.presence_of((6, 7))
 
 
 def test_materialize_before_anything():
     o = make(n=25, p=0.15, seed=9)
     edges = o.materialize_presence()
-    assert o.presence_of((3, 4)) == ((3, 4) in edges)
+    assert o.presence_of((3, 4)) == ([3, 4] in edges.tolist())
     count = len(edges)
     # 300 pairs at p=0.15: mean 45, sd ~ 6.2
     assert 18 <= count <= 76
@@ -280,7 +285,7 @@ def test_apply_permutation_transports_state():
     colour = o.expose_colour((0, 1))
     o.record_block([3, 4, 5], [(3, 4)], [2], stage=2)
     pres = o.presence_of((0, 1))
-    perm = {0: 5, 1: 4, 2: 3, 3: 2, 4: 1, 5: 0}
+    perm = [5, 4, 3, 2, 1, 0]
     o.apply_permutation(perm)
     assert o.presence_of((4, 5)) == pres
     assert o.colour_of((4, 5)) == colour     # a colour travels with its pair
@@ -291,7 +296,7 @@ def test_apply_permutation_transports_state():
     # the permutation is logged last
     assert o.ledger[:-1] == [("probe", (0, 1), 1), ("tint", (0, 1), 0),
                              ("block", (3, 4, 5), 2)]
-    assert o.ledger[-1] == ("permute", perm, 0)
+    assert o.ledger[-1] == ("permute", tuple(perm), 0)
     o.assert_vertices_untouched([3])        # image of untouched vertex 2
     with pytest.raises(ExposureError):
         o.assert_vertices_untouched([5])
@@ -300,7 +305,7 @@ def test_apply_permutation_transports_state():
 def test_block_membership_follows_permutation():
     o = make(n=8)
     o.record_block([0, 1, 2], [(0, 1)], [3], stage=1)
-    perm = {v: (v + 5) % 8 for v in range(8)}              # 0, 1, 2 -> 5, 6, 7
+    perm = [(v + 5) % 8 for v in range(8)]                 # 0, 1, 2 -> 5, 6, 7
     o.apply_permutation(perm)
     assert o.presence_of((5, 6)) and o.colour_of((5, 6)) == 3
     assert o.presence_exposed((6, 7)) and not o.presence_of((6, 7))
@@ -316,11 +321,13 @@ def test_block_membership_follows_permutation():
 
 
 def _outcome(call):
-    """A call's value, or the type of the exposure error it raised."""
+    """A call's value, rows as a list, or the type of the exposure error
+    it raised."""
     try:
-        return call()
+        value = call()
     except (ExposureError, ParameterError) as exc:
         return type(exc)
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _assert_index_matches_scan(new, ref):
@@ -388,7 +395,7 @@ def test_matches_reference_oracle(seed, permute_first):
     assert len(new._presence) == 6 + len(chosen)
     _assert_same_answers(new, ref)
 
-    perm = dict(enumerate(gen.permutation(n).tolist()))
+    perm = gen.permutation(n).tolist()
     steps = [("materialize_presence",), ("apply_permutation", perm)]
     if permute_first:
         steps.reverse()
@@ -409,7 +416,7 @@ def test_colour_index_by_vertex():
     o.expose_colour((0, 2))
     assert o.colour_exposed_at(2) == (0, 5)
     assert o.colour_exposed_at(5) == (2,) and o.colour_exposed_at(1) == ()
-    o.apply_permutation({v: (v + 1) % 6 for v in range(6)})
+    o.apply_permutation([(v + 1) % 6 for v in range(6)])
     assert o.colour_exposed_at(3) == (0, 1) and o.colour_exposed_at(2) == ()
     with pytest.raises(ParameterError):
         o.colour_exposed_at(6)
@@ -418,9 +425,17 @@ def test_colour_index_by_vertex():
 def test_apply_permutation_validates():
     o = make(n=4)
     with pytest.raises(ParameterError):
-        o.apply_permutation({0: 0, 1: 1, 2: 2})            # wrong size
+        o.apply_permutation([0, 1, 2])                     # wrong size
     with pytest.raises(ParameterError):
-        o.apply_permutation({0: 0, 1: 1, 2: 3, 3: 3})      # not injective
+        o.apply_permutation([0, 1, 3, 3])                  # not a bijection
+    with pytest.raises(ParameterError):
+        o.apply_permutation([1, 0, 0, 3])                  # not injective
+    with pytest.raises(ParameterError):
+        # a dict, though its sorted keys would pass a sort-only check
+        o.apply_permutation({0: 1, 1: 0, 2: 2, 3: 3})
+    assert o.ledger == []
+    o.apply_permutation([1, 0, 2, 3])
+    assert o.ledger == [("permute", (1, 0, 2, 3), 0)]
 
 
 def test_exposure_counts():

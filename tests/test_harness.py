@@ -2,6 +2,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rainbowtrees import (CSV_HEADER, ParameterError, SuccessEstimate,
@@ -48,6 +49,23 @@ def test_config_validation_rejects_bad_values():
         cfg = TrialConfig(**{**good, **overrides})
         with pytest.raises(ParameterError):
             cfg.validate()
+
+
+def test_config_validation_wants_integers_not_integral_floats():
+    # an integral float such as n=30.0 used to pass validation and then
+    # stop run_trials with a TypeError; numpy integers stay accepted
+    good = dict(kind="rainbow-st", n=30, trials=2, base_seed=4, d=3,
+                samples=40)
+    for name in ("n", "trials", "base_seed", "d", "samples"):
+        cfg = TrialConfig(**{**good, name: float(good[name])})
+        with pytest.raises(ParameterError, match=name):
+            cfg.validate()
+    as_numpy = TrialConfig(**{k: np.int64(v) if isinstance(v, int) else v
+                              for k, v in good.items()})
+    as_numpy.validate()
+    outcomes = lambda cfg: [(rec.trial, rec.seed, rec.outcome, rec.stage,
+                             rec.metrics) for rec in run_trials(cfg)]
+    assert outcomes(as_numpy) == outcomes(TrialConfig(**good))
 
 
 def test_config_validation_kind_specific_rules():
