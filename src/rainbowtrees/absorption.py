@@ -53,38 +53,53 @@ def draw_permutation(n: int, source: RandomSource) -> List[int]:
 # slicing the seed graph
 
 
-def partition_edge_set(g_minus_r: ColouredGraph, d: int, delta: float,
-                       source: RandomSource) -> Tuple[ColouredGraph, ...]:
-    """Split the edges into d slices, each with minimum degree delta*n/(2d).
+def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
+                       delta: float, source: RandomSource
+                       ) -> Tuple[ColouredGraph, ...]:
+    """Split the seed minus R into d slices, each with minimum degree
+    delta*n/(2d).
 
-    Every edge lands in a uniformly chosen slice; the draw is repeated
-    (up to 50 times) until all degree floors hold.  The input must
-    already have minimum degree 0.9*delta*n, the floor that survives the
-    removal of a sparse random graph from the seed; both the missing
-    precondition and an exhausted retry budget raise PartitionFailure,
-    which is a legitimate trial outcome rather than a bug.
+    `r_rows` are the edges of R, the revealed random graph, as pairs or
+    as (m, 2) rows; those that are seed edges belong to no slice.  Every
+    other seed edge lands in a uniformly chosen slice; the draw is
+    repeated (up to 50 times) until all degree floors hold.  The seed
+    minus R must already have minimum degree 0.9*delta*n, the floor that
+    survives the removal of a sparse random graph from the seed; both
+    the missing precondition and an exhausted retry budget raise
+    PartitionFailure, which is a legitimate trial outcome rather than a
+    bug.  R is looked up once in the seed's edge codes, the degrees are
+    the seed's less R's, and the slices are cut straight from the seed's
+    rows, so the seed minus R is never built.
     """
     if int(d) != d or d < 1:
         raise ParameterError("d must be a positive integer, got %r" % d)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1), got %r" % delta)
     d = int(d)
-    n = g_minus_r.n
+    n = seed.n
+    at, found = seed.find_edges(r_rows)
+    # the distinct seed rows of R, ascending (sorting beats np.unique here)
+    hit = np.sort(at[found])
+    dropped = hit[np.diff(hit, prepend=-1) != 0]
     floor_pre = 0.9 * delta * n
-    if g_minus_r.min_degree() + 1e-9 < floor_pre:
+    min_degree = seed.min_degree_without(dropped)
+    if min_degree + 1e-9 < floor_pre:
         raise PartitionFailure(
             "minimum degree %d is below the post-removal floor %.2f"
-            % (g_minus_r.min_degree(), floor_pre),
-            detail={"min_degree": g_minus_r.min_degree(),
-                    "required": floor_pre})
+            % (min_degree, floor_pre),
+            detail={"min_degree": min_degree, "required": floor_pre})
 
     bound = delta * n / (2.0 * d)
     gen = source.generator()
+    # the label of a kept row goes to its place among the seed's rows;
+    # a row of R gets label d, which no slice takes
+    gaps = dropped - np.arange(len(dropped))
     for _ in range(50):
-        labels = gen.integers(0, d, size=g_minus_r.size)
+        labels = np.insert(gen.integers(0, d, size=seed.size - len(dropped)),
+                           gaps, d)
         parts = []
         for j in range(d):
-            part = g_minus_r.keep_edges(labels == j)
+            part = seed.keep_edges(labels == j)
             if part.min_degree() + 1e-9 < bound:
                 break
             parts.append(part)
@@ -384,7 +399,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
             i0 = build_I0(trim.t0, tree, d, eps_used)
             anchors = tuple(mapping[x] for x in i0)
             _trace(trace, "anchors", True, count=len(anchors))
-            parts = partition_edge_set(seed.without_edges(r_rows), d, delta,
+            parts = partition_edge_set(seed, r_rows, d, delta,
                                        source.substream("partition"))
         except StageFailure as exc:
             _trace(trace, exc.stage, False, detail=str(exc.detail))

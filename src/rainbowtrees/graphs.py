@@ -230,19 +230,29 @@ class ColouredGraph:
         lo, hi = self._bounds(v)
         return hi - lo
 
+    def _vertex_counts(self, rows: np.ndarray) -> np.ndarray:
+        """How often each vertex occurs in `rows`, in vertex_set order."""
+        counts = np.bincount(rows.ravel(), minlength=self.n)
+        if len(self.vertex_set) < self.n:
+            counts = counts[list(self.vertex_set)]
+        return counts
+
     def _degrees(self) -> np.ndarray:
         """Degrees of the vertices, in vertex_set order; cached."""
         if not self.vertex_set:
             raise ParameterError("degrees of an empty graph")
         if self._degs is None:
-            degs = np.bincount(self._rows.ravel(), minlength=self.n)
-            if len(self.vertex_set) < self.n:
-                degs = degs[list(self.vertex_set)]
-            self._degs = degs
+            self._degs = self._vertex_counts(self._rows)
         return self._degs
 
     def min_degree(self) -> int:
         return int(self._degrees().min())
+
+    def min_degree_without(self, drop: np.ndarray) -> int:
+        """The minimum degree once the edge_array() rows at the distinct
+        indices `drop` are gone, read off the cached degrees."""
+        return int((self._degrees()
+                    - self._vertex_counts(self._rows[drop])).min())
 
     def max_degree(self) -> int:
         return int(self._degrees().max())
@@ -467,6 +477,10 @@ def gen_gnp(n: int, p: float, source: RandomSource) -> ColouredGraph:
     return ColouredGraph._from_rows(n, _sample_pairs(n, p, source.generator()))
 
 
+# the fixed-kind seed this process holds, as ((n, delta, kind), graph)
+_held_seed: Optional[Tuple[Tuple[int, float, str], ColouredGraph]] = None
+
+
 def gen_seed_graph(n: int, delta: float, kind: str,
                    source: Optional[RandomSource] = None) -> ColouredGraph:
     """A dense graph on n vertices with minimum degree at least ceil(delta*n).
@@ -477,7 +491,15 @@ def gen_seed_graph(n: int, delta: float, kind: str,
     deficient vertices repaired deterministically).  Clique-union takes
     the largest feasible clique count, multipartite the smallest
     feasible class count.
+
+    The first three kinds are functions of (n, delta, kind) alone and
+    ignore `source`: each is built once per process and shared, rows
+    read-only, so its edge codes and degrees are computed once for all
+    the trials that use it.  One such seed is held at a time; a call
+    with another (n, delta, kind) drops it before building the next.
+    "random-supergraph" is drawn anew from `source` on every call.
     """
+    global _held_seed
     if kind not in SEED_KINDS:
         raise ParameterError("unknown seed kind %r (choose from %s)"
                              % (kind, ", ".join(SEED_KINDS)))
@@ -486,6 +508,11 @@ def gen_seed_graph(n: int, delta: float, kind: str,
     if n < 2:
         raise ParameterError("seed graphs need n >= 2")
     need = math.ceil(delta * n - 1e-9)
+    fixed = kind != "random-supergraph"
+    if fixed:
+        if _held_seed is not None and _held_seed[0] == (n, delta, kind):
+            return _held_seed[1]
+        _held_seed = None
 
     if kind == "complete":
         g = complete_graph(n)
@@ -536,6 +563,9 @@ def gen_seed_graph(n: int, delta: float, kind: str,
         raise ParameterError(
             "seed kind %r cannot reach minimum degree %d at n=%d (got %d)"
             % (kind, need, n, g.min_degree()))
+    if fixed:
+        g._rows.flags.writeable = False
+        _held_seed = ((n, delta, kind), g)
     return g
 
 

@@ -450,13 +450,13 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
     seed = gen_seed_graph(n, delta, config.seed_kind,
                           src.substream("seed-graph"))
     rgraph = gen_gnp(n, config.resolved_p(), src.substream("random-part"))
-    gmr = seed.without_edges(rgraph.edge_array())
     full = gen_random_bounded_tree(n, d, src.substream("tree"))
     r = int(math.floor(eps * n + 1e-9))
     trim = trim_to_size(full, n - r, src.substream("trim"))
     try:
         anchor_nodes = build_I0(trim.t0, full, d, eps)
-        parts = partition_edge_set(gmr, d, delta, src.substream("slices"))
+        parts = partition_edge_set(seed, rgraph.edge_array(), d, delta,
+                                   src.substream("slices"))
     except StageFailure as exc:
         return "fail", exc.stage, {"detail": str(exc), "bound": bound}
     if not anchor_nodes:
@@ -519,8 +519,7 @@ def _dispatch(config: TrialConfig, src: RandomSource):
 
 
 def _run_one(config: TrialConfig, trial: int) -> TrialRecord:
-    # a numpy integer seed would overflow RandomSource's 128-bit key
-    src = spawn_trial_source(int(config.base_seed), trial)
+    src = spawn_trial_source(config.base_seed, trial)
     start = time.perf_counter()
     outcome, stage, metrics = _dispatch(config, src)
     ms = (time.perf_counter() - start) * 1000.0

@@ -10,6 +10,7 @@ trials can run in any order (or in parallel) and still reproduce.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
+        # numpy integers are stored as Python ints, and anything that is
+        # no integer, such as 4.0, raises TypeError here
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "stream", operator.index(self.stream))
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits, got %r" % (self.seed,))
         if not 0 <= self.stream <= _MASK64:

@@ -14,7 +14,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 import pytest
 
-from rainbowtrees.errors import ParameterError, StageFailure
+from rainbowtrees.errors import (ParameterError, PartitionFailure,
+                                 StageFailure)
 from rainbowtrees.exposure import ExposureError
 from rainbowtrees.graphs import ColouredGraph, gen_gnp
 from rainbowtrees.rng import RandomSource
@@ -413,6 +414,43 @@ def check_anchor_set(i0, t0: Tree, tree: Tree) -> None:
     for a, b in itertools.combinations(chosen, 2):
         assert tree_distances(t0, a).get(b, 10 ** 9) >= 3, \
             "anchors %d, %d too close" % (a, b)
+
+
+def reference_partition_edge_set(seed: ColouredGraph, removed, d: int,
+                                 delta: float, source: RandomSource
+                                 ) -> Tuple[ColouredGraph, ...]:
+    """The slicing in two steps: the seed minus R built as a graph of its
+    own, then its edges labelled and each slice cut from it, with the
+    same draws, floors and failures as `partition_edge_set`."""
+    if int(d) != d or d < 1:
+        raise ParameterError("d must be a positive integer, got %r" % d)
+    if not 0.0 < delta < 1.0:
+        raise ParameterError("delta must lie in (0, 1), got %r" % delta)
+    d = int(d)
+    g_minus_r = seed.without_edges(removed)
+    n = g_minus_r.n
+    floor_pre = 0.9 * delta * n
+    if g_minus_r.min_degree() + 1e-9 < floor_pre:
+        raise PartitionFailure(
+            "minimum degree %d is below the post-removal floor %.2f"
+            % (g_minus_r.min_degree(), floor_pre),
+            detail={"min_degree": g_minus_r.min_degree(),
+                    "required": floor_pre})
+    bound = delta * n / (2.0 * d)
+    gen = source.generator()
+    for _ in range(50):
+        labels = gen.integers(0, d, size=g_minus_r.size)
+        parts = []
+        for j in range(d):
+            part = g_minus_r.keep_edges(labels == j)
+            if part.min_degree() + 1e-9 < bound:
+                break
+            parts.append(part)
+        else:
+            return tuple(parts)
+    raise PartitionFailure(
+        "no slicing met the degree floor %.2f in 50 draws" % bound,
+        detail={"bound": bound, "draws": 50})
 
 
 def reference_compute_B(u: int, v: int, part: ColouredGraph, anchors,

@@ -14,11 +14,13 @@ from rainbowtrees import (AbsorptionFailure, AbsorptionState, ColouredGraph,
                           draw_permutation, embed_spanning, gen_gnp,
                           gen_random_bounded_tree, gen_seed_graph, harness,
                           partition_edge_set, path_tree, run_trials,
-                          select_fresh_part, spawn_trial_source, star_tree)
+                          select_fresh_part, spawn_trial_source, star_tree,
+                          uniform_colouring)
 from rainbowtrees.embedding import AlmostSpanningResult
 from rainbowtrees.exposure import ExposureOracle
 
 from oracles import (check_spanning_result, reference_compute_B,
+                     reference_partition_edge_set,
                      reference_select_fresh_part)
 from synthetic import make_synthetic_state
 
@@ -42,7 +44,7 @@ def test_shift_destination_uniform():
 
 def test_partition_single_part():
     g = complete_graph(12)
-    parts = partition_edge_set(g, 1, 0.5, RandomSource(9))
+    parts = partition_edge_set(g, [], 1, 0.5, RandomSource(9))
     assert len(parts) == 1
     assert parts[0].edges == g.edges
 
@@ -51,7 +53,7 @@ def test_partition_k20():
     g = complete_graph(20)
     floor = 0.5 * 20 / 4.0
     for s in range(30):
-        parts = partition_edge_set(g, 2, 0.5, RandomSource(200 + s))
+        parts = partition_edge_set(g, [], 2, 0.5, RandomSource(200 + s))
         assert len(parts) == 2
         assert not (parts[0].edges & parts[1].edges)
         assert parts[0].edges | parts[1].edges == g.edges
@@ -62,11 +64,11 @@ def test_partition_k20():
 def test_partition_precondition():
     sparse = ColouredGraph(10, [(i, i + 1) for i in range(9)])
     with pytest.raises(PartitionFailure) as err:
-        partition_edge_set(sparse, 2, 0.5, RandomSource(1))
+        partition_edge_set(sparse, [], 2, 0.5, RandomSource(1))
     assert err.value.detail["min_degree"] == 1
     assert err.value.detail["required"] == pytest.approx(4.5)
     with pytest.raises(ParameterError):
-        partition_edge_set(complete_graph(6), 0, 0.5, RandomSource(1))
+        partition_edge_set(complete_graph(6), [], 0, 0.5, RandomSource(1))
 
 
 def test_partition_budget_exhausted():
@@ -74,8 +76,69 @@ def test_partition_budget_exhausted():
     # uniform edge assignment essentially never produces
     g = complete_graph(6)
     with pytest.raises(PartitionFailure) as err:
-        partition_edge_set(g, 5, 0.9, RandomSource(17))
+        partition_edge_set(g, [], 5, 0.9, RandomSource(17))
     assert err.value.detail["draws"] == 50
+
+
+def _slicing(partition, seed, removed, d, delta, source):
+    """The slices' rows, colours, vertex sets and degrees, or the
+    PartitionFailure's message and detail."""
+    try:
+        parts = partition(seed, removed, d, delta, source)
+    except PartitionFailure as exc:
+        return "fail", str(exc), exc.detail
+    return [(h.edge_array().tolist(),
+             None if not h.is_coloured else h.colour_array().tolist(),
+             sorted(h.vertex_set),
+             [h.degree(v) for v in sorted(h.vertex_set)]) for h in parts]
+
+
+def test_partition_matches_the_two_step_reference():
+    # one lookup of R in the seed against the seed minus R built first
+    k40 = complete_graph(40)
+    cliques = gen_seed_graph(60, 0.4, "clique-union")      # two K30s
+    partial = complete_graph(50).subgraph(range(5, 45))
+    tinted = uniform_colouring(complete_graph(30), 7, RandomSource(5))
+
+    def draw(g, p, t):
+        return gen_gnp(g.n, p, RandomSource(31, t)).edge_array()
+
+    across = np.array([(u, v) for u in range(0, 30, 3)
+                       for v in range(30, 60, 7)])
+    r_rows = draw(cliques, 0.05, 1)
+    cases = [
+        (k40, draw(k40, 0.05, 0), 2, 0.5),
+        (k40, np.empty((0, 2), dtype=np.int64), 3, 0.5),
+        (k40, [], 1, 0.5),
+        (cliques, r_rows, 2, 0.4),
+        # R rows the seed lacks: pairs across the two cliques
+        (cliques, np.concatenate([across, r_rows]), 2, 0.4),
+        (cliques, across, 1, 0.4),
+        # duplicated rows, in both orientations
+        (cliques, np.concatenate([r_rows, r_rows[::-1, ::-1], r_rows[:5]]),
+         2, 0.4),
+        # a seed on part of its label space, R reaching outside it
+        (partial, draw(partial, 0.05, 2), 2, 0.5),
+        (partial, [(0, 1), (2, 49), (5, 6), (6, 5), (44, 43)], 3, 0.5),
+        (tinted, draw(tinted, 0.1, 3), 2, 0.5),
+        # the precondition: R takes too much of the seed
+        (k40, draw(k40, 0.3, 4), 2, 0.5),
+        (partial, draw(partial, 0.4, 5), 2, 0.5),
+        # the 50-draw budget runs out
+        (complete_graph(6), [], 5, 0.9),
+        (complete_graph(8), [(0, 1)], 5, 0.7),
+    ]
+    outcomes = set()
+    for i, (seed, removed, d, delta) in enumerate(cases):
+        for s in range(3):
+            src = RandomSource(700 + i, s)
+            got = _slicing(partition_edge_set, seed, removed, d, delta, src)
+            want = _slicing(reference_partition_edge_set, seed, removed, d,
+                            delta, src)
+            assert got == want, (i, s)
+            # a failure is named by its first detail key
+            outcomes.add(min(got[2]) if got[0] == "fail" else "sliced")
+    assert outcomes == {"sliced", "min_degree", "bound"}
 
 
 # -- anchor pools ----------------------------------------------------------

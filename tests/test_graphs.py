@@ -1,7 +1,11 @@
 """Graph core: generators, colourings, perturbation, basic predicates."""
 
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +16,9 @@ from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
 from rainbowtrees.graphs import SEED_KINDS, _class_graph, find_codes
 
 from oracles import NaiveGraph, assert_matches_naive, naive_is_rainbow
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def test_coloured_graph_validation():
@@ -149,6 +156,74 @@ def test_seed_graph_random_supergraph():
     assert g.edges == h.edges
 
 
+def test_fixed_seed_kinds_are_built_once():
+    kinds = [k for k in SEED_KINDS if k != "random-supergraph"]
+    for kind in kinds:
+        g = gen_seed_graph(30, 0.4, kind, RandomSource(1))
+        for source in (None, RandomSource(2), RandomSource(1, 9)):
+            assert gen_seed_graph(30, 0.4, kind, source) is g
+        with pytest.raises(ValueError):
+            g._rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            g.edge_array()[0, 0] = 1
+    # another key replaces the held seed; the first key is then rebuilt
+    first = gen_seed_graph(30, 0.4, "complete")
+    other = gen_seed_graph(31, 0.4, "complete")
+    assert other is not first and other.n == 31
+    again = gen_seed_graph(30, 0.4, "complete")
+    assert again is not first and again.edges == first.edges
+    assert gen_seed_graph(30, 0.4, "complete") is again
+    for key in [(30, 0.5, "complete"), (30, 0.4, "multipartite")]:
+        assert gen_seed_graph(*key) is not again
+    # the random kind is drawn per source, and leaves the held seed alone
+    held = gen_seed_graph(30, 0.4, "clique-union")
+    a = gen_seed_graph(200, 0.3, "random-supergraph", RandomSource(3))
+    b = gen_seed_graph(200, 0.3, "random-supergraph", RandomSource(3))
+    c = gen_seed_graph(200, 0.3, "random-supergraph", RandomSource(4))
+    assert a is not b and a.edges == b.edges and a.edges != c.edges
+    assert gen_seed_graph(30, 0.4, "clique-union") is held
+
+
+def test_seed_errors_are_never_held():
+    bad = [(10, 0.95, "clique-union"), (2, 0.6, "complete"),
+           (10, 0.4, "path"), (10, 1.0, "complete"), (1, 0.4, "complete"),
+           (10, 0.4, "random-supergraph")]
+    held = gen_seed_graph(10, 0.4, "complete")
+    # a failed build has dropped the held seed and holds nothing
+    for args in bad:
+        for _ in range(3):
+            with pytest.raises(ParameterError):
+                gen_seed_graph(*args)
+    assert gen_seed_graph(10, 0.4, "complete") is not held
+
+
+SEED_COUNT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from rainbowtrees import TrialConfig, graphs, run_trials
+calls = []
+build = graphs._class_graph
+def counted(*args, **kwargs):
+    calls.append(args)
+    return build(*args, **kwargs)
+graphs._class_graph = counted
+config = TrialConfig(kind="rainbow-st", n=40, trials=3, base_seed=5)
+outcomes = [[r.outcome for r in run_trials(config)] for _ in range(2)]
+print(json.dumps({"outcomes": outcomes, "builds": len(calls)}))
+"""
+
+
+def test_trial_batches_build_their_seed_once():
+    # a fresh interpreter, so no earlier test holds the seed
+    proc = subprocess.run([sys.executable, "-c", SEED_COUNT_PROBE, SRC],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["outcomes"][0] == got["outcomes"][1]
+    assert len(got["outcomes"][0]) == 3
+    assert got["builds"] == 1
+
+
 def test_perturb_trivial():
     k4 = complete_graph(4)
     assert gen_gnp(4, 0.0, RandomSource(1)).edges == frozenset()
@@ -257,7 +332,9 @@ def test_core_matches_naive_graph(kind, coloured, on_subset):
     elif kind == "gnp-dense":
         g = gen_gnp(n, 0.6, RandomSource(61))
     else:
-        g = gen_seed_graph(n, 0.4, kind, RandomSource(62))
+        # a fresh graph on the seed's rows: the process-wide seed may
+        # carry views an earlier test built
+        g = gen_seed_graph(n, 0.4, kind, RandomSource(62)).uncoloured()
     if coloured:
         g = uniform_colouring(g, 5, RandomSource(63))
     ref = NaiveGraph(n, g.edge_array().tolist(),

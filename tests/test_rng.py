@@ -40,3 +40,32 @@ def test_key_refuses_any_other_state_request():
     for n_words, dtype in [(4, np.uint32), (2, np.uint32), (3, np.uint64)]:
         with pytest.raises(TypeError):
             key.generate_state(n_words, dtype)
+
+
+def test_numpy_integers_name_the_plain_int_source():
+    plain = RandomSource(4, 3)
+    for seed, stream in [(np.int64(4), 3), (4, np.int64(3)),
+                         (np.uint64(4), np.uint32(3)), (np.int8(4), True + 2)]:
+        src = RandomSource(seed, stream)
+        assert (type(src.seed), type(src.stream)) == (int, int)
+        assert src == plain and hash(src) == hash(plain)
+        assert src.generator().integers(0, 1 << 40, size=9).tolist() \
+            == plain.generator().integers(0, 1 << 40, size=9).tolist()
+        for tag in ("seed-graph", 7):
+            child, want = src.substream(tag), plain.substream(tag)
+            assert child == want
+            assert child.generator().random(4).tolist() \
+                == want.generator().random(4).tolist()
+    top = RandomSource(np.uint64(TOP), np.uint64(TOP))
+    assert (top.seed, top.stream) == (TOP, TOP)
+    top.generator()
+
+
+def test_non_integers_fail_at_construction():
+    for seed, stream in [(4.0, 0), (4, 3.0), ("4", 0), (np.float64(4), 0),
+                         (None, 0)]:
+        with pytest.raises(TypeError):
+            RandomSource(seed, stream)
+    for seed, stream in [(-1, 0), (0, TOP + 1), (np.int64(-2), 0)]:
+        with pytest.raises(ValueError):
+            RandomSource(seed, stream)
