@@ -15,8 +15,8 @@ edges at the attachment vertex were never looked at before.
 
 A step queries a slice only through sorted-code lookups (`find_edges`)
 of the few pairs it asks about, so no neighbour index is built on a
-slice.  The grown image is audited once, by `_validate_spanning` at the
-end.
+slice.  The grown image is audited once, at the end, by the embedding
+module's `_audit_image`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import (AlmostSpanningResult, _trace, derive_parameters,
-                        embed_almost_spanning)
+from .embedding import (AlmostSpanningResult, _audit_image, _trace,
+                        derive_parameters, embed_almost_spanning)
 from .errors import (AbsorptionFailure, ParameterError, PartitionFailure,
                      StageFailure)
 from .exposure import ExposureOracle
@@ -316,26 +316,6 @@ class SpanningResult:
     oracle: Optional[ExposureOracle]
 
 
-def _validate_spanning(state_mapping: Dict[int, int],
-                       edge_colours: Dict[Pair, int], tree: Tree,
-                       seed: ColouredGraph, oracle: ExposureOracle) -> None:
-    n = seed.n
-    assert len(state_mapping) == tree.m == n
-    assert set(state_mapping.values()) == set(range(n))
-    assert len(edge_colours) == n - 1
-    assert len(set(edge_colours.values())) == n - 1, "image is not rainbow"
-    images = [canonical_edge(state_mapping[a], state_mapping[b])
-              for a, b in tree.edges]
-    # one lookup in the seed's rows; the oracle is asked about the rest
-    in_seed = seed.find_edges(images)[1].tolist()
-    for (a, b), pair, seen in zip(tree.edges, images, in_seed):
-        assert pair in edge_colours, \
-            "tree edge (%r, %r) has no embedded image" % (a, b)
-        assert seen or oracle.presence_of(pair), \
-            "image edge %r lies outside the host" % (pair,)
-        assert oracle.colour_of(pair) == edge_colours[pair]
-
-
 def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
                      almost: AlmostSpanningResult, delta: float, d: int,
                      eps_used: float, source: RandomSource, *,
@@ -378,14 +358,15 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
     # with r = 0 the trimmed tree already spans; nothing to absorb
     if r:
         # reveal the full random edge set, then relocate: the embedded copy
-        # moves to a uniformly random position
-        oracle.materialize_presence()
+        # moves to a uniformly random position, and R's rows move with it
+        # (no consumer reads their order)
+        rows = oracle.materialize_presence()
         perm = draw_permutation(n, source.substream("shift"))
         oracle.apply_permutation(perm)
         mapping = {node: perm[w] for node, w in mapping.items()}
         edge_colours = {canonical_edge(perm[a], perm[b]): c
                         for (a, b), c in edge_colours.items()}
-        r_rows = oracle.presence_edges()
+        r_rows = np.sort(np.asarray(perm)[rows], axis=1)
         # the maximum degree of R, which relabelling keeps, is checked
         # against an advisory cap of 3 ln n and recorded either way
         rmax = int(np.bincount(r_rows.ravel(), minlength=n).max())
@@ -422,7 +403,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         mapping, edge_colours, used = (state.mapping, state.edge_colours,
                                        state.used)
 
-    _validate_spanning(mapping, edge_colours, tree, seed, oracle)
+    _audit_image(tree, mapping, edge_colours, oracle, host=seed)
     _trace(trace, "absorb", True, absorbed=r)
     return SpanningResult(
         success=True, stage=None, detail=None, trace=tuple(trace),

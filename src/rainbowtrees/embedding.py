@@ -13,9 +13,10 @@ consulted an edge or colour before the stage that reveals it.
 
 The oracle is the pipeline's one colour book: an image edge takes the
 colour the oracle revealed for it, and the free, reservoir and used
-colour sets are derived from the image's colours.  The closing audit
+colour sets are derived from the image's colours.  `_audit_image`
 (injective placement, every tree edge imaged and present, one distinct
-colour per edge) is the one audit of the image.
+colour per edge) is the one audit of the image, here and at the end of
+the spanning pipeline.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (EmbedFailure, ExpanderFailure, InfeasibleParameters,
                      ParameterError, RootEdgeFailure, SparsifyFailure)
-from .expanders import (ExpandParams, degrade_attach, ell1, ell2,
-                        find_effective_expander, sparsify)
+from .expanders import (ExpandParams, ell1, ell2, find_effective_expander,
+                        sparsify)
 from .exposure import ExposureOracle
 from .graphs import ColouredGraph, canonical_edge
 from .rng import RandomSource
@@ -49,7 +50,8 @@ class PipelineParams:
     cutter.  `beta_cap`/`rho_cap` record the values the smallness
     inequalities would demand; overrides may exceed them (recorded in
     `within_caps`) because finite experiments cannot honour asymptotic
-    smallness.
+    smallness.  `expander_c_mode` has the one value "density": a stage
+    graph with m edges on N vertices gets the degree scale C = m / (2N).
     """
 
     eps: float
@@ -120,16 +122,6 @@ class PipelineParams:
                 best = (N, supply)
         return best
 
-    def stage_degree_scale(self, index: int, block_order: int, m: int) -> float:
-        """The C parameter of the stage's expander family."""
-        xi_i = block_order / self.n
-        if self.expander_c_mode == "xi":
-            scale = 1.0 / (16.0 * xi_i * xi_i)
-            return scale if index == 0 else self.eps * scale
-        # density reading: a graph with m edges on N vertices matches the
-        # binomial model of average degree 4C when C = m / (2N)
-        return m / (2.0 * block_order)
-
     def stage_expand_params(self, index: int, C: float) -> ExpandParams:
         r = self.d + 1 if index == 0 else self.d + 2
         eta = min(1.0 / (2 * self.d + 2) if index == 0 else 1.0 / (2 * self.d + 1),
@@ -163,7 +155,8 @@ def derive_parameters(eps: float, d: int, n: int, *,
     1/2 to keep the logarithmic terms meaningful), and `beta`, `rho` sit
     at their smallness caps 0.01 zeta eps / (d^4 ln(1/zeta)) and
     0.01 eps.  Overrides are accepted beyond the caps; `within_caps`
-    records whether they fit.
+    records whether they fit.  `expander_c_mode` accepts only "density",
+    the one reading of the stage degree scale.
 
     Raises InfeasibleParameters when the piece-size window collapses at
     this n (the cutter needs xi*n >= d), reporting the minimum workable n.
@@ -174,8 +167,8 @@ def derive_parameters(eps: float, d: int, n: int, *,
         raise ParameterError("d must be an integer >= 2, got %r" % d)
     if int(n) != n or n < 1:
         raise ParameterError("n must be a positive integer, got %r" % n)
-    if expander_c_mode not in ("density", "xi"):
-        raise ParameterError("expander_c_mode must be 'density' or 'xi'")
+    if expander_c_mode != "density":
+        raise ParameterError("expander_c_mode must be 'density'")
     if m_mode not in ("fixed", "adaptive", "balanced"):
         raise ParameterError("m_mode must be 'fixed', 'adaptive' or 'balanced'")
     d = int(d)
@@ -403,9 +396,9 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     unused neighbourhoods of the parents' images, so siblings and
     cousins never lose to each other through unlucky sequential order.
     A level that cannot be perfected triggers a redraw of the previous
-    level's matching, and up to 30 full restarts sit on top, within a
-    budget of 60 level matchings per tree level.  Exhausting it is an
-    honest failure, not an error.  Every child is matched among the
+    level's matching, and up to 30 full restarts sit on top.  Exhausting
+    them is an honest failure, not an error; its message names a budget
+    of 60 level matchings per tree level.  Every child is matched among the
     unused neighbours of its parent's image, so a returned image is an
     injective embedding by construction.
     """
@@ -432,21 +425,16 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     for v in order:
         levels[depth[v]].append(v)
 
-    budget = 60 * len(levels)
     best = 0
-    spent = 0
     for _ in range(30):
-        if spent >= budget:
-            break
         image, reached = _embed_pass(levels, parent, demand, adj, gen,
                                      root_vertex)
-        spent += len(levels)
         best = max(best, reached)
         if image is not None:
             return image
     raise EmbedFailure(
         "no embedding within budget %d: best attempt placed %d of %d"
-        % (budget, best, tree.m), placed=best, total=tree.m)
+        % (60 * len(levels), best, tree.m), placed=best, total=tree.m)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +515,38 @@ def _trace(lines: List[str], stage: str, ok: bool, **counts) -> None:
                  % (stage, "ok" if ok else "fail", body or "-"))
 
 
+def _audit_image(tree: Tree, placement: Dict[int, int],
+                 edge_colours: Dict[Pair, int], oracle: ExposureOracle,
+                 host: Optional[ColouredGraph] = None) -> None:
+    """The one audit of a rainbow tree image.
+
+    `placement` is injective, `edge_colours` holds exactly the images of
+    the tree's edges on distinct colours, and every image edge is an
+    edge of `host` or present in the oracle.  A spanning image (`host`
+    given) must also cover range(host.n) and carry the colours the
+    oracle revealed for its edges.
+    """
+    hosts = set(placement.values())
+    assert len(placement) == len(hosts) == tree.m, \
+        "placement is not injective on the tree"
+    assert host is None or hosts == set(range(host.n)), \
+        "image misses a host vertex"
+    images = [canonical_edge(placement[x], placement[y])
+              for x, y in tree.edges]
+    assert edge_colours.keys() == set(images), \
+        "edge_colours is not the image's edge set"
+    assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"
+    # one lookup in the host's rows; the oracle is asked about the rest
+    in_host = [False] * len(images) if host is None \
+        else host.find_edges(images)[1].tolist()
+    for pair, seen in zip(images, in_host):
+        assert seen or oracle.presence_of(pair), \
+            "image edge %r is not present" % (pair,)
+    assert host is None or all(oracle.colour_of(pair) == c for pair, c
+                               in edge_colours.items()), \
+        "a colour disagrees with the oracle"
+
+
 def format_trace(trace: Sequence[str]) -> str:
     return "\n".join(trace) + ("\n" if trace else "")
 
@@ -582,9 +602,8 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
     # disjoint consecutive blocks, one per piece; in balanced mode the
     # block and edge budget are chosen together against the projected
     # colour supply (earlier pieces consume one colour per tree edge)
-    budgets: List[Optional[int]] = [None] * s
     if params.m_mode == "balanced":
-        sizes = []
+        sizes, budgets = [], []
         reservoir_n = min(params.reservoir_size, palette_size)
         q_free = palette_size - reservoir_n
         # rooted pieces need the root to see ~4 reservoir-coloured edges
@@ -597,10 +616,12 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
                 t.m, p, q_free, palette_size,
                 min_order=0 if not sizes else rooted_min)
             sizes.append(n_blk)
-            budgets[len(sizes) - 1] = m_blk
+            budgets.append(m_blk)
             q_free -= t.m - 1
     else:
         sizes = [params.block_size(t.m) for t in roots.augmented_trees]
+        budgets = [params.stage_edge_count(i, size)
+                   for i, size in enumerate(sizes)]
     if sum(sizes) > n:
         raise InfeasibleParameters(
             "blocks need %d vertices but only %d exist" % (sum(sizes), n),
@@ -646,8 +667,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
 
         oracle.assert_vertices_untouched(block)
 
-        m = budgets[i] if budgets[i] is not None \
-            else params.stage_edge_count(i, len(block))
+        m = budgets[i]
         if m < 1:
             return failure("sparsify",
                            "no workable edge budget for a block of %d "
@@ -671,7 +691,9 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         _trace(trace, "sparsify-%d" % stage_no, True, edges=m,
                included=len(sample["pairs"]))
 
-        C = params.stage_degree_scale(i, len(block), m)
+        # a graph with m edges on N vertices matches the binomial model
+        # of average degree 4C when C = m / (2N)
+        C = m / (2.0 * len(block))
         regime["stage-%d" % stage_no] = params.stage_regime(i, C)
         if C <= 1.0:
             return failure("expander",
@@ -699,6 +721,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         else:
             root_node = decomposition.piece_root(i)
             root_vertex = placement[root_node]
+            degraded = {}
             try:
                 pool = select_root_edges(root_vertex, sub, oracle,
                                          reservoir - used, quota,
@@ -706,24 +729,18 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
             except RootEdgeFailure as exc:
                 # a short pool can still carry the piece if it covers the
                 # root's child count; below that the stage is hopeless
-                root_children = sum(1 for e in piece_tree.edges
-                                    if root_node in e)
-                if len(exc.pool) < root_children:
-                    return failure("root-edges", str(exc),
-                                   found=len(exc.pool), needed=quota,
-                                   children=root_children)
+                pool = exc.pool
+                children = piece_tree.degree(root_node)
+                if len(pool) < children:
+                    return failure("root-edges", str(exc), found=len(pool),
+                                   needed=quota, children=children)
                 hypothesis_met = False
-                pool = tuple(exc.pool)
-                _trace(trace, "root-edges-%d" % stage_no, True,
-                       found=len(pool), needed=quota, degraded=1)
-            else:
-                _trace(trace, "root-edges-%d" % stage_no, True,
-                       found=len(pool), needed=quota)
-            attach = [pair for pair, _ in pool]
-            if len(attach) >= quota:
-                host = degrade_attach(sub, root_vertex, attach, d)
-            else:
-                host = sub.union(attach, [root_vertex])
+                degraded = {"degraded": 1}
+            _trace(trace, "root-edges-%d" % stage_no, True, found=len(pool),
+                   needed=quota, **degraded)
+            # with the full quota this is degrade_attach's graph: its checks
+            # hold by select_root_edges' construction
+            host = sub.union([pair for pair, _ in pool], [root_vertex])
 
         try:
             mapping = embed_rooted_tree(host, piece_tree, root_node,
@@ -740,16 +757,7 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
             edge_colours[pair] = oracle.colour_of(pair)
         _trace(trace, "embed-%d" % stage_no, True, placed=piece_tree.m)
 
-    assert len(placement) == tree.m
-    assert len(set(placement.values())) == tree.m, "placement not injective"
-    for x, y in tree.edges:
-        pair = canonical_edge(placement[x], placement[y])
-        assert pair in edge_colours, \
-            "tree edge (%r, %r) has no embedded image" % (x, y)
-        assert oracle.presence_of(pair), "image edge %r is not present" % (pair,)
-    assert len(edge_colours) == tree.m - 1
-    assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"
-
+    _audit_image(tree, placement, edge_colours, oracle)
     return AlmostSpanningResult(
         success=True, stage=None, detail=None, trace=tuple(trace),
         embedding=placement, edge_colours=edge_colours, params=params,

@@ -166,11 +166,12 @@ class ExposureOracle:
 
         `included_pairs` is a (k, 2) integer array, such as `sparsify`'s
         `sample_out["pairs"]`, or any iterable of pairs in either
-        orientation; it is paired with `colours` as `zip` pairs them.
-        The pairs are checked together, in numpy, before anything is
-        written, so a rejected block leaves no trace: a loop, a label
-        outside range(n) or a pair leaving the block raises
-        ParameterError, and so does a colour off the palette.
+        orientation; `colours` holds one colour per pair, in the same
+        order.  The pairs are checked together, in numpy, before anything
+        is written, so a rejected block leaves no trace: a count of
+        colours other than the count of pairs, a loop, a label outside
+        range(n) or a pair leaving the block raises ParameterError, and
+        so does a colour off the palette.
         """
         if self.presence_complete:
             raise ExposureError("cannot register a block after materialization")
@@ -181,9 +182,11 @@ class ExposureOracle:
             included_pairs = list(included_pairs)
         cols = np.asarray(colours if isinstance(colours, np.ndarray)
                           else list(colours), dtype=np.int64)
-        k = min(len(included_pairs), len(cols))
-        rows = _pair_rows(included_pairs[:k])
-        cols = cols[:k]
+        k = len(cols)
+        if len(included_pairs) != k:
+            raise ParameterError("%d included pairs but %d colours"
+                                 % (len(included_pairs), k))
+        rows = _pair_rows(included_pairs)
         if k and not (0 <= rows[:, 0].min() and rows[:, 1].max() < self.n):
             raise ParameterError("an included pair lies outside range(%d)"
                                  % self.n)

@@ -353,23 +353,13 @@ def _make_tree(config: TrialConfig, size: int, source: RandomSource) -> Tree:
     return gen_random_bounded_tree(size, config.d, source)
 
 
-def _infeasible(exc: InfeasibleParameters):
-    """Fail record of a trial whose pipeline found it infeasible at this
-    n, e.g. the blocks of its random tree need more vertices than exist."""
-    return "fail", "infeasible", {"detail": str(exc),
-                                  "minimum_n": exc.minimum_n}
-
-
 def _trial_almost(config: TrialConfig, src: RandomSource):
     size = config.resolved_tree_size()
     tree = _make_tree(config, size, src.substream("tree"))
-    params = _derive_for(config)
-    try:
-        res = embed_almost_spanning(
-            config.n, config.resolved_p(), config.resolved_palette(), tree,
-            config.eps, config.d, src.substream("pipeline"), params=params)
-    except InfeasibleParameters as exc:
-        return _infeasible(exc)
+    res = embed_almost_spanning(
+        config.n, config.resolved_p(), config.resolved_palette(), tree,
+        config.eps, config.d, src.substream("pipeline"),
+        params=_derive_for(config))
     metrics = {"tree_nodes": size,
                "edges": len(res.edge_colours),
                "colours": len(set(res.edge_colours.values())),
@@ -385,14 +375,11 @@ def _trial_spanning(config: TrialConfig, src: RandomSource):
     seed = gen_seed_graph(config.n, config.delta, config.seed_kind,
                           src.substream("seed-graph"))
     tree = _make_tree(config, config.n, src.substream("tree"))
-    try:
-        res = embed_spanning(
-            seed, config.resolved_p(), tree, config.delta, config.alpha,
-            config.d, src.substream("pipeline"),
-            eps_override=_knob(config, "eps_override", config.eps),
-            derive_kwargs=_derive_kwargs(config) or None)
-    except InfeasibleParameters as exc:
-        return _infeasible(exc)
+    res = embed_spanning(
+        seed, config.resolved_p(), tree, config.delta, config.alpha,
+        config.d, src.substream("pipeline"),
+        eps_override=_knob(config, "eps_override", config.eps),
+        derive_kwargs=_derive_kwargs(config) or None)
     metrics = {"r": res.r,
                "eps_used": res.eps_used,
                "eps_formula": res.eps_formula,
@@ -521,7 +508,17 @@ def _dispatch(config: TrialConfig, src: RandomSource):
 def _run_one(config: TrialConfig, trial: int) -> TrialRecord:
     src = spawn_trial_source(config.base_seed, trial)
     start = time.perf_counter()
-    outcome, stage, metrics = _dispatch(config, src)
+    try:
+        outcome, stage, metrics = _dispatch(config, src)
+    except InfeasibleParameters as exc:
+        # the pipeline found this trial infeasible at this n, e.g. the
+        # blocks of its random tree need more vertices than exist
+        outcome, stage, metrics = "fail", "infeasible", {
+            "detail": str(exc), "minimum_n": exc.minimum_n}
+    except Exception as exc:
+        # whatever else a trial raises fails that trial, not the batch
+        outcome, stage, metrics = "fail", "error", {
+            "error": type(exc).__name__, "detail": str(exc)}
     ms = (time.perf_counter() - start) * 1000.0
     return TrialRecord(config_hash=config.digest(), trial=trial,
                        seed=config.base_seed, outcome=outcome, stage=stage,
@@ -549,8 +546,11 @@ def run_trials(config: TrialConfig, *,
     config.base_seed, i), so records are identical (apart from wall
     clock ms) whether trials run serially or across `workers` forked
     processes, and records always come back in trial order.  Parameter
-    problems raise before any trial executes; stage failures, and a
-    pipeline's InfeasibleParameters, land in records as fail outcomes.
+    problems in the config raise before any trial executes.  Inside a
+    trial nothing escapes: a stage failure lands in its record as a fail
+    outcome at that stage, an InfeasibleParameters at stage "infeasible",
+    and any other exception at stage "error" with its type name and
+    message, so one bad trial never aborts the batch.
     """
     if not isinstance(config, TrialConfig):
         raise ParameterError("run_trials expects a TrialConfig, got %r"

@@ -1,23 +1,26 @@
 """Embedding pipeline: parameters, rooted embedding, root edges, stages."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
 
 from rainbowtrees import (ColouredGraph, EmbedFailure, InfeasibleParameters,
                           ParameterError, RandomSource, RootEdgeFailure, Tree,
-                          complete_graph, derive_parameters,
+                          canonical_edge, complete_graph, derive_parameters,
                           embed_almost_spanning, embed_rooted_tree,
                           format_trace, gen_random_bounded_tree, harness,
                           lemma_stats, path_tree, select_root_edges,
                           star_tree, uniform_colouring)
 from rainbowtrees.exposure import ExposureOracle
 
-from rainbowtrees.embedding import _match_level
+from rainbowtrees.absorption import absorb_leftovers
+from rainbowtrees.embedding import _audit_image, _match_level
 
 from oracles import (check_almost_spanning_result, check_embedding,
                      reference_match_level)
+from synthetic import make_synthetic_state
 
 
 def cycle_graph(n):
@@ -444,6 +447,77 @@ def test_pipeline_output_pinned():
     }
     digest = hashlib.blake2b(repr(rows).encode(), digest_size=16)
     assert digest.hexdigest() == "79a26cb2c16854cc0b4398d0a17e8788"
+
+
+# -- the closing audit ---------------------------------------------------------
+
+
+def _almost_success():
+    p, params, src, tree = crit6_setup(500, 6600, 0)
+    res = embed_almost_spanning(500, p, 500, tree, 0.25, 3, src, params=params)
+    assert res.success
+    return tree, dict(res.embedding), dict(res.edge_colours), res.oracle, None
+
+
+def _spanning_success():
+    n, r, d = 300, 4, 2
+    seed = complete_graph(n)
+    tree, trim, almost, src = make_synthetic_state(n, r, d, 20 * n, 0.05, 1000)
+    res = absorb_leftovers(seed, tree, trim, almost, 0.5, d, r / n,
+                           src.substream("absorb"))
+    assert res.success
+    return tree, dict(res.mapping), dict(res.edge_colours), res.oracle, seed
+
+
+@pytest.mark.parametrize("make", [_almost_success, _spanning_success])
+def test_audit_image_rejects_each_corruption(make):
+    tree, placement, edge_colours, oracle, host = make()
+    _audit_image(tree, placement, edge_colours, oracle, host)
+    nodes = sorted(tree.nodes)
+    edges = sorted(edge_colours)
+    leaf = min(tree.leaves())
+    (x,) = tree.neighbours(leaf)
+
+    def rejects(place=placement, colours=edge_colours, graph=host):
+        with pytest.raises(AssertionError):
+            _audit_image(tree, place, colours, oracle, graph)
+
+    def moved(w):
+        """The leaf on host w, its image edge keeping its colour."""
+        colours = dict(edge_colours)
+        c = colours.pop(canonical_edge(placement[x], placement[leaf]))
+        colours[canonical_edge(placement[x], w)] = c
+        return {**placement, leaf: w}, colours
+
+    # two nodes on one vertex
+    rejects(place={**placement, nodes[0]: placement[nodes[1]]})
+    # a tree edge missing from edge_colours
+    rejects(colours={e: c for e, c in edge_colours.items() if e != edges[0]})
+    # an extra entry in edge_colours
+    spare = min(set(range(oracle.palette_size)) - set(edge_colours.values()))
+    outside = next(e for e in itertools.combinations(range(oracle.n), 2)
+                   if e not in edge_colours)
+    rejects(colours={**edge_colours, outside: spare})
+    # a repeated colour
+    rejects(colours={**edge_colours, edges[0]: edge_colours[edges[1]]})
+    if host is None:
+        # an image edge that is present nowhere: the leaf moves to a
+        # free block vertex whose pair with its parent's image is absent
+        used = set(placement.values())
+        w = next(w for w in range(oracle.n) if w not in used
+                 and oracle.presence_exposed((placement[x], w))
+                 and not oracle.presence_of((placement[x], w)))
+        rejects(*moved(w))
+        return
+    # an image edge that is neither a seed edge nor present in the
+    # oracle: a seed edge of the image, once the seed lacks it
+    gap = next(e for e in edges if not oracle.presence_of(e))
+    rejects(graph=host.without_edges([gap]))
+    # a colour that disagrees with the oracle
+    rejects(colours={**edge_colours, edges[0]: edge_colours[edges[1]],
+                     edges[1]: edge_colours[edges[0]]})
+    # a mapping that misses a host vertex
+    rejects(*moved(oracle.n))
 
 
 # -- small helpers ------------------------------------------------------------

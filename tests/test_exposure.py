@@ -126,7 +126,8 @@ def _state(o):
 
 def test_record_block_rejects_bad_arrays():
     # the rejections above, with the pairs and colours as int64 arrays,
-    # and a loop; each leaves no trace, on the oracle or its ledger
+    # a loop, and counts that differ; each leaves no trace, on the oracle
+    # or its ledger
     def arrays(pairs, colours):
         return (np.array(pairs, dtype=np.int64).reshape(-1, 2),
                 np.array(colours, dtype=np.int64))
@@ -144,6 +145,14 @@ def test_record_block_rejects_bad_arrays():
         with pytest.raises(error):
             o.record_block(np.array(vertices), *arrays(pairs, colours), 1)
         assert _state(o) == clean
+    # a count of colours other than the count of pairs, either side
+    # longer, as lists or as arrays
+    for pairs, colours in [([(0, 1), (1, 2), (2, 3)], [4, 5]),
+                           ([(0, 1)], [4, 5])]:
+        for given in ((pairs, colours), arrays(pairs, colours)):
+            with pytest.raises(ParameterError):
+                o.record_block([0, 1, 2, 3], *given, 1)
+            assert _state(o) == clean
     o.record_block(np.array([0, 1, 2]), *arrays([(0, 1)], [1]), 1)
     for call, error in [
             (lambda: o.record_block([1, 2, 3], *arrays([(2, 3)], [2]), 2),

@@ -7,7 +7,7 @@ import pytest
 
 from rainbowtrees import (CSV_HEADER, ParameterError, SuccessEstimate,
                           TrialConfig, TrialRecord, estimate, format_records,
-                          lemma_stats, read_records, run_trials,
+                          harness, lemma_stats, read_records, run_trials,
                           wilson_interval, write_records)
 
 GOOD_ALMOST = dict(kind="almost-spanning", n=500, eps=0.25, d=3,
@@ -236,6 +236,32 @@ def test_infeasible_blocks_fail_the_trial_not_the_batch():
         assert (rec.outcome, rec.stage) == ("fail", "infeasible")
         assert rec.metrics["minimum_n"] > 600
         assert "only 600 exist" in rec.metrics["detail"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_raising_trial_fails_alone(monkeypatch, workers):
+    # the finder raises on trial 2's host only; the other trials, run
+    # serially or in forked workers, record what an unpatched run records
+    cfg = TrialConfig(kind="rainbow-st", n=24, trials=4, base_seed=11)
+    clean = run_trials(cfg)
+    sizes = [rec.metrics["host_edges"] for rec in clean]
+    assert sizes.count(sizes[2]) == 1
+    finder = harness.find_rainbow_spanning_tree
+
+    def flaky(host):
+        if host.size == sizes[2]:
+            raise RuntimeError("bad draw")
+        return finder(host)
+
+    monkeypatch.setattr(harness, "find_rainbow_spanning_tree", flaky)
+    records = run_trials(cfg, workers=workers)
+    assert len(records) == 4
+    assert (records[2].trial, records[2].outcome, records[2].stage,
+            records[2].metrics) == (2, "fail", "error",
+                                    {"error": "RuntimeError",
+                                     "detail": "bad draw"})
+    assert [strip_ms(r) for i, r in enumerate(records) if i != 2] \
+        == [strip_ms(r) for i, r in enumerate(clean) if i != 2]
 
 
 # -- estimates ----------------------------------------------------------------
