@@ -423,10 +423,11 @@ def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
     far below one leftover vertex at desk scale; `eps_override` makes the
     absorption phase observable and both values are logged.  A zero
     leftover count reduces the run to the almost-spanning pipeline on the
-    whole tree.  `derive_kwargs` holds the derive_parameters knobs of
-    the trimmed-tree embedding stage (zeta, beta, rho, expander_c_mode,
-    m_mode, c_m); the default picks a narrow block slack so the blocks of
-    a nearly spanning forest still fit disjointly.
+    whole tree.  `derive_kwargs` sets derive_parameters knobs of the
+    trimmed-tree embedding stage (zeta, beta, rho, expander_c_mode,
+    m_mode, c_m) over this pipeline's defaults, key by key; the default
+    zeta is a narrow block slack, so the blocks of a nearly spanning
+    forest still fit disjointly.
 
     Parameter violations raise; stage failures are returned as results.
     """
@@ -467,11 +468,10 @@ def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
     if trim.t0.m == 1:
         params = None
     else:
-        if derive_kwargs is None:
-            derive_kwargs = dict(zeta=0.4 * eps_sub / (2.0 * (1.0 - eps_sub)),
-                                 beta=0.3, rho=0.05, m_mode="adaptive",
-                                 c_m=3.0)
-        params = derive_parameters(eps_sub, d, n, **derive_kwargs)
+        knobs = dict(zeta=0.4 * eps_sub / (2.0 * (1.0 - eps_sub)),
+                     beta=0.3, rho=0.05, m_mode="adaptive", c_m=3.0)
+        knobs.update(derive_kwargs or {})
+        params = derive_parameters(eps_sub, d, n, **knobs)
     almost = embed_almost_spanning(n, p, palette_size, trim.t0, eps_sub, d,
                                    source.substream("almost"), params=params)
     return absorb_leftovers(seed, tree, trim, almost, delta, d, eps_used,

@@ -50,8 +50,7 @@ class PipelineParams:
     cutter.  `beta_cap`/`rho_cap` record the values the smallness
     inequalities would demand; overrides may exceed them (recorded in
     `within_caps`) because finite experiments cannot honour asymptotic
-    smallness.  `expander_c_mode` has the one value "density": a stage
-    graph with m edges on N vertices gets the degree scale C = m / (2N).
+    smallness.
     """
 
     eps: float
@@ -66,7 +65,6 @@ class PipelineParams:
     beta_cap: float
     rho_cap: float
     within_caps: bool
-    expander_c_mode: str = "density"
     m_mode: str = "fixed"
     c_m: float = 3.0
 
@@ -156,7 +154,8 @@ def derive_parameters(eps: float, d: int, n: int, *,
     at their smallness caps 0.01 zeta eps / (d^4 ln(1/zeta)) and
     0.01 eps.  Overrides are accepted beyond the caps; `within_caps`
     records whether they fit.  `expander_c_mode` accepts only "density",
-    the one reading of the stage degree scale.
+    the one reading of the stage degree scale C = m / (2N); it is checked
+    and not stored.
 
     Raises InfeasibleParameters when the piece-size window collapses at
     this n (the cutter needs xi*n >= d), reporting the minimum workable n.
@@ -211,7 +210,6 @@ def derive_parameters(eps: float, d: int, n: int, *,
                           reservoir_size=int(rho * n),
                           beta_cap=beta_cap, rho_cap=rho_cap,
                           within_caps=within,
-                          expander_c_mode=expander_c_mode,
                           m_mode=m_mode, c_m=c_m)
 
 
@@ -683,8 +681,8 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
                                    source.substream(("sparsify", i)), n=n,
                                    sample_out=sample)
         except SparsifyFailure as exc:
-            oracle.record_block(block, sample.get("pairs", ()),
-                                sample.get("colours", ()), stage_no)
+            oracle.record_block(block, sample["pairs"], sample["colours"],
+                                stage_no)
             return failure("sparsify", str(exc),
                            survivors=exc.survivors, needed=exc.needed)
         oracle.record_block(block, sample["pairs"], sample["colours"], stage_no)

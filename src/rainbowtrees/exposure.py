@@ -13,20 +13,20 @@ the pairs it included, matching what the sampling actually consumed.
 A block is stored as its vertex set plus its included pairs, so a pair
 inside it that was not included is absent without an entry of its own.
 The ledger is append-only: a block is one ("block", vertices, stage)
-entry, and a relabelling appends ("permute", perm, 0).  The by-vertex
-index behind `colour_exposed_at` is built on first use, kept current by
-`expose_colour` and dropped by `record_block` and `apply_permutation`.
+entry, and a relabelling appends ("permute", perm, 0).  Revealed values
+are keyed by the pair code u * n + v (u < v), as ColouredGraph's
+edge_codes() are, so bulk steps write and relabel them in numpy.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError, RainbowTreesError
-from .graphs import _pair_rows, gen_gnp
+from .graphs import _codes, _pair_rows, gen_gnp
 from .rng import RandomSource
 
 Pair = Tuple[int, int]
@@ -61,25 +61,32 @@ class ExposureOracle:
         self.palette_size = int(palette_size)
         self.p = float(p)
         self.source = source
-        self._presence: Dict[Pair, bool] = {}
-        self._colour: Dict[Pair, int] = {}
-        # the other ends of each vertex's colour-revealed pairs, built from
-        # _colour on the first colour_exposed_at query
-        self._colour_at: Optional[Dict[int, List[int]]] = None
+        # revealed values by pair code
+        self._presence: Dict[int, bool] = {}
+        self._colour: Dict[int, int] = {}
         # block number of each vertex, -1 outside every block
         self._block = np.full(self.n, -1, dtype=np.int64)
         self.ledger: List[Tuple[str, object, int]] = []
-        self._touched: Set[int] = set()
+        # the vertices some ledger entry touched
+        self._touched = np.zeros(self.n, dtype=bool)
         self.presence_complete = False
 
-    def _norm(self, pair) -> Pair:
+    def _norm(self, pair) -> Tuple[Pair, int]:
+        """The canonical pair (u < v) and its code u * n + v."""
         u, v = int(pair[0]), int(pair[1])
         if u == v:
             raise ParameterError("pair (%d, %d) is a loop" % (u, v))
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ParameterError("pair (%d, %d) outside range(%d)"
                                  % (u, v, self.n))
-        return (u, v) if u < v else (v, u)
+        if u > v:
+            u, v = v, u
+        return (u, v), u * self.n + v
+
+    def _ends(self, table: Dict[int, object]) -> np.ndarray:
+        """The (2, k) rows u and v of the pairs keyed in `table`."""
+        codes = np.fromiter(table, dtype=np.int64, count=len(table))
+        return np.stack(np.divmod(codes, self.n))
 
     def _in_block(self, key: Pair) -> bool:
         """Both ends lie in one block, which decided the pair's presence."""
@@ -89,66 +96,57 @@ class ExposureOracle:
     # -- queries ---------------------------------------------------------
 
     def presence_exposed(self, pair) -> bool:
-        key = self._norm(pair)
-        return key in self._presence or self._in_block(key)
+        key, code = self._norm(pair)
+        return code in self._presence or self._in_block(key)
 
     def colour_exposed(self, pair) -> bool:
-        return self._norm(pair) in self._colour
+        return self._norm(pair)[1] in self._colour
 
     def colour_exposed_at(self, u: int) -> Tuple[int, ...]:
         """The w, ascending, whose pair (u, w) has a revealed colour."""
         u = int(u)
         if not 0 <= u < self.n:
             raise ParameterError("vertex %d outside range(%d)" % (u, self.n))
-        if self._colour_at is None:
-            self._colour_at = {}
-            self._index_colours(self._colour)
-        return tuple(sorted(self._colour_at.get(u, ())))
-
-    def _index_colours(self, pairs: Iterable[Pair]) -> None:
-        for a, b in pairs:
-            self._colour_at.setdefault(a, []).append(b)
-            self._colour_at.setdefault(b, []).append(a)
+        lo, hi = self._ends(self._colour)
+        return tuple(sorted(hi[lo == u].tolist() + lo[hi == u].tolist()))
 
     def presence_of(self, pair) -> bool:
         """Already-revealed presence; consulting an unrevealed pair is a bug."""
-        key = self._norm(pair)
-        if key in self._presence:
-            return self._presence[key]
+        key, code = self._norm(pair)
+        if code in self._presence:
+            return self._presence[code]
         if self.presence_complete or self._in_block(key):
             return False
         raise ExposureError("presence of %r consulted before exposure" % (key,))
 
     def colour_of(self, pair) -> int:
-        key = self._norm(pair)
-        if key not in self._colour:
+        key, code = self._norm(pair)
+        if code not in self._colour:
             raise ExposureError("colour of %r consulted before exposure" % (key,))
-        return self._colour[key]
+        return self._colour[code]
 
     # -- single-pair exposure --------------------------------------------
 
     def expose_presence(self, pair, kind: str = "probe", stage: int = 0) -> bool:
-        key = self._norm(pair)
-        if key in self._presence or self.presence_complete or self._in_block(key):
+        key, code = self._norm(pair)
+        if code in self._presence or self.presence_complete or self._in_block(key):
             raise ExposureError("pair %r presence exposed twice" % (key,))
         gen = self.source.substream(("edge",) + key).generator()
         value = bool(gen.random() < self.p)
-        self._presence[key] = value
+        self._presence[code] = value
         self.ledger.append((kind, key, stage))
-        self._touched.update(key)
+        self._touched[list(key)] = True
         return value
 
     def expose_colour(self, pair, kind: str = "tint", stage: int = 0) -> int:
-        key = self._norm(pair)
-        if key in self._colour:
+        key, code = self._norm(pair)
+        if code in self._colour:
             raise ExposureError("pair %r colour exposed twice" % (key,))
         gen = self.source.substream(("tint",) + key).generator()
         value = int(gen.integers(0, self.palette_size))
-        self._colour[key] = value
-        if self._colour_at is not None:
-            self._index_colours((key,))
+        self._colour[code] = value
         self.ledger.append((kind, key, stage))
-        self._touched.update(key)
+        self._touched[list(key)] = True
         return value
 
     # -- bulk registration -------------------------------------------------
@@ -196,31 +194,28 @@ class ExposureOracle:
         if leaves.any():
             raise ParameterError("included pair %r leaves the block"
                                  % (tuple(rows[leaves.argmax()].tolist()),))
-        us, vs = rows.T.tolist()
-        inc = dict(zip(zip(us, vs), cols.tolist()))
+        inc = dict(zip(_codes(rows, self.n).tolist(), cols.tolist()))
         if (self._block[verts] >= 0).any():
             raise ExposureError("block shares a vertex with an earlier block")
         # every pair with a revealed presence has both ends touched
-        touched = self._touched.intersection(verts)
-        if touched and any(u in touched and v in touched
-                           for u, v in self._presence):
+        if self._touched[verts].any() and \
+                inside[self._ends(self._presence)].all(axis=0).any():
             raise ExposureError("a block pair had its presence exposed before")
         if not self._colour.keys().isdisjoint(inc) or (
                 k and not (0 <= cols.min() and cols.max() < self.palette_size)):
             # the first offending pair in order decides the error, as a
             # check of one pair at a time would
-            for key, c in inc.items():
-                if key in self._colour:
+            for code, c in inc.items():
+                if code in self._colour:
                     raise ExposureError("block pair %r colour exposed twice"
-                                        % (key,))
+                                        % (divmod(code, self.n),))
                 if not 0 <= c < self.palette_size:
                     raise ParameterError("colour %d outside the palette" % c)
         self._block[verts] = self._block.max() + 1
         self._presence.update(dict.fromkeys(inc, True))
         self._colour.update(inc)
-        self._colour_at = None
         self.ledger.append(("block", tuple(verts), stage))
-        self._touched.update(verts)
+        self._touched[verts] = True
 
     def materialize_presence(self) -> np.ndarray:
         """Decide presence for every still-unrevealed pair, in bulk.
@@ -234,9 +229,9 @@ class ExposureOracle:
                            self.source.substream("materialize")).edge_array()
             # already decided pairs (inside a block or probed) keep their value
             ends = self._block[rows]
-            rows = np.compress((ends[:, 0] < 0) | (ends[:, 0] != ends[:, 1]),
-                               rows, axis=0)
-            self._presence = {**dict.fromkeys(map(tuple, rows.tolist()), True),
+            fresh = _codes(rows, self.n)[(ends[:, 0] < 0)
+                                         | (ends[:, 0] != ends[:, 1])]
+            self._presence = {**dict.fromkeys(fresh.tolist(), True),
                               **self._presence}
             self.presence_complete = True
             self.ledger.append(("materialize", None, 0))
@@ -248,19 +243,21 @@ class ExposureOracle:
         prior materialization."""
         if not self.presence_complete:
             raise ExposureError("presence has not been fully materialized")
-        rows = np.fromiter(compress(self._presence, self._presence.values()),
-                           dtype=np.dtype((np.int64, 2)))
-        return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        codes = np.fromiter(compress(self._presence, self._presence.values()),
+                            dtype=np.int64)
+        return np.column_stack(np.divmod(np.sort(codes), self.n))
 
     # -- audits ------------------------------------------------------------
 
     def assert_vertices_untouched(self, vertices: Iterable[int]) -> None:
         """No ledger entry may touch the given vertex set yet."""
-        overlap = self._touched.intersection(int(v) for v in vertices)
-        if overlap:
+        vs = np.fromiter(vertices, dtype=np.int64)
+        vs = vs[(vs >= 0) & (vs < self.n)]
+        overlap = vs[self._touched[vs]]
+        if len(overlap):
             raise ExposureError(
                 "exposure touched vertices %s before their stage"
-                % sorted(overlap)[:8])
+                % sorted(set(overlap.tolist()))[:8])
 
     def colour_exposure_count(self) -> int:
         return len(self._colour)
@@ -280,14 +277,14 @@ class ExposureOracle:
         if isinstance(perm, dict) or sorted(perm) != list(range(self.n)):
             raise ParameterError("perm must list a permutation of range(%d)"
                                  % self.n)
+        to = np.asarray(perm, dtype=np.int64)
 
-        def move(pair: Pair) -> Pair:
-            a, b = perm[pair[0]], perm[pair[1]]
-            return (a, b) if a < b else (b, a)
+        def move(table: Dict[int, object]) -> Dict[int, object]:
+            a, b = np.sort(to[self._ends(table)], axis=0)
+            return dict(zip((a * self.n + b).tolist(), table.values()))
 
-        self._presence = {move(k): v for k, v in self._presence.items()}
-        self._colour = {move(k): v for k, v in self._colour.items()}
-        self._colour_at = None
-        self._block = self._block[np.argsort(perm)]
-        self._touched = {perm[v] for v in self._touched}
+        self._presence = move(self._presence)
+        self._colour = move(self._colour)
+        back = np.argsort(to)
+        self._block, self._touched = self._block[back], self._touched[back]
         self.ledger.append(("permute", tuple(perm), 0))

@@ -258,12 +258,15 @@ class ColouredGraph:
         return int(self._degrees().max())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
+        return bool(self.find_edges([(u, v)])[1][0])
 
     def colour_of(self, u: int, v: int) -> int:
         if self._colours is None:
             raise ParameterError("graph is uncoloured")
-        return self.colouring[canonical_edge(u, v)]
+        at, found = self.find_edges([(u, v)])
+        if not found[0]:
+            raise KeyError(canonical_edge(u, v))
+        return int(self._colours[at[0]])
 
     def colours_used(self) -> FrozenSet[int]:
         if self._colours is None:

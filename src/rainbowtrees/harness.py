@@ -80,10 +80,10 @@ class TrialConfig:
     {"eps_override": None} in `knobs` to use the analysis formula
     instead.  `knobs` also carries pass-through tuning: for the two
     embedding kinds the derive_parameters keys zeta, beta, rho,
-    expander_c_mode, m_mode and c_m; for expand-membership the expander
-    family parameters theta, C, eta, r and the check_trials of its
-    sampled membership test.  Unknown keys are rejected so typos fail
-    loudly.
+    expander_c_mode, m_mode and c_m, set key by key over the pipeline's
+    defaults; for expand-membership the expander family parameters
+    theta, C, eta, r and the check_trials of its sampled membership
+    test.  Unknown keys are rejected so typos fail loudly.
     """
 
     kind: str
@@ -226,8 +226,6 @@ class TrialConfig:
                 raise ParameterError(
                     "a star on %d nodes has centre degree %d > d = %d"
                     % (size, size - 1, self.d))
-            if self.tree_source == "path" and size >= 2 and self.d < 2:
-                raise ParameterError("paths need d >= 2")
 
         knobs = self.knobs if self.knobs is not None else {}
         if not isinstance(knobs, dict):
@@ -379,7 +377,7 @@ def _trial_spanning(config: TrialConfig, src: RandomSource):
         seed, config.resolved_p(), tree, config.delta, config.alpha,
         config.d, src.substream("pipeline"),
         eps_override=_knob(config, "eps_override", config.eps),
-        derive_kwargs=_derive_kwargs(config) or None)
+        derive_kwargs=_derive_kwargs(config))
     metrics = {"r": res.r,
                "eps_used": res.eps_used,
                "eps_formula": res.eps_formula,

@@ -237,7 +237,8 @@ def suzuki_check(graph: ColouredGraph
     if n <= 1:
         return True, None
     pos = {v: i for i, v in enumerate(verts)}
-    edges = [(pos[u], pos[v], c) for (u, v), c in graph.colouring.items()]
+    edges = [(pos[u], pos[v], c) for (u, v), c in
+             zip(graph.edge_array().tolist(), graph.colour_array().tolist())]
     for code in _growth_strings(n):
         s = max(code) + 1
         if s < 2:

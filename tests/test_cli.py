@@ -168,6 +168,23 @@ def test_cli_reports_parameter_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_spanning_knob_keeps_the_other_defaults(tmp_path):
+    # a knob set to its default value changes nothing: the pipeline's
+    # other defaults stay in force, key by key
+    base = ["embed-spanning", "--n", "300", "--eps", "0.05", "--alpha",
+            "0.25", "--trials", "3", "--seed", "9000", "--out"]
+    plain, knobbed = str(tmp_path / "plain.csv"), str(tmp_path / "knob.csv")
+    assert main(base + [plain]) == 0
+    assert main(base + [knobbed, "--knobs", '{"c_m": 3.0}']) == 0
+
+    def untimed(path):
+        return [{k: v for k, v in row.items() if k != "ms"}
+                for row in read_records(path)]
+
+    assert untimed(knobbed) == untimed(plain)
+    assert len(untimed(plain)) == 3
+
+
 def test_embed_almost_subcommand_smoke(capsys):
     code = main(["embed-almost", "--n", "500", "--trials", "2", "--seed", "2",
                  "--eps", "0.25", "--tree-frac", "0.08",

@@ -121,7 +121,7 @@ def test_record_block_rejects_bad_input():
 def _state(o):
     """Everything a block write touches, dict key order included."""
     return (list(o._presence.items()), list(o._colour.items()),
-            o._block.tolist(), o.ledger, o._touched)
+            o._block.tolist(), o.ledger, np.flatnonzero(o._touched).tolist())
 
 
 def test_record_block_rejects_bad_arrays():
@@ -357,13 +357,17 @@ def _assert_same_answers(new, ref):
     assert _outcome(new.presence_edges) == _outcome(ref.presence_edges)
 
 
-@pytest.mark.parametrize("permute_first", [False, True])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_matches_reference_oracle(seed, permute_first):
+@pytest.mark.parametrize("seed, permute_first, n, p", [
+    *(pytest.param(seed, first, 24, 0.35, id="%d-%s" % (seed, first))
+      for seed in (1, 2, 3) for first in (False, True)),
+    pytest.param(4, False, 120, 0.05, id="n120")])
+def test_matches_reference_oracle(seed, permute_first, n, p):
     """Block storage by vertex set answers every query as the per-pair
     reference does, through probes, tints, disjoint blocks, rejected
-    calls, materialization and relabelling."""
-    n, palette, p = 24, 9, 0.35
+    calls, materialization and relabelling.  At n = 120 a block over
+    labels 24.. puts thousands of keys through the relabelling and the
+    sorted presence rows."""
+    palette = 9
     new = ExposureOracle(n, palette, p, RandomSource(seed))
     ref = ReferenceExposureOracle(n, palette, p, RandomSource(seed))
     gen = np.random.default_rng(seed)
@@ -375,6 +379,8 @@ def test_matches_reference_oracle(seed, permute_first):
 
     shuffled = [15, 11, 13, 12, 14]
     blocks = [range(3, 10), shuffled, [20]]
+    if n > 24:
+        blocks.append(range(24, n))
     included = []
     for block in blocks:
         pairs = [q for q in itertools.combinations(sorted(block), 2)

@@ -381,6 +381,27 @@ def test_core_matches_naive_graph(kind, coloured, on_subset):
     assert_matches_naive(g.union([]), ref.union([]))
 
 
+def test_single_edge_queries_build_no_tuple_view():
+    # has_edge and colour_of read the rows, so one lookup on a big graph
+    # costs a search, not a frozenset or dict of every edge
+    g = uniform_colouring(complete_graph(60), 7, RandomSource(3))
+    rows, colours = g.edge_array().tolist(), g.colour_array().tolist()
+    assert g.has_edge(9, 4) and not g.has_edge(4, 60)
+    assert g.colour_of(9, 4) == colours[rows.index([4, 9])]
+    thin = g.without_edges([(4, 9)])
+    assert not thin.has_edge(4, 9)
+    with pytest.raises(KeyError):
+        thin.colour_of(9, 4)
+    with pytest.raises(ParameterError):
+        g.has_edge(5, 5)
+    with pytest.raises(ParameterError):
+        g.colour_of(5, 5)
+    with pytest.raises(ParameterError):
+        complete_graph(4).colour_of(0, 1)                  # uncoloured
+    for graph in (g, thin):
+        assert graph._edges is None and graph._colouring is None
+
+
 def test_edge_lookup_matches_isin():
     gen = np.random.default_rng(65)
     for t in range(40):
