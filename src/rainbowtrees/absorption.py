@@ -27,8 +27,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import (AlmostSpanningResult, _audit_image, _trace,
-                        derive_parameters, embed_almost_spanning)
+from .embedding import (AlmostSpanningResult, PipelineParams, _audit_image,
+                        _number, _trace, derive_parameters,
+                        embed_almost_spanning)
 from .errors import (AbsorptionFailure, ParameterError, PartitionFailure,
                      StageFailure)
 from .exposure import ExposureOracle
@@ -413,21 +414,51 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         almost=almost, oracle=oracle)
 
 
+def spanning_setup(n: int, delta: float, d: int, *,
+                   eps_override: Optional[float] = None,
+                   derive_kwargs: Optional[Dict] = None
+                   ) -> Tuple[float, float, int, float,
+                              Optional[PipelineParams]]:
+    """embed_spanning's deterministic setup on n vertices:
+    (eps_formula, eps_used, r, eps_sub, params).
+
+    The analysis's trim fraction eps_formula = (delta/(4d))^(d+1) /
+    (10 d^2) is far below one leftover vertex at desk scale;
+    `eps_override` replaces it as eps_used, so absorption is observable.
+    After r leaves are trimmed, the rest is embedded at leftover
+    fraction eps_sub with `params`, None for a one-node tree:
+    derive_parameters over this pipeline's defaults, whose zeta is a
+    narrow block slack so the blocks of a nearly spanning forest still
+    fit disjointly, with `derive_kwargs` set over them key by key.
+    """
+    if int(d) != d or d < 2:
+        raise ParameterError("d must be an integer >= 2, got %r" % d)
+    eps_formula = (delta / (4.0 * d)) ** (d + 1) / (10.0 * d * d)
+    eps_used = eps_formula if eps_override is None \
+        else float(_number("trim fraction", eps_override))
+    if not 0.0 < eps_used < 1.0:
+        raise ParameterError("trim fraction must lie in (0, 1), got %r"
+                             % eps_used)
+    r = int(math.floor(eps_used * n + 1e-9))
+    eps_sub = (r / n) if r >= 1 else 1e-13
+    params = None
+    if n - r > 1:
+        knobs = dict(zeta=0.4 * eps_sub / (2.0 * (1.0 - eps_sub)),
+                     beta=0.3, rho=0.05, m_mode="adaptive", c_m=3.0)
+        knobs.update(derive_kwargs or {})
+        params = derive_parameters(eps_sub, d, n, **knobs)
+    return eps_formula, eps_used, r, eps_sub, params
+
+
 def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
                    alpha: float, d: int, source: RandomSource, *,
                    eps_override: Optional[float] = None,
                    derive_kwargs: Optional[Dict] = None) -> SpanningResult:
     """Embed `tree` as a rainbow spanning tree of the perturbed host.
 
-    The trim fraction defaults to (delta/(4d))^(d+1) / (10 d^2), which is
-    far below one leftover vertex at desk scale; `eps_override` makes the
-    absorption phase observable and both values are logged.  A zero
-    leftover count reduces the run to the almost-spanning pipeline on the
-    whole tree.  `derive_kwargs` sets derive_parameters knobs of the
-    trimmed-tree embedding stage (zeta, beta, rho, expander_c_mode,
-    m_mode, c_m) over this pipeline's defaults, key by key; the default
-    zeta is a narrow block slack, so the blocks of a nearly spanning
-    forest still fit disjointly.
+    spanning_setup fixes the trim and the trimmed tree's parameters from
+    `eps_override` and `derive_kwargs`.  A zero leftover count reduces
+    the run to the almost-spanning pipeline on the whole tree.
 
     Parameter violations raise; stage failures are returned as results.
     """
@@ -438,8 +469,6 @@ def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
     if tree.max_degree() > d:
         raise ParameterError("tree max degree %d exceeds d=%d"
                              % (tree.max_degree(), d))
-    if int(d) != d or d < 2:
-        raise ParameterError("d must be an integer >= 2, got %r" % d)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1), got %r" % delta)
     if alpha < 0.0:
@@ -452,26 +481,14 @@ def embed_spanning(seed: ColouredGraph, p: float, tree: Tree, delta: float,
         raise ParameterError("seed minimum degree %d is below delta*n = %.2f"
                              % (seed.min_degree(), delta * n))
 
-    eps_formula = (delta / (4.0 * d)) ** (d + 1) / (10.0 * d * d)
-    eps_used = eps_formula if eps_override is None else float(eps_override)
-    if not 0.0 < eps_used < 1.0:
-        raise ParameterError("trim fraction must lie in (0, 1), got %r"
-                             % eps_used)
-    r = int(math.floor(eps_used * n + 1e-9))
+    eps_formula, eps_used, r, eps_sub, params = spanning_setup(
+        n, delta, d, eps_override=eps_override, derive_kwargs=derive_kwargs)
     palette_size = int((1.0 + alpha) * n + 1e-9)
     trace: List[str] = []
     _trace(trace, "setup", True, eps_formula="%.3g" % eps_formula,
            eps_used="%.3g" % eps_used, leftovers=r, palette=palette_size)
 
     trim = trim_to_size(tree, n - r, source.substream("trim"))
-    eps_sub = (r / n) if r >= 1 else 1e-13
-    if trim.t0.m == 1:
-        params = None
-    else:
-        knobs = dict(zeta=0.4 * eps_sub / (2.0 * (1.0 - eps_sub)),
-                     beta=0.3, rho=0.05, m_mode="adaptive", c_m=3.0)
-        knobs.update(derive_kwargs or {})
-        params = derive_parameters(eps_sub, d, n, **knobs)
     almost = embed_almost_spanning(n, p, palette_size, trim.t0, eps_sub, d,
                                    source.substream("almost"), params=params)
     return absorb_leftovers(seed, tree, trim, almost, delta, d, eps_used,

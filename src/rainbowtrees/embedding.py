@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (EmbedFailure, ExpanderFailure, InfeasibleParameters,
@@ -140,6 +141,13 @@ class PipelineParams:
         return flags
 
 
+def _number(name: str, value):
+    """`value`, once known to be a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError("%s must be a number, got %r" % (name, value))
+    return value
+
+
 def derive_parameters(eps: float, d: int, n: int, *,
                       zeta: Optional[float] = None,
                       beta: Optional[float] = None,
@@ -153,9 +161,10 @@ def derive_parameters(eps: float, d: int, n: int, *,
     1/2 to keep the logarithmic terms meaningful), and `beta`, `rho` sit
     at their smallness caps 0.01 zeta eps / (d^4 ln(1/zeta)) and
     0.01 eps.  Overrides are accepted beyond the caps; `within_caps`
-    records whether they fit.  `expander_c_mode` accepts only "density",
-    the one reading of the stage degree scale C = m / (2N); it is checked
-    and not stored.
+    records whether they fit, and a zeta, beta, rho or c_m that is not a
+    number, or a c_m <= 0, raises ParameterError.  `expander_c_mode`
+    accepts only "density", the one reading of the stage degree scale
+    C = m / (2N); it is checked and not stored.
 
     Raises InfeasibleParameters when the piece-size window collapses at
     this n (the cutter needs xi*n >= d), reporting the minimum workable n.
@@ -170,13 +179,15 @@ def derive_parameters(eps: float, d: int, n: int, *,
         raise ParameterError("expander_c_mode must be 'density'")
     if m_mode not in ("fixed", "adaptive", "balanced"):
         raise ParameterError("m_mode must be 'fixed', 'adaptive' or 'balanced'")
+    if not _number("c_m", c_m) > 0.0:
+        raise ParameterError("c_m must be positive, got %r" % (c_m,))
     d = int(d)
     n = int(n)
 
     zeta_cap = eps / (2.0 * (1.0 - eps))
     if zeta is None:
         zeta = min(zeta_cap, 0.5)
-    if not 0.0 < zeta <= 0.5:
+    if not 0.0 < _number("zeta", zeta) <= 0.5:
         raise ParameterError("zeta must lie in (0, 1/2], got %r" % zeta)
     if zeta > zeta_cap + 1e-12:
         raise ParameterError("zeta=%g exceeds its cap %g" % (zeta, zeta_cap))
@@ -184,13 +195,13 @@ def derive_parameters(eps: float, d: int, n: int, *,
     beta_cap = 0.01 * zeta * eps / (d ** 4 * math.log(1.0 / zeta))
     if beta is None:
         beta = beta_cap
-    if beta <= 0.0:
+    if not _number("beta", beta) > 0.0:
         raise ParameterError("beta must be positive, got %r" % beta)
 
     rho_cap = 0.01 * eps
     if rho is None:
         rho = rho_cap
-    if not 0.0 <= rho < 1.0:
+    if not 0.0 <= _number("rho", rho) < 1.0:
         raise ParameterError("rho must lie in [0, 1), got %r" % rho)
 
     xi = (1.0 - 1.5 * zeta) * beta

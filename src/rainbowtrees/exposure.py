@@ -168,8 +168,8 @@ class ExposureOracle:
         order.  The pairs are checked together, in numpy, before anything
         is written, so a rejected block leaves no trace: a count of
         colours other than the count of pairs, a loop, a label outside
-        range(n) or a pair leaving the block raises ParameterError, and
-        so does a colour off the palette.
+        range(n), a pair leaving the block or a pair listed twice raises
+        ParameterError, and so does a colour off the palette.
         """
         if self.presence_complete:
             raise ExposureError("cannot register a block after materialization")
@@ -195,6 +195,8 @@ class ExposureOracle:
             raise ParameterError("included pair %r leaves the block"
                                  % (tuple(rows[leaves.argmax()].tolist()),))
         inc = dict(zip(_codes(rows, self.n).tolist(), cols.tolist()))
+        if len(inc) != k:
+            raise ParameterError("the block lists a pair twice")
         if (self._block[verts] >= 0).any():
             raise ExposureError("block shares a vertex with an earlier block")
         # every pair with a revealed presence has both ends touched

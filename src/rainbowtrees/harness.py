@@ -22,10 +22,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from .absorption import (b_size_bound, compute_B, draw_permutation,
-                         embed_spanning, partition_edge_set)
+                         embed_spanning, partition_edge_set, spanning_setup)
 from .embedding import derive_parameters, embed_almost_spanning
 from .errors import (ExpanderFailure, InfeasibleParameters, ParameterError,
                      StageFailure)
@@ -37,9 +38,6 @@ from .spanning import find_rainbow_spanning_tree
 from .trees import Tree, gen_random_bounded_tree, path_tree, star_tree, \
     build_I0, trim_to_size
 
-TRIAL_KINDS = ("almost-spanning", "spanning", "rainbow-st", "lemma-stats")
-LEMMA_KINDS = ("many-colours-a", "many-colours-b", "large-Buv",
-               "expand-membership")
 TREE_SOURCES = ("random", "path", "star")
 
 CSV_HEADER = ("trial", "seed", "outcome", "stage", "metric_json", "ms")
@@ -51,14 +49,42 @@ WILSON_Z = 1.959963984540054
 _DERIVE_KEYS = ("zeta", "beta", "rho", "expander_c_mode", "m_mode", "c_m")
 
 
-def _allowed_knobs(kind: str, lemma_kind: Optional[str]) -> frozenset:
-    if kind == "almost-spanning":
-        return frozenset(_DERIVE_KEYS)
-    if kind == "spanning":
-        return frozenset(_DERIVE_KEYS + ("eps_override",))
-    if kind == "lemma-stats" and lemma_kind == "expand-membership":
-        return frozenset(("theta", "C", "eta", "r", "check_trials"))
-    return frozenset()
+def _rule(name: str, ok: Callable[[object], bool], want: str):
+    """A check that `name` in a config is `want`, as `ok` tests it."""
+    def check(config) -> None:
+        value = getattr(config, name)
+        if not ok(value):
+            raise ParameterError("%s must be %s, got %r" % (name, want, value))
+    return check
+
+
+# the field rules every trial kind shares
+_FIELD_RULES = (
+    _rule("n", lambda v: isinstance(v, Integral) and v >= 1,
+          "a positive integer"),
+    _rule("trials", lambda v: isinstance(v, Integral) and v >= 0,
+          "a nonnegative integer"),
+    _rule("base_seed", lambda v: isinstance(v, Integral) and 0 <= v < 2 ** 64,
+          "a 64-bit nonnegative integer"),
+    _rule("p", lambda v: v is None or 0.0 <= v <= 1.0, "in [0, 1]"),
+    _rule("palette_size", lambda v: v is None or v >= 1, ">= 1"),
+    _rule("eps", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    _rule("delta", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    _rule("alpha", lambda v: v >= 0.0, "nonnegative"),
+    _rule("d", lambda v: isinstance(v, Integral) and v >= 1,
+          "a positive integer"),
+    _rule("tree_source", lambda v: v in TREE_SOURCES,
+          "one of " + ", ".join(TREE_SOURCES)),
+    _rule("seed_kind", lambda v: v in SEED_KINDS,
+          "one of " + ", ".join(SEED_KINDS)),
+    _rule("tree_frac", lambda v: v is None or 0.0 < v <= 1.0, "in (0, 1]"),
+    _rule("gamma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    _rule("beta", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    _rule("samples", lambda v: isinstance(v, Integral) and v >= 1,
+          "a positive integer"),
+    _rule("knobs", lambda v: v is None or isinstance(v, dict),
+          "a dict or None"),
+)
 
 
 @dataclass(frozen=True)
@@ -72,18 +98,11 @@ class TrialConfig:
     the exact rainbow spanning tree search, and "lemma-stats" draws one
     observation of the inequality named by `lemma_kind`.
 
-    Unset values resolve to kind-appropriate defaults: the palette is n
-    for almost-spanning runs and n-1 for rainbow-st (the spanning
-    pipeline derives its own), and p falls back to 10*ln(n)/n for
-    almost-spanning runs, 20/n for the colour-count lemmas, and ln(n)/n
-    otherwise.  For spanning runs `eps` is the trim override; put
-    {"eps_override": None} in `knobs` to use the analysis formula
-    instead.  `knobs` also carries pass-through tuning: for the two
-    embedding kinds the derive_parameters keys zeta, beta, rho,
-    expander_c_mode, m_mode and c_m, set key by key over the pipeline's
-    defaults; for expand-membership the expander family parameters
-    theta, C, eta, r and the check_trials of its sampled membership
-    test.  Unknown keys are rejected so typos fail loudly.
+    The kind's row of KINDS (see TrialKind) says what an unset `p`,
+    `palette_size` or `tree_frac` resolves to, which `knobs` keys the
+    kind accepts, and which rules of its own a config must meet.  For
+    spanning runs `eps` is the trim override; put {"eps_override": None}
+    in `knobs` to use the analysis formula instead.
     """
 
     kind: str
@@ -107,31 +126,34 @@ class TrialConfig:
 
     # -- derived values -----------------------------------------------------
 
+    def _entry(self) -> TrialKind:
+        """This config's row of KINDS: keyed by lemma_kind for lemma-stats
+        runs and by kind otherwise."""
+        if self.kind not in TRIAL_KINDS:
+            raise ParameterError("unknown trial kind %r; expected one of %s"
+                                 % (self.kind, ", ".join(TRIAL_KINDS)))
+        lemma = self.kind == "lemma-stats"
+        if self.lemma_kind not in (LEMMA_KINDS if lemma else (None,)):
+            raise ParameterError(
+                "lemma_kind must be one of %s in lemma-stats runs and None "
+                "in others, got %r" % (", ".join(LEMMA_KINDS), self.lemma_kind))
+        return KINDS[self.lemma_kind if lemma else self.kind]
+
     def resolved_p(self) -> float:
         if self.p is not None:
             return float(self.p)
-        n = max(2, self.n)
-        if self.kind == "almost-spanning":
-            return min(1.0, 10.0 * math.log(n) / n)
-        if self.lemma_kind in ("many-colours-a", "many-colours-b"):
-            return min(1.0, 20.0 / n)
-        return min(1.0, math.log(n) / n)
+        return self._entry().p(self)
 
-    def resolved_palette(self) -> int:
+    def resolved_palette(self) -> Optional[int]:
+        """The palette size; None for kinds that set their own."""
         if self.palette_size is not None:
             return int(self.palette_size)
-        if self.kind == "rainbow-st":
-            return max(1, self.n - 1)
-        return self.n
+        rule = self._entry().palette
+        return None if rule is None else rule(self)
 
     def resolved_tree_size(self) -> int:
-        if self.kind == "spanning":
-            return self.n
-        if self.tree_frac is None:
-            size = int(math.floor((1.0 - self.eps) * self.n + 1e-9))
-        else:
-            size = int(round(self.tree_frac * self.n))
-        return max(1, size)
+        rule = self._entry().tree_size
+        return self.n if rule is None else rule(self)
 
     def digest(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
@@ -141,111 +163,27 @@ class TrialConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        if self.kind not in TRIAL_KINDS:
-            raise ParameterError("unknown trial kind %r; expected one of %s"
-                                 % (self.kind, ", ".join(TRIAL_KINDS)))
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise ParameterError("n must be a positive integer, got %r"
-                                 % (self.n,))
-        if not isinstance(self.trials, Integral) or self.trials < 0:
-            raise ParameterError("trials must be a nonnegative integer, "
-                                 "got %r" % (self.trials,))
-        if not isinstance(self.base_seed, Integral) \
-                or not 0 <= self.base_seed < 2 ** 64:
-            raise ParameterError("base_seed must be a 64-bit nonnegative "
-                                 "integer, got %r" % (self.base_seed,))
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ParameterError("p must lie in [0, 1], got %r" % (self.p,))
-        if self.palette_size is not None and self.palette_size < 1:
-            raise ParameterError("palette_size must be >= 1, got %r"
-                                 % (self.palette_size,))
-        if not 0.0 < self.eps < 1.0:
-            raise ParameterError("eps must lie in (0, 1), got %r"
-                                 % (self.eps,))
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError("delta must lie in (0, 1), got %r"
-                                 % (self.delta,))
-        if self.alpha < 0.0:
-            raise ParameterError("alpha must be nonnegative, got %r"
-                                 % (self.alpha,))
-        if not isinstance(self.d, Integral) or self.d < 1:
-            raise ParameterError("d must be a positive integer, got %r"
-                                 % (self.d,))
-        if self.tree_source not in TREE_SOURCES:
-            raise ParameterError("unknown tree source %r" % (self.tree_source,))
-        if self.seed_kind not in SEED_KINDS:
-            raise ParameterError("unknown seed kind %r" % (self.seed_kind,))
-        if self.tree_frac is not None and not 0.0 < self.tree_frac <= 1.0:
-            raise ParameterError("tree_frac must lie in (0, 1], got %r"
-                                 % (self.tree_frac,))
-        if not 0.0 < self.gamma < 1.0:
-            raise ParameterError("gamma must lie in (0, 1), got %r"
-                                 % (self.gamma,))
-        if not 0.0 < self.beta <= 1.0:
-            raise ParameterError("beta must lie in (0, 1], got %r"
-                                 % (self.beta,))
-        if not isinstance(self.samples, Integral) or self.samples < 1:
-            raise ParameterError("samples must be a positive integer, got %r"
-                                 % (self.samples,))
-
-        if self.kind == "lemma-stats":
-            if self.lemma_kind not in LEMMA_KINDS:
-                raise ParameterError(
-                    "lemma-stats runs need lemma_kind in %s, got %r"
-                    % (", ".join(LEMMA_KINDS), self.lemma_kind))
-        elif self.lemma_kind is not None:
-            raise ParameterError("lemma_kind only applies to lemma-stats "
-                                 "runs, got %r" % (self.lemma_kind,))
-
-        if self.kind in ("almost-spanning", "spanning") and self.d < 2:
-            raise ParameterError("tree embedding needs d >= 2, got %d"
-                                 % self.d)
-        if self.lemma_kind == "large-Buv" and self.d < 2:
-            raise ParameterError("large-Buv trials grow a spanning tree and "
-                                 "need d >= 2, got %d" % self.d)
-        if self.lemma_kind in ("many-colours-a", "many-colours-b") \
-                and not 0.0 < self.alpha <= 1.0:
-            raise ParameterError("colour-count lemmas need alpha in (0, 1], "
-                                 "got %r" % (self.alpha,))
-        if self.kind == "spanning":
-            if self.palette_size is not None:
-                raise ParameterError("the spanning pipeline derives its own "
-                                     "palette; leave palette_size unset")
-            if self.tree_frac is not None:
-                raise ParameterError("spanning trials always use trees on "
-                                     "all n nodes; leave tree_frac unset")
-
-        if self.kind in ("almost-spanning", "spanning"):
-            size = self.resolved_tree_size()
-            if self.kind == "almost-spanning" \
-                    and size > (1.0 - self.eps) * self.n + 1e-9:
-                raise ParameterError(
-                    "tree size %d exceeds (1-eps)n = %.2f"
-                    % (size, (1.0 - self.eps) * self.n))
-            if self.tree_source == "star" and size - 1 > self.d:
-                raise ParameterError(
-                    "a star on %d nodes has centre degree %d > d = %d"
-                    % (size, size - 1, self.d))
-
-        knobs = self.knobs if self.knobs is not None else {}
-        if not isinstance(knobs, dict):
-            raise ParameterError("knobs must be a dict, got %r"
-                                 % type(self.knobs).__name__)
-        allowed = _allowed_knobs(self.kind, self.lemma_kind)
+        entry = self._entry()
+        for rule in _FIELD_RULES:
+            rule(self)
+        name = self.lemma_kind or self.kind
+        if self.palette_size is not None and entry.palette is None:
+            raise ParameterError("%s runs set their own palette; leave "
+                                 "palette_size unset" % name)
+        if self.tree_frac is not None and entry.tree_size is None:
+            raise ParameterError("%s runs take no tree_frac; leave it unset"
+                                 % name)
+        knobs = self.knobs or {}
         for key in knobs:
-            if key not in allowed:
+            if key not in entry.knobs:
                 raise ParameterError(
                     "unknown knob %r for %s runs (allowed: %s)"
-                    % (key, self.lemma_kind or self.kind,
-                       ", ".join(sorted(allowed)) or "none"))
+                    % (key, name, ", ".join(sorted(entry.knobs)) or "none"))
         try:
             json.dumps(knobs, sort_keys=True)
         except TypeError:
             raise ParameterError("knob values must be JSON-serializable")
-        if "eps_override" in knobs and knobs["eps_override"] is not None \
-                and not 0.0 < knobs["eps_override"] < 1.0:
-            raise ParameterError("eps_override must be None or in (0, 1), "
-                                 "got %r" % (knobs["eps_override"],))
+        entry.check(self)
 
 
 @dataclass(frozen=True)
@@ -324,14 +262,9 @@ def _knob(config: TrialConfig, key: str, default):
     return knobs.get(key, default)
 
 
-def _derive_kwargs(config: TrialConfig) -> Dict[str, object]:
-    knobs = config.knobs or {}
-    return {k: knobs[k] for k in _DERIVE_KEYS if k in knobs}
-
-
 def _derive_for(config: TrialConfig):
     return derive_parameters(config.eps, config.d, config.n,
-                             **_derive_kwargs(config))
+                             **(config.knobs or {}))
 
 
 def _expand_params(config: TrialConfig) -> ExpandParams:
@@ -369,15 +302,19 @@ def _trial_almost(config: TrialConfig, src: RandomSource):
     return "success", "done", metrics
 
 
+def _spanning_kwargs(config: TrialConfig) -> Dict[str, object]:
+    knobs = dict(config.knobs or {})
+    return {"eps_override": knobs.pop("eps_override", config.eps),
+            "derive_kwargs": knobs}
+
+
 def _trial_spanning(config: TrialConfig, src: RandomSource):
     seed = gen_seed_graph(config.n, config.delta, config.seed_kind,
                           src.substream("seed-graph"))
     tree = _make_tree(config, config.n, src.substream("tree"))
     res = embed_spanning(
         seed, config.resolved_p(), tree, config.delta, config.alpha,
-        config.d, src.substream("pipeline"),
-        eps_override=_knob(config, "eps_override", config.eps),
-        derive_kwargs=_derive_kwargs(config))
+        config.d, src.substream("pipeline"), **_spanning_kwargs(config))
     metrics = {"r": res.r,
                "eps_used": res.eps_used,
                "eps_formula": res.eps_formula,
@@ -469,13 +406,11 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
 
 
 def _trial_expand(config: TrialConfig, src: RandomSource):
-    xp = _expand_params(config)
-    n = config.n
-    p = float(config.p) if config.p is not None else min(1.0, 4.0 * xp.C / n)
-    g = gen_gnp(n, p, src.substream("graph"))
+    g = gen_gnp(config.n, config.resolved_p(), src.substream("graph"))
     try:
         out = find_effective_expander(
-            g, xp, trials=int(_knob(config, "check_trials", 200)),
+            g, _expand_params(config),
+            trials=int(_knob(config, "check_trials", 200)),
             source=src.substream("checks"))
     except ExpanderFailure as exc:
         return "fail", exc.stage, {"violated": True, "detail": str(exc),
@@ -487,27 +422,114 @@ def _trial_expand(config: TrialConfig, src: RandomSource):
     return "success", "done", metrics
 
 
-def _dispatch(config: TrialConfig, src: RandomSource):
-    if config.kind == "almost-spanning":
-        return _trial_almost(config, src)
-    if config.kind == "spanning":
-        return _trial_spanning(config, src)
-    if config.kind == "rainbow-st":
-        return _trial_rainbow_st(config, src)
-    if config.lemma_kind == "many-colours-a":
-        return _trial_many_colours(config, src, per_vertex=False)
-    if config.lemma_kind == "many-colours-b":
-        return _trial_many_colours(config, src, per_vertex=True)
-    if config.lemma_kind == "large-Buv":
-        return _trial_large_buv(config, src)
-    return _trial_expand(config, src)
+# ---------------------------------------------------------------------------
+# the trial-kind table
+
+
+def _log_p(scale: float) -> Callable[[TrialConfig], float]:
+    def p(config: TrialConfig) -> float:
+        n = max(2, config.n)
+        return min(1.0, scale * math.log(n) / n)
+    return p
+
+
+def _almost_tree_size(config: TrialConfig) -> int:
+    cap = (1.0 - config.eps) * config.n
+    if config.tree_frac is None:
+        size = max(1, int(math.floor(cap + 1e-9)))
+    else:
+        size = max(1, int(round(config.tree_frac * config.n)))
+    if size > cap + 1e-9:
+        raise ParameterError("tree size %d exceeds (1-eps)n = %.2f"
+                             % (size, cap))
+    return size
+
+
+def _check_star(config: TrialConfig) -> None:
+    size = config.resolved_tree_size()
+    if config.tree_source == "star" and size - 1 > config.d:
+        raise ParameterError("a star on %d nodes has centre degree %d > d = %d"
+                             % (size, size - 1, config.d))
+
+
+def _check_almost(config: TrialConfig) -> None:
+    _check_star(config)
+    _derive_for(config)
+
+
+def _check_spanning(config: TrialConfig) -> None:
+    _check_star(config)
+    spanning_setup(config.n, config.delta, config.d,
+                   **_spanning_kwargs(config))
+
+
+@dataclass(frozen=True)
+class TrialKind:
+    """One row of KINDS: everything that sets one trial kind apart.
+
+    `run(config, source)` runs one trial and returns (outcome, stage,
+    metrics); `p(config)` is the edge probability when `p` is unset.
+    `palette` and `tree_size` give the palette size and the tree's order;
+    a kind without a palette rule rejects `palette_size`, and one without
+    a tree rule rejects `tree_frac` (its tree, if any, spans all n nodes).
+    `knobs` are the keys the kind accepts in TrialConfig.knobs: for the
+    embedding kinds derive_parameters keywords, set key by key over the
+    pipeline's defaults.  `lemma_defaults` are a lemma kind's lemma_stats
+    defaults, None for the others.  `check(config)` holds the kind's own
+    rules and its deterministic parameter derivation; validate calls it
+    last, so a config it rejects fails before trial 0.
+    """
+
+    run: Callable[..., Tuple[str, str, Dict[str, object]]]
+    p: Callable[[TrialConfig], float]
+    palette: Optional[Callable[[TrialConfig], int]] = None
+    tree_size: Optional[Callable[[TrialConfig], int]] = None
+    knobs: FrozenSet[str] = frozenset()
+    lemma_defaults: Optional[Dict[str, object]] = None
+    check: Callable[[TrialConfig], object] = lambda config: None
+
+
+KINDS: Dict[str, TrialKind] = {
+    "almost-spanning": TrialKind(
+        _trial_almost, _log_p(10.0), palette=lambda c: c.n,
+        tree_size=_almost_tree_size, knobs=frozenset(_DERIVE_KEYS),
+        check=_check_almost),
+    "spanning": TrialKind(
+        _trial_spanning, _log_p(1.0), check=_check_spanning,
+        knobs=frozenset(_DERIVE_KEYS + ("eps_override",))),
+    "rainbow-st": TrialKind(_trial_rainbow_st, _log_p(1.0),
+                            palette=lambda c: max(1, c.n - 1)),
+    "many-colours-a": TrialKind(
+        lambda c, src: _trial_many_colours(c, src, per_vertex=False),
+        lambda c: min(1.0, 20.0 / max(2, c.n)),
+        lemma_defaults=dict(n=2000, alpha=0.1, gamma=0.5),
+        check=_rule("alpha", lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "many-colours-b": TrialKind(
+        lambda c, src: _trial_many_colours(c, src, per_vertex=True),
+        lambda c: min(1.0, 20.0 / max(2, c.n)),
+        lemma_defaults=dict(n=2000, alpha=0.5, d=3),
+        check=_rule("alpha", lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "large-Buv": TrialKind(
+        _trial_large_buv, _log_p(1.0),
+        lemma_defaults=dict(n=2000, delta=0.4, d=2, seed_kind="complete",
+                            eps=0.25, samples=40),
+        check=_rule("d", lambda v: v >= 2, ">= 2 to grow a tree")),
+    "expand-membership": TrialKind(
+        _trial_expand, lambda c: min(1.0, 4.0 * _expand_params(c).C / c.n),
+        knobs=frozenset(("theta", "C", "eta", "r", "check_trials")),
+        lemma_defaults=dict(n=2000), check=_expand_params),
+}
+LEMMA_KINDS = tuple(key for key, entry in KINDS.items()
+                    if entry.lemma_defaults is not None)
+TRIAL_KINDS = tuple(key for key in KINDS if key not in LEMMA_KINDS) \
+    + ("lemma-stats",)
 
 
 def _run_one(config: TrialConfig, trial: int) -> TrialRecord:
     src = spawn_trial_source(config.base_seed, trial)
     start = time.perf_counter()
     try:
-        outcome, stage, metrics = _dispatch(config, src)
+        outcome, stage, metrics = config._entry().run(config, src)
     except InfeasibleParameters as exc:
         # the pipeline found this trial infeasible at this n, e.g. the
         # blocks of its random tree need more vertices than exist
@@ -521,19 +543,6 @@ def _run_one(config: TrialConfig, trial: int) -> TrialRecord:
     return TrialRecord(config_hash=config.digest(), trial=trial,
                        seed=config.base_seed, outcome=outcome, stage=stage,
                        metrics=metrics, ms=ms)
-
-
-def _trial_entry(payload) -> TrialRecord:
-    config, trial = payload
-    return _run_one(config, trial)
-
-
-def _preflight(config: TrialConfig) -> None:
-    """Deterministic parameter work, so bad configs fail before trial 0."""
-    if config.kind == "almost-spanning":
-        _derive_for(config)
-    elif config.lemma_kind == "expand-membership":
-        _expand_params(config)
 
 
 def run_trials(config: TrialConfig, *,
@@ -554,7 +563,6 @@ def run_trials(config: TrialConfig, *,
         raise ParameterError("run_trials expects a TrialConfig, got %r"
                              % type(config).__name__)
     config.validate()
-    _preflight(config)
     if config.trials == 0:
         return []
     workers = 1 if workers is None else int(workers)
@@ -565,7 +573,7 @@ def run_trials(config: TrialConfig, *,
             jobs = [(config, i) for i in range(config.trials)]
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(min(workers, config.trials)) as pool:
-                return pool.map(_trial_entry, jobs)
+                return pool.starmap(_run_one, jobs)
     return [_run_one(config, i) for i in range(config.trials)]
 
 
@@ -593,15 +601,6 @@ class LemmaStatsSummary:
     records: Tuple[TrialRecord, ...] = field(repr=False)
 
 
-_LEMMA_DEFAULTS = {
-    "many-colours-a": dict(n=2000, alpha=0.1, gamma=0.5),
-    "many-colours-b": dict(n=2000, alpha=0.5, d=3),
-    "large-Buv": dict(n=2000, delta=0.4, d=2, seed_kind="complete",
-                      eps=0.25, samples=40),
-    "expand-membership": dict(n=2000),
-}
-
-
 def lemma_stats(kind: str, params: Optional[Dict[str, object]] = None,
                 trials: int = 100, *, base_seed: int = 0,
                 workers: int = 1) -> LemmaStatsSummary:
@@ -619,7 +618,7 @@ def lemma_stats(kind: str, params: Optional[Dict[str, object]] = None,
     if trials < 1:
         raise ParameterError("lemma_stats needs trials >= 1, got %r"
                              % (trials,))
-    merged: Dict[str, object] = dict(_LEMMA_DEFAULTS[kind])
+    merged: Dict[str, object] = dict(KINDS[kind].lemma_defaults)
     merged.update(params or {})
     unknown = set(merged) - {f.name for f in dataclasses.fields(TrialConfig)}
     if unknown:

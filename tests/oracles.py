@@ -177,6 +177,8 @@ class ReferenceExposureOracle:
             if key[0] not in verts or key[1] not in verts:
                 raise ParameterError("included pair %r leaves the block"
                                      % (key,))
+            if key in inc:
+                raise ParameterError("included pair %r listed twice" % (key,))
             inc[key] = int(c)
         for u, v in itertools.combinations(verts, 2):
             if (u, v) in self._presence:

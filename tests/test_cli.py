@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import re
 import shlex
@@ -99,7 +100,6 @@ def _readme_commands():
 def test_readme_commands_parse_and_validate(monkeypatch):
     def build_only(config, **_):
         config.validate()
-        harness._preflight(config)
         raise _Built(config)
 
     monkeypatch.setattr(cli, "run_trials", build_only)
@@ -164,6 +164,19 @@ def test_cli_reports_parameter_errors(tmp_path, capsys):
     # malformed knob JSON
     code = main(["rainbow-st", "--n", "20", "--trials", "1",
                  "--knobs", "{not json"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"beta": "x"}, {"zeta": "x"}, {"rho": "x"},
+                                 {"c_m": "x"}, {"c_m": 0}, {"c_m": -1}],
+                         ids=["beta-x", "zeta-x", "rho-x", "c_m-x", "c_m-0",
+                              "c_m-neg"])
+def test_cli_rejects_knob_values_of_the_wrong_type(bad, capsys):
+    # over a config whose trials run, each bad value stops the command
+    knobs = {"beta": 0.12, "m_mode": "balanced", **bad}
+    code = main(["embed-almost", "--n", "2000", "--tree-frac", "0.08",
+                 "--trials", "1", "--knobs", json.dumps(knobs)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 

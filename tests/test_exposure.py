@@ -182,6 +182,20 @@ def test_record_block_rejects_bad_arrays():
         o.record_block([3], *arrays([], []), 3)
 
 
+def test_record_block_rejects_a_pair_listed_twice():
+    # either colour order raises, not only the one whose last colour is
+    # off the palette, and neither oracle writes anything
+    for colours in ([99, 5], [5, 99]):
+        o = make(n=8, palette=16)
+        ref = ReferenceExposureOracle(8, 16, 0.5, RandomSource(7))
+        clean = _state(o)
+        for oracle in (o, ref):
+            with pytest.raises(ParameterError):
+                oracle.record_block([0, 1, 2], [(0, 1), (1, 0)], colours, 1)
+        assert _state(o) == clean
+        assert ref._presence == {} and ref._colour == {}
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_record_block_arrays_match_lists(seed):
     """A block handed over as arrays, canonical as `sparsify` writes them

@@ -16,7 +16,8 @@ import io
 
 import pytest
 
-from rainbowtrees.cli import main
+from rainbowtrees.cli import _build_parser, main
+from rainbowtrees.harness import KINDS
 
 CASES = {
     "rainbow-st": (
@@ -47,7 +48,19 @@ CASES = {
         ["lemma-stats", "--kind", "many-colours-b", "--n", "2000",
          "--trials", "5", "--seed", "8970"],
         "8538362e6fbcbc1599c3bcf2a7b125579ac98dfbcf8d4f24899c76563b6745cc"),
+    "expand-membership": (
+        ["lemma-stats", "--kind", "expand-membership", "--n", "400",
+         "--knobs", '{"C":40.0,"theta":0.3,"check_trials":40}',
+         "--trials", "5", "--seed", "8980"],
+        "553c90d5299d57bbaee63811bba2e491ae52827e8c718c7c9419b2797a506b51"),
 }
+
+
+def test_every_trial_kind_has_a_case():
+    # a trial kind added to the harness's table needs a pinned CSV here
+    parser = _build_parser()
+    assert {parser.parse_args(argv).kind for argv, _ in CASES.values()} \
+        == set(KINDS)
 
 
 def _csv_without_ms(path) -> str:

@@ -96,6 +96,13 @@ def test_config_validation_kind_specific_rules():
     with pytest.raises(ParameterError):
         TrialConfig(kind="spanning", n=30, d=2,
                     knobs={"eps_override": 2.0}).validate()
+    # a kind without a palette rule takes no palette_size, and one
+    # without a tree rule no tree_frac
+    with pytest.raises(ParameterError, match="palette_size"):
+        TrialConfig(kind="lemma-stats", n=40, lemma_kind="many-colours-a",
+                    alpha=0.1, palette_size=40).validate()
+    with pytest.raises(ParameterError, match="tree_frac"):
+        TrialConfig(kind="rainbow-st", n=40, tree_frac=0.5).validate()
 
 
 def test_config_knobs_per_kind():
@@ -107,9 +114,19 @@ def test_config_knobs_per_kind():
     buv = dict(kind="lemma-stats", lemma_kind="large-Buv", n=300, d=2)
     expand = dict(kind="lemma-stats", lemma_kind="expand-membership", n=400)
     TrialConfig(**almost, knobs=derive).validate()
-    TrialConfig(**spanning, knobs={**derive, "eps_override": None}).validate()
-    TrialConfig(**expand, knobs={"theta": 0.3, "C": 40.0, "eta": 0.5, "r": 2,
+    TrialConfig(**spanning, knobs={**derive, "eps_override": 0.5}).validate()
+    TrialConfig(**spanning, knobs={"eps_override": None}).validate()
+    # at the analysis trim fraction nothing is trimmed at n = 300, so the
+    # embedding stage's zeta cap is below 1e-13 and zeta 0.1 fails here,
+    # before trial 0
+    with pytest.raises(ParameterError, match="zeta"):
+        TrialConfig(**spanning,
+                    knobs={**derive, "eps_override": None}).validate()
+    TrialConfig(**expand, knobs={"theta": 0.3, "C": 40.0, "eta": 0.2, "r": 3,
                                  "check_trials": 40}).validate()
+    # validate derives the expander family parameters: r >= 3 is theirs
+    with pytest.raises(ParameterError, match="r must be"):
+        TrialConfig(**expand, knobs={"r": 2}).validate()
     # fixed constants of the pipelines, no longer knobs
     retired = {"c_beta": 0.01, "c_rho": 0.01, "block_scale": 1.0,
                "check_mode": "sampled", "check_trials": 60,
@@ -142,6 +159,14 @@ def test_config_defaults_resolve():
     assert sized.resolved_tree_size() == 40
     span = TrialConfig(kind="spanning", n=77, d=2)
     assert span.resolved_tree_size() == 77
+
+    # expand-membership runs at 4C/n, C from its knobs
+    expand = dict(kind="lemma-stats", lemma_kind="expand-membership")
+    assert TrialConfig(**expand, n=400, knobs={"C": 40.0, "theta": 0.3}) \
+        .resolved_p() == pytest.approx(4.0 * 40.0 / 400)
+    assert TrialConfig(**expand, n=2000).resolved_p() \
+        == pytest.approx(4.0 * 200.0 / 2000)
+    assert TrialConfig(**expand, n=400).resolved_p() == 1.0
 
 
 def test_config_digest_tracks_content():
@@ -223,6 +248,15 @@ def test_spanning_trials_record_stage_failures_honestly():
         assert "detail" in rec.metrics
     again = run_trials(cfg)
     assert [strip_ms(r) for r in records] == [strip_ms(r) for r in again]
+
+
+def test_spanning_knobs_are_checked_before_trial_0():
+    # the spanning pipeline's parameter derivation runs in validate, so a
+    # bad knob raises instead of failing every trial at stage "error"
+    cfg = TrialConfig(kind="spanning", n=60, eps=0.1, trials=3,
+                      knobs={"m_mode": "bogus"})
+    with pytest.raises(ParameterError, match="m_mode"):
+        run_trials(cfg)
 
 
 def test_infeasible_blocks_fail_the_trial_not_the_batch():
