@@ -1,27 +1,28 @@
 """Command line front end for the rainbow tree toolkit.
 
 Subcommands: gen (random or dense-seed graphs as edge-list text), colour
-(uniform edge colouring), embed-almost / embed-spanning / rainbow-st
-(Monte Carlo trials over one pipeline each), and lemma-stats (violation
-frequencies for the supporting inequalities).  Every run reproduces from
---seed; trial i draws from stream (seed, i).  Trial records go to CSV
-rows `trial,seed,outcome,stage,metric_json,ms`.
+(uniform edge colouring), one Monte Carlo subcommand per harness.KINDS
+row with a command name, and lemma-stats (violation frequencies for the
+supporting inequalities).  Every run reproduces from --seed; trial i
+draws from stream (seed, i).  Trial records go to CSV rows
+`trial,seed,outcome,stage,metric_json,ms`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .errors import ParameterError, RainbowTreesError
 from .graphs import (SEED_KINDS, gen_gnp, gen_seed_graph, perturb,
                      uniform_colouring)
-from .harness import (LEMMA_KINDS, TREE_SOURCES, TrialConfig, estimate,
-                      lemma_stats, run_trials, write_records)
+from .harness import (KINDS, LEMMA_KINDS, TREE_SOURCES, TrialConfig,
+                      estimate, lemma_stats, run_trials, write_records)
 from .io import format_edge_list, parse_edge_list, read_text, write_text
 from .rng import RandomSource
 
@@ -80,14 +81,40 @@ def _cmd_colour(args) -> int:
     return 0
 
 
+# the flag of each TrialConfig field but kind, which the subcommand
+# sets, and lemma_kind, which is lemma-stats' --kind
+FIELD_FLAGS: Dict[str, tuple] = {
+    "n": ("--n", dict(type=int, help="host vertex count")),
+    "p": ("--p", dict(type=float, help="edge probability")),
+    "palette_size": ("--palette", dict(type=int, help="palette size")),
+    "eps": ("--eps", dict(type=float, help="leftover or trim fraction")),
+    "delta": ("--delta", dict(type=float, help="seed min-degree fraction")),
+    "alpha": ("--alpha", dict(type=float, help="colour surplus fraction")),
+    "d": ("--d", dict(type=int, help="tree degree bound")),
+    "tree_source": ("--tree-source", dict(choices=TREE_SOURCES)),
+    "seed_kind": ("--seed-kind", dict(choices=SEED_KINDS)),
+    "trials": ("--trials", dict(type=int, help="trial count")),
+    "base_seed": ("--seed", dict(type=int, help="base random seed")),
+    "tree_frac": ("--tree-frac", dict(type=float, help="tree order / n")),
+    "gamma": ("--gamma", dict(type=float, help="colour shortfall fraction")),
+    "beta": ("--beta", dict(type=float, help="random graph order / n")),
+    "samples": ("--samples", dict(type=int, help="pools sampled per trial")),
+    "knobs": ("--knobs", dict(help="JSON object of tuning knobs")),
+}
+
+_REQUIRED = {f.name for f in dataclasses.fields(TrialConfig)
+             if f.default is dataclasses.MISSING}
+
+
+def _given_fields(args) -> Dict[str, object]:
+    """The TrialConfig fields whose flags were given, knobs parsed."""
+    args.knobs = _parse_knobs(args.knobs)
+    return {name: getattr(args, name) for name in FIELD_FLAGS
+            if getattr(args, name) is not None}
+
+
 def _cmd_trials(args) -> int:
-    config = TrialConfig(kind=args.kind, n=args.n, p=args.p,
-                         palette_size=args.palette, eps=args.eps,
-                         delta=args.delta, alpha=args.alpha, d=args.d,
-                         tree_source=args.tree_source,
-                         seed_kind=args.seed_kind, trials=args.trials,
-                         base_seed=args.seed, tree_frac=args.tree_frac,
-                         knobs=_parse_knobs(args.knobs))
+    config = TrialConfig(kind=args.kind, **_given_fields(args))
     records = run_trials(config, workers=args.workers)
     if args.out:
         write_records(args.out, records)
@@ -107,19 +134,10 @@ def _cmd_trials(args) -> int:
 
 
 def _cmd_lemma_stats(args) -> int:
-    params = {}
-    for name in ("n", "p", "alpha", "gamma", "beta", "delta", "eps", "d",
-                 "samples"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.seed_kind is not None:
-        params["seed_kind"] = args.seed_kind
-    knobs = _parse_knobs(args.knobs)
-    if knobs is not None:
-        params["knobs"] = knobs
-    summary = lemma_stats(args.kind, params, args.trials,
-                          base_seed=args.seed, workers=args.workers)
+    params = _given_fields(args)
+    run = {key: params.pop(key) for key in ("trials", "base_seed")
+           if key in params}
+    summary = lemma_stats(args.kind, params, workers=args.workers, **run)
     bound = "-" if summary.bound is None else "%.6g" % summary.bound
     print("kind=%s trials=%d violations=%d aborted=%d frequency=%.4f bound=%s"
           % (summary.kind, summary.trials, summary.violations,
@@ -134,38 +152,14 @@ def _cmd_lemma_stats(args) -> int:
 # parser wiring
 
 
-def _add_common(sp, *, trials_default: int = 20) -> None:
-    sp.add_argument("--n", type=int, required=True, help="host vertex count")
-    sp.add_argument("--p", type=float, default=None,
-                    help="edge probability (kind-appropriate default)")
-    sp.add_argument("--palette", type=int, default=None,
-                    help="palette size (kind-appropriate default)")
-    sp.add_argument("--eps", type=float, default=0.25,
-                    help="leftover fraction; the trim override for "
-                         "spanning runs")
-    sp.add_argument("--delta", type=float, default=0.4,
-                    help="seed graph minimum-degree fraction")
-    sp.add_argument("--alpha", type=float, default=0.0,
-                    help="palette surplus fraction for spanning runs")
-    sp.add_argument("--d", type=int, default=3, help="tree degree bound")
-    sp.add_argument("--trials", type=int, default=trials_default)
-    sp.add_argument("--seed", type=int, default=0, help="base random seed")
+def _add_run_flags(sp, required: bool) -> None:
+    """The FIELD_FLAGS flags, unset by default (with `required`, those of
+    fields without a TrialConfig default are mandatory), then the rest."""
+    for name, (flag, kwargs) in FIELD_FLAGS.items():
+        sp.add_argument(flag, dest=name,
+                        required=required and name in _REQUIRED, **kwargs)
+    sp.add_argument("--workers", type=int, default=1, help="worker processes")
     sp.add_argument("--out", default=None, help="write CSV records here")
-
-
-def _add_trial_extras(sp) -> None:
-    sp.add_argument("--tree-source", dest="tree_source",
-                    choices=TREE_SOURCES, default="random")
-    sp.add_argument("--tree-frac", dest="tree_frac", type=float, default=None,
-                    help="tree order as a fraction of n "
-                         "(default: the largest the run allows)")
-    sp.add_argument("--seed-kind", dest="seed_kind", choices=SEED_KINDS,
-                    default="clique-union")
-    sp.add_argument("--knobs", default=None,
-                    help="JSON object of tuning knobs, e.g. "
-                         "'{\"m_mode\": \"balanced\"}'")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes for trials")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,38 +190,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="edge-list file; - or no --out writes to stdout")
     sp.set_defaults(func=_cmd_colour)
 
-    for name, kind, blurb in (
-            ("embed-almost", "almost-spanning",
-             "embed bounded-degree trees on up to (1-eps)n nodes"),
-            ("embed-spanning", "spanning",
-             "embed spanning trees via trim, embed, absorb"),
-            ("rainbow-st", "rainbow-st",
-             "search perturbed coloured hosts for rainbow spanning trees")):
-        sp = sub.add_parser(name, help=blurb)
-        _add_common(sp)
-        _add_trial_extras(sp)
-        sp.set_defaults(func=_cmd_trials, kind=kind)
+    for kind, entry in KINDS.items():
+        if entry.command is not None:
+            sp = sub.add_parser(entry.command, help=entry.help)
+            _add_run_flags(sp, required=True)
+            sp.set_defaults(func=_cmd_trials, kind=kind, trials=20)
 
     sp = sub.add_parser("lemma-stats",
                         help="violation frequencies for supporting bounds")
     sp.add_argument("--kind", required=True, choices=LEMMA_KINDS)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="pool triples sampled per trial (large-Buv)")
-    sp.add_argument("--seed-kind", dest="seed_kind", choices=SEED_KINDS,
-                    default=None)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--knobs", default=None)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--out", default=None)
+    _add_run_flags(sp, required=False)
     sp.set_defaults(func=_cmd_lemma_stats)
 
     return parser

@@ -19,15 +19,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
 from .absorption import (b_size_bound, compute_B, draw_permutation,
                          embed_spanning, partition_edge_set, spanning_setup)
-from .embedding import derive_parameters, embed_almost_spanning
+from .embedding import _number, derive_parameters, embed_almost_spanning
 from .errors import (ExpanderFailure, InfeasibleParameters, ParameterError,
                      StageFailure)
 from .expanders import ExpandParams, find_effective_expander
@@ -58,30 +59,38 @@ def _rule(name: str, ok: Callable[[object], bool], want: str):
     return check
 
 
+# the concrete types come first: each ABC isinstance costs about 1 us
+def _int(v) -> bool:
+    return type(v) is not bool and isinstance(v, (int, Integral))
+
+
+def _real(v) -> bool:
+    return type(v) is not bool and isinstance(v, (float, int, Real))
+
+
 # the field rules every trial kind shares
 _FIELD_RULES = (
-    _rule("n", lambda v: isinstance(v, Integral) and v >= 1,
-          "a positive integer"),
-    _rule("trials", lambda v: isinstance(v, Integral) and v >= 0,
-          "a nonnegative integer"),
-    _rule("base_seed", lambda v: isinstance(v, Integral) and 0 <= v < 2 ** 64,
+    _rule("n", lambda v: _int(v) and v >= 1, "a positive integer"),
+    _rule("trials", lambda v: _int(v) and v >= 0, "a nonnegative integer"),
+    _rule("base_seed", lambda v: _int(v) and 0 <= v < 2 ** 64,
           "a 64-bit nonnegative integer"),
-    _rule("p", lambda v: v is None or 0.0 <= v <= 1.0, "in [0, 1]"),
-    _rule("palette_size", lambda v: v is None or v >= 1, ">= 1"),
-    _rule("eps", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    _rule("delta", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    _rule("alpha", lambda v: v >= 0.0, "nonnegative"),
-    _rule("d", lambda v: isinstance(v, Integral) and v >= 1,
+    _rule("p", lambda v: v is None or _real(v) and 0 <= v <= 1,
+          "a number in [0, 1]"),
+    _rule("palette_size", lambda v: v is None or _int(v) and v >= 1,
           "a positive integer"),
+    _rule("eps", lambda v: _real(v) and 0 < v < 1, "a number in (0, 1)"),
+    _rule("delta", lambda v: _real(v) and 0 < v < 1, "a number in (0, 1)"),
+    _rule("alpha", lambda v: _real(v) and v >= 0, "a nonnegative number"),
+    _rule("d", lambda v: _int(v) and v >= 1, "a positive integer"),
     _rule("tree_source", lambda v: v in TREE_SOURCES,
           "one of " + ", ".join(TREE_SOURCES)),
     _rule("seed_kind", lambda v: v in SEED_KINDS,
           "one of " + ", ".join(SEED_KINDS)),
-    _rule("tree_frac", lambda v: v is None or 0.0 < v <= 1.0, "in (0, 1]"),
-    _rule("gamma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    _rule("beta", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    _rule("samples", lambda v: isinstance(v, Integral) and v >= 1,
-          "a positive integer"),
+    _rule("tree_frac", lambda v: v is None or _real(v) and 0 < v <= 1,
+          "a number in (0, 1]"),
+    _rule("gamma", lambda v: _real(v) and 0 < v < 1, "a number in (0, 1)"),
+    _rule("beta", lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    _rule("samples", lambda v: _int(v) and v >= 1, "a positive integer"),
     _rule("knobs", lambda v: v is None or isinstance(v, dict),
           "a dict or None"),
 )
@@ -91,18 +100,13 @@ _FIELD_RULES = (
 class TrialConfig:
     """Everything one experiment needs, checked before any trial runs.
 
-    `kind` picks the pipeline: "almost-spanning" embeds a bounded-degree
-    tree on at most (1-eps)n nodes into a lazily revealed random host,
-    "spanning" runs the trim / embed / absorb route on a dense seed plus
-    random perturbation, "rainbow-st" colours a perturbed seed and runs
-    the exact rainbow spanning tree search, and "lemma-stats" draws one
-    observation of the inequality named by `lemma_kind`.
-
-    The kind's row of KINDS (see TrialKind) says what an unset `p`,
-    `palette_size` or `tree_frac` resolves to, which `knobs` keys the
-    kind accepts, and which rules of its own a config must meet.  For
-    spanning runs `eps` is the trim override; put {"eps_override": None}
-    in `knobs` to use the analysis formula instead.
+    `kind` names a row of KINDS (see TrialKind), or is "lemma-stats",
+    whose row `lemma_kind` names.  Every kind reads kind, lemma_kind, n,
+    p, trials and base_seed; the row's `reads` lists the other fields
+    its trials read, and validate rejects any other field that is not
+    at its default.  The row also says what an unset `p`, `palette_size`
+    or `tree_frac` resolves to, which `knobs` keys it accepts, and which
+    rules of its own a config must meet.
     """
 
     kind: str
@@ -148,12 +152,10 @@ class TrialConfig:
         """The palette size; None for kinds that set their own."""
         if self.palette_size is not None:
             return int(self.palette_size)
-        rule = self._entry().palette
-        return None if rule is None else rule(self)
+        return self._entry().palette(self)
 
     def resolved_tree_size(self) -> int:
-        rule = self._entry().tree_size
-        return self.n if rule is None else rule(self)
+        return self._entry().tree_size(self)
 
     def digest(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
@@ -167,23 +169,27 @@ class TrialConfig:
         for rule in _FIELD_RULES:
             rule(self)
         name = self.lemma_kind or self.kind
-        if self.palette_size is not None and entry.palette is None:
-            raise ParameterError("%s runs set their own palette; leave "
-                                 "palette_size unset" % name)
-        if self.tree_frac is not None and entry.tree_size is None:
-            raise ParameterError("%s runs take no tree_frac; leave it unset"
-                                 % name)
         knobs = self.knobs or {}
         for key in knobs:
             if key not in entry.knobs:
                 raise ParameterError(
-                    "unknown knob %r for %s runs (allowed: %s)"
+                    "unknown knob %r for %s runs (allowed knobs: %s)"
                     % (key, name, ", ".join(sorted(entry.knobs)) or "none"))
+        for key, default in _UNREAD_DEFAULTS:
+            if key not in entry.reads and getattr(self, key) != default:
+                raise ParameterError("%s runs do not read %s; leave it at %r"
+                                     % (name, key, default))
         try:
             json.dumps(knobs, sort_keys=True)
         except TypeError:
             raise ParameterError("knob values must be JSON-serializable")
         entry.check(self)
+
+
+# (field, default) for each field beyond those every trial kind reads
+_UNREAD_DEFAULTS = tuple(
+    (f.name, f.default) for f in dataclasses.fields(TrialConfig)
+    if f.name not in ("kind", "lemma_kind", "n", "p", "trials", "base_seed"))
 
 
 @dataclass(frozen=True)
@@ -257,22 +263,25 @@ def estimate(records: Sequence[TrialRecord]) -> SuccessEstimate:
 # per-trial execution
 
 
-def _knob(config: TrialConfig, key: str, default):
-    knobs = config.knobs or {}
-    return knobs.get(key, default)
-
-
 def _derive_for(config: TrialConfig):
     return derive_parameters(config.eps, config.d, config.n,
                              **(config.knobs or {}))
 
 
-def _expand_params(config: TrialConfig) -> ExpandParams:
-    theta = float(_knob(config, "theta", 0.25))
-    c_value = float(_knob(config, "C", max(200.0, 50.0 / theta)))
-    r = int(_knob(config, "r", 3))
-    eta = float(_knob(config, "eta", 1.0 / (r + 2)))
-    return ExpandParams(theta=theta, C=c_value, eta=eta, r=r)
+def _expand_knobs(config: TrialConfig) -> Tuple[ExpandParams, int]:
+    """The expander family parameters and the check count in `knobs`."""
+    knobs = config.knobs or {}
+    r, checks = knobs.get("r", 3), knobs.get("check_trials", 200)
+    for key, value, least in (("r", r, 3), ("check_trials", checks, 1)):
+        if not _int(value) or value < least:
+            raise ParameterError("%s must be an integer >= %d, got %r"
+                                 % (key, least, value))
+    theta = float(_number("theta", knobs.get("theta", 0.25)))
+    # a theta <= 0 is ExpandParams's to reject
+    c_value = knobs.get("C", max(200.0, 50.0 / theta) if theta > 0 else 0.0)
+    eta = knobs.get("eta", 1.0 / (r + 2))
+    return ExpandParams(theta=theta, C=float(_number("C", c_value)),
+                        eta=float(_number("eta", eta)), r=int(r)), int(checks)
 
 
 def _make_tree(config: TrialConfig, size: int, source: RandomSource) -> Tree:
@@ -303,6 +312,8 @@ def _trial_almost(config: TrialConfig, src: RandomSource):
 
 
 def _spanning_kwargs(config: TrialConfig) -> Dict[str, object]:
+    """eps is the trim override; knobs {"eps_override": None} asks for
+    the analysis formula instead."""
     knobs = dict(config.knobs or {})
     return {"eps_override": knobs.pop("eps_override", config.eps),
             "derive_kwargs": knobs}
@@ -407,11 +418,10 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
 
 def _trial_expand(config: TrialConfig, src: RandomSource):
     g = gen_gnp(config.n, config.resolved_p(), src.substream("graph"))
+    params, checks = _expand_knobs(config)
     try:
-        out = find_effective_expander(
-            g, _expand_params(config),
-            trials=int(_knob(config, "check_trials", 200)),
-            source=src.substream("checks"))
+        out = find_effective_expander(g, params, trials=checks,
+                                      source=src.substream("checks"))
     except ExpanderFailure as exc:
         return "fail", exc.stage, {"violated": True, "detail": str(exc),
                                    "edges": g.size}
@@ -468,56 +478,74 @@ class TrialKind:
     """One row of KINDS: everything that sets one trial kind apart.
 
     `run(config, source)` runs one trial and returns (outcome, stage,
-    metrics); `p(config)` is the edge probability when `p` is unset.
-    `palette` and `tree_size` give the palette size and the tree's order;
-    a kind without a palette rule rejects `palette_size`, and one without
-    a tree rule rejects `tree_frac` (its tree, if any, spans all n nodes).
-    `knobs` are the keys the kind accepts in TrialConfig.knobs: for the
-    embedding kinds derive_parameters keywords, set key by key over the
-    pipeline's defaults.  `lemma_defaults` are a lemma kind's lemma_stats
-    defaults, None for the others.  `check(config)` holds the kind's own
-    rules and its deterministic parameter derivation; validate calls it
-    last, so a config it rejects fails before trial 0.
+    metrics); `check(config)` holds the kind's own rules and its
+    deterministic parameter derivation, and validate calls it last, so
+    a config it rejects fails before trial 0.  `reads` names the fields
+    these two read beyond those every kind reads.  `p`, `palette` and
+    `tree_size` resolve an unset `p`, `palette_size` or `tree_frac`.
+    `knobs` are the keys allowed in TrialConfig.knobs: for the embedding
+    kinds derive_parameters keywords, set key by key over the pipeline's
+    defaults.  `lemma_defaults` are a lemma kind's lemma_stats defaults,
+    None for the others; `command` and `help` name the kind's
+    subcommand, if it has one.
     """
 
     run: Callable[..., Tuple[str, str, Dict[str, object]]]
     p: Callable[[TrialConfig], float]
-    palette: Optional[Callable[[TrialConfig], int]] = None
-    tree_size: Optional[Callable[[TrialConfig], int]] = None
+    reads: FrozenSet[str]
+    palette: Callable[[TrialConfig], Optional[int]] = lambda config: None
+    tree_size: Callable[[TrialConfig], int] = lambda config: config.n
     knobs: FrozenSet[str] = frozenset()
     lemma_defaults: Optional[Dict[str, object]] = None
+    command: Optional[str] = None
+    help: str = ""
     check: Callable[[TrialConfig], object] = lambda config: None
+
+
+def _reads(names: str) -> FrozenSet[str]:
+    return frozenset(names.split())
 
 
 KINDS: Dict[str, TrialKind] = {
     "almost-spanning": TrialKind(
-        _trial_almost, _log_p(10.0), palette=lambda c: c.n,
-        tree_size=_almost_tree_size, knobs=frozenset(_DERIVE_KEYS),
-        check=_check_almost),
+        _trial_almost, _log_p(10.0),
+        _reads("palette_size eps d tree_source tree_frac knobs"),
+        palette=lambda c: c.n, tree_size=_almost_tree_size,
+        knobs=frozenset(_DERIVE_KEYS), check=_check_almost,
+        command="embed-almost",
+        help="embed bounded-degree trees on up to (1-eps)n nodes"),
     "spanning": TrialKind(
-        _trial_spanning, _log_p(1.0), check=_check_spanning,
-        knobs=frozenset(_DERIVE_KEYS + ("eps_override",))),
-    "rainbow-st": TrialKind(_trial_rainbow_st, _log_p(1.0),
-                            palette=lambda c: max(1, c.n - 1)),
+        _trial_spanning, _log_p(1.0),
+        _reads("eps delta alpha d tree_source seed_kind knobs"),
+        knobs=frozenset(_DERIVE_KEYS + ("eps_override",)),
+        check=_check_spanning, command="embed-spanning",
+        help="embed spanning trees via trim, embed, absorb"),
+    "rainbow-st": TrialKind(
+        _trial_rainbow_st, _log_p(1.0), _reads("palette_size delta seed_kind"),
+        palette=lambda c: max(1, c.n - 1), command="rainbow-st",
+        help="search perturbed coloured hosts for rainbow spanning trees"),
     "many-colours-a": TrialKind(
         lambda c, src: _trial_many_colours(c, src, per_vertex=False),
-        lambda c: min(1.0, 20.0 / max(2, c.n)),
+        lambda c: min(1.0, 20.0 / max(2, c.n)), _reads("alpha gamma beta"),
         lemma_defaults=dict(n=2000, alpha=0.1, gamma=0.5),
         check=_rule("alpha", lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
     "many-colours-b": TrialKind(
         lambda c, src: _trial_many_colours(c, src, per_vertex=True),
-        lambda c: min(1.0, 20.0 / max(2, c.n)),
+        lambda c: min(1.0, 20.0 / max(2, c.n)), _reads("alpha beta d"),
         lemma_defaults=dict(n=2000, alpha=0.5, d=3),
         check=_rule("alpha", lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
     "large-Buv": TrialKind(
         _trial_large_buv, _log_p(1.0),
+        _reads("eps delta d seed_kind samples"),
         lemma_defaults=dict(n=2000, delta=0.4, d=2, seed_kind="complete",
                             eps=0.25, samples=40),
         check=_rule("d", lambda v: v >= 2, ">= 2 to grow a tree")),
     "expand-membership": TrialKind(
-        _trial_expand, lambda c: min(1.0, 4.0 * _expand_params(c).C / c.n),
+        _trial_expand,
+        lambda c: min(1.0, 4.0 * _expand_knobs(c)[0].C / c.n),
+        _reads("knobs"),
         knobs=frozenset(("theta", "C", "eta", "r", "check_trials")),
-        lemma_defaults=dict(n=2000), check=_expand_params),
+        lemma_defaults=dict(n=2000), check=_expand_knobs),
 }
 LEMMA_KINDS = tuple(key for key, entry in KINDS.items()
                     if entry.lemma_defaults is not None)
@@ -552,27 +580,27 @@ def run_trials(config: TrialConfig, *,
     Trial i draws every random decision from spawn_trial_source(
     config.base_seed, i), so records are identical (apart from wall
     clock ms) whether trials run serially or across `workers` forked
-    processes, and records always come back in trial order.  Parameter
-    problems in the config raise before any trial executes.  Inside a
-    trial nothing escapes: a stage failure lands in its record as a fail
-    outcome at that stage, an InfeasibleParameters at stage "infeasible",
-    and any other exception at stage "error" with its type name and
-    message, so one bad trial never aborts the batch.
+    processes (at most one per core), and records always come back in
+    trial order.  A bad config or worker count raises before any trial
+    executes.  Inside a trial nothing escapes: a stage failure lands in
+    its record as a fail outcome at that stage, an InfeasibleParameters
+    at stage "infeasible", and any other exception at stage "error" with
+    its type name and message, so one bad trial never aborts the batch.
     """
     if not isinstance(config, TrialConfig):
         raise ParameterError("run_trials expects a TrialConfig, got %r"
                              % type(config).__name__)
     config.validate()
-    if config.trials == 0:
-        return []
-    workers = 1 if workers is None else int(workers)
-    if workers > 1 and config.trials > 1:
+    if not _int(workers) or workers < 1:
+        raise ParameterError("workers must be an integer >= 1, got %r"
+                             % (workers,))
+    workers = min(workers, config.trials, os.cpu_count() or 1)
+    if workers > 1:
         # the pool's module loads only when a batch is forked
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             jobs = [(config, i) for i in range(config.trials)]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(workers, config.trials)) as pool:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
                 return pool.starmap(_run_one, jobs)
     return [_run_one(config, i) for i in range(config.trials)]
 
@@ -606,11 +634,10 @@ def lemma_stats(kind: str, params: Optional[Dict[str, object]] = None,
                 workers: int = 1) -> LemmaStatsSummary:
     """Measure how often finite instances violate one asymptotic bound.
 
-    `params` overrides the per-kind defaults and accepts the TrialConfig
-    field names (n, p, alpha, gamma, beta, d, delta, eps, seed_kind,
-    samples, knobs).  The summary reports the observed violation
-    frequency next to the analytic bound and never decides pass or fail;
-    tests and callers apply their own thresholds.
+    `params` overrides the per-kind defaults and accepts n, p and the
+    TrialConfig fields in KINDS[kind].reads.  The summary reports the
+    observed violation frequency next to the analytic bound and never
+    decides pass or fail; tests and callers apply their own thresholds.
     """
     if kind not in LEMMA_KINDS:
         raise ParameterError("unknown lemma kind %r; expected one of %s"

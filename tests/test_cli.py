@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import shlex
 
 import pytest
 
-from rainbowtrees import cli, harness, read_records
+from rainbowtrees import ParameterError, cli, harness, read_records
 from rainbowtrees.cli import main
 from rainbowtrees.io import parse_edge_list, read_text
 
@@ -206,3 +207,102 @@ def test_embed_almost_subcommand_smoke(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "successes=2 trials=2" in out
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_trial_subcommands_are_the_rows_with_a_command():
+    trial = {name: sp.get_default("kind")
+             for name, sp in _subcommands().items()
+             if sp.get_default("func") is cli._cmd_trials}
+    assert trial == {entry.command: key
+                     for key, entry in harness.KINDS.items()
+                     if entry.command is not None}
+
+
+def test_every_config_field_has_a_flag_and_a_reader():
+    fields = {f.name for f in dataclasses.fields(harness.TrialConfig)}
+    # kind comes from the subcommand, lemma_kind from lemma-stats' --kind
+    assert set(cli.FIELD_FLAGS) == fields - {"kind", "lemma_kind"}
+    always = fields - {name for name, _ in harness._UNREAD_DEFAULTS}
+    read = set().union(*(entry.reads for entry in harness.KINDS.values()))
+    assert read | always == fields
+    for sp in _subcommands().values():
+        if sp.get_default("func") in (cli._cmd_trials, cli._cmd_lemma_stats):
+            flags = {o for a in sp._actions for o in a.option_strings}
+            assert {flag for flag, _ in cli.FIELD_FLAGS.values()} <= flags
+
+
+# a valid value other than the default for each field some kind ignores
+UNREAD_SAMPLES = {"palette_size": 7, "eps": 0.3, "delta": 0.5, "alpha": 0.2,
+                  "d": 2, "tree_source": "path", "seed_kind": "complete",
+                  "tree_frac": 0.05, "gamma": 0.3, "beta": 0.5, "samples": 5,
+                  "knobs": {}}
+
+
+@pytest.mark.parametrize("key", sorted(harness.KINDS))
+def test_every_path_rejects_the_fields_a_kind_does_not_read(key, capsys):
+    entry = harness.KINDS[key]
+    assert set(UNREAD_SAMPLES) == {name for name, _
+                                   in harness._UNREAD_DEFAULTS}
+    if entry.lemma_defaults is None:
+        base = {"kind": key, "n": 300}
+        argv = [entry.command, "--n", "300"]
+    else:
+        base = {"kind": "lemma-stats", "lemma_kind": key,
+                **entry.lemma_defaults}
+        argv = ["lemma-stats", "--kind", key]
+    unread = [name for name in UNREAD_SAMPLES if name not in entry.reads]
+    assert unread
+    for name in unread:
+        value = UNREAD_SAMPLES[name]
+        why = "%s runs do not read %s;" % (key, name)
+        with pytest.raises(ParameterError, match=why):
+            harness.TrialConfig(**base, **{name: value}).validate()
+        if entry.lemma_defaults is not None:
+            with pytest.raises(ParameterError, match=why):
+                harness.lemma_stats(key, {name: value}, trials=1)
+        flag = cli.FIELD_FLAGS[name][0]
+        text = json.dumps(value) if isinstance(value, dict) else str(value)
+        assert main(argv + ["--trials", "1", flag, text]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "error: " + why in err.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rainbow-st", "--n", "40", "--trials", "2", "--tree-source", "star",
+     "--seed-kind", "complete", "--eps", "0.9", "--alpha", "3", "--d", "7"],
+    ["rainbow-st", "--n", "40", "--trials", "2", "--eps", "0.9"],
+    ["embed-almost", "--n", "500", "--tree-frac", "0.08", "--trials", "2",
+     "--knobs", '{"beta":0.12,"m_mode":"balanced"}',
+     "--delta", "0.9", "--alpha", "5", "--seed-kind", "multipartite"],
+    ["lemma-stats", "--kind", "expand-membership", "--n", "400", "--trials",
+     "2", "--knobs", '{"C":40.0,"theta":0.3,"check_trials":"x"}'],
+    ["lemma-stats", "--kind", "expand-membership", "--n", "400", "--trials",
+     "2", "--knobs", '{"C":40.0,"theta":"x"}'],
+    ["rainbow-st", "--n", "40", "--trials", "2", "--workers", "0"],
+    ["rainbow-st", "--n", "40", "--trials", "2", "--workers", "-4"]],
+    ids=["rst-ignored-flags", "rst-eps", "almost-ignored-flags",
+         "expand-check-trials-x", "expand-theta-x", "workers-0",
+         "workers-neg"])
+def test_cli_rejects_what_a_run_would_ignore_or_misread(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
+def test_readme_flag_table_matches_the_rows():
+    text = open(README, encoding="utf-8").read()
+    flags = {flag: name for name, (flag, _) in cli.FIELD_FLAGS.items()}
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| (`--.*) \|$", text,
+                      flags=re.M)
+    assert {kind for _, kind, _ in rows} == set(harness.KINDS)
+    for command, kind, listed in rows:
+        entry = harness.KINDS[kind]
+        assert command == (entry.command or "lemma-stats --kind " + kind)
+        assert {flags[flag] for flag in re.findall(r"`(--[\w-]+)`", listed)} \
+            == entry.reads

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import multiprocessing
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from rainbowtrees import (CSV_HEADER, ParameterError, SuccessEstimate,
                           TrialConfig, TrialRecord, estimate, format_records,
                           harness, lemma_stats, read_records, run_trials,
-                          wilson_interval, write_records)
+                          spawn_trial_source, wilson_interval, write_records)
 
 GOOD_ALMOST = dict(kind="almost-spanning", n=500, eps=0.25, d=3,
                    tree_frac=0.08,
@@ -45,9 +47,23 @@ def test_config_validation_rejects_bad_values():
             {"beta": 0.0},
             {"samples": 0},
             {"lemma_kind": "many-colours-a"},
-            {"knobs": {"no_such_knob": 1}}):
+            {"knobs": {"no_such_knob": 1}},
+            # a number rule wants a real number that is not a bool, and
+            # an integer where the field counts something
+            {"p": "x"},
+            {"p": True},
+            {"palette_size": "x"},
+            {"palette_size": 39.5},
+            {"eps": "x"},
+            {"delta": "x"},
+            {"alpha": "x"},
+            {"gamma": "x"},
+            {"beta": "x"},
+            {"tree_frac": "x"},
+            {"n": True}):
         cfg = TrialConfig(**{**good, **overrides})
-        with pytest.raises(ParameterError):
+        (name,) = overrides
+        with pytest.raises(ParameterError, match=name):
             cfg.validate()
 
 
@@ -103,6 +119,51 @@ def test_config_validation_kind_specific_rules():
                     alpha=0.1, palette_size=40).validate()
     with pytest.raises(ParameterError, match="tree_frac"):
         TrialConfig(kind="rainbow-st", n=40, tree_frac=0.5).validate()
+
+
+def test_each_row_reads_exactly_its_fields():
+    # a drift guard: the row's check and run function, run once on a
+    # config that records its attribute reads, read the fields the row
+    # names in `reads` and no other field beyond those every kind reads
+    fields = {f.name for f in dataclasses.fields(TrialConfig)}
+    always = fields - {name for name, _ in harness._UNREAD_DEFAULTS}
+    lemma = dict(kind="lemma-stats", n=300)
+    configs = {
+        "almost-spanning": TrialConfig(**GOOD_ALMOST),
+        "spanning": TrialConfig(kind="spanning", n=60, eps=0.15, delta=0.4,
+                                alpha=0.25, d=3),
+        "rainbow-st": TrialConfig(kind="rainbow-st", n=24),
+        "many-colours-a": TrialConfig(**lemma, lemma_kind="many-colours-a",
+                                      alpha=0.1),
+        "many-colours-b": TrialConfig(**lemma, lemma_kind="many-colours-b",
+                                      alpha=0.5),
+        "large-Buv": TrialConfig(kind="lemma-stats", lemma_kind="large-Buv",
+                                 n=80, d=2, delta=0.5, seed_kind="complete",
+                                 samples=5, base_seed=31),
+        "expand-membership": TrialConfig(
+            kind="lemma-stats", lemma_kind="expand-membership", n=400,
+            knobs={"C": 40.0, "theta": 0.3, "check_trials": 40}),
+    }
+    assert set(configs) == set(harness.KINDS)
+    seen = set()
+
+    class Recording(TrialConfig):
+        def __getattribute__(self, name):
+            seen.add(name)
+            return super().__getattribute__(name)
+
+    for key, config in configs.items():
+        config.validate()
+        entry = harness.KINDS[key]
+        seen.clear()
+        recording = Recording(**{name: getattr(config, name)
+                                 for name in fields})
+        entry.check(recording)
+        outcome, stage, _ = entry.run(recording,
+                                      spawn_trial_source(config.base_seed, 0))
+        assert stage in ("done", "bound", "search") or key == "spanning", \
+            (key, outcome, stage)
+        assert (seen & fields) - always == entry.reads, key
 
 
 def test_config_knobs_per_kind():
@@ -213,6 +274,33 @@ def test_run_trials_rerun_is_identical_sans_ms():
     assert [strip_ms(r) for r in first] == [strip_ms(r) for r in second]
 
 
+def test_run_trials_rejects_bad_worker_counts():
+    cfg = TrialConfig(kind="rainbow-st", n=20, trials=2)
+    for workers in (0, -4, 2.5, True, None, "2"):
+        with pytest.raises(ParameterError, match="workers"):
+            run_trials(cfg, workers=workers)
+
+
+def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
+    fork = type(multiprocessing.get_context("fork"))
+    make_pool, sizes = fork.Pool, []
+
+    def counted(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return make_pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", counted)
+    cfg = TrialConfig(kind="rainbow-st", n=20, trials=6, base_seed=3)
+    serial = [strip_ms(r) for r in run_trials(cfg)]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert [strip_ms(r) for r in run_trials(cfg, workers=8)] == serial
+    assert sizes == [2]
+    for cores in (1, None):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        assert [strip_ms(r) for r in run_trials(cfg, workers=8)] == serial
+    assert sizes == [2]
+
+
 def test_run_trials_worker_pool_matches_serial():
     cfg = TrialConfig(kind="rainbow-st", n=20, trials=6, base_seed=3)
     serial = run_trials(cfg, workers=1)
@@ -248,6 +336,18 @@ def test_spanning_trials_record_stage_failures_honestly():
         assert "detail" in rec.metrics
     again = run_trials(cfg)
     assert [strip_ms(r) for r in records] == [strip_ms(r) for r in again]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("theta", "x"), ("theta", True), ("C", "x"), ("C", True), ("eta", "x"),
+    ("eta", False), ("r", "3"), ("r", 3.0), ("check_trials", "x"),
+    ("check_trials", 0), ("check_trials", 2.5)])
+def test_expand_knobs_of_the_wrong_type_fail_before_trial_0(key, value):
+    knobs = {"C": 40.0, "theta": 0.3, "check_trials": 40, key: value}
+    cfg = TrialConfig(kind="lemma-stats", lemma_kind="expand-membership",
+                      n=400, trials=2, knobs=knobs)
+    with pytest.raises(ParameterError, match=key):
+        run_trials(cfg)
 
 
 def test_spanning_knobs_are_checked_before_trial_0():
