@@ -88,7 +88,7 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
         raise PartitionFailure(
             "minimum degree %d is below the post-removal floor %.2f"
             % (min_degree, floor_pre),
-            detail={"min_degree": min_degree, "required": floor_pre})
+            min_degree=min_degree, required=floor_pre)
 
     bound = delta * n / (2.0 * d)
     gen = source.generator()
@@ -108,7 +108,7 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
             return tuple(parts)
     raise PartitionFailure(
         "no slicing met the degree floor %.2f in 50 draws" % bound,
-        detail={"bound": bound, "draws": 50})
+        bound=bound, draws=50)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +194,8 @@ def select_fresh_part(parts: Sequence[ColouredGraph], u: int,
         if not h.find_edges(pairs)[1].any():
             return j
     raise StageFailure(
-        "absorption",
         "all %d slices carry exposed colours at vertex %d" % (len(parts), u),
-        detail={"structural": True, "vertex": u})
+        "absorption", structural=True, vertex=u)
 
 
 def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
@@ -259,8 +258,7 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
                            % (label, j_star + 1, len(pool)))
         raise AbsorptionFailure(
             "none of %d candidates had fresh colours for host vertex %d"
-            % (len(pool), v), vertex=v,
-            detail={"step": label, "pool": len(pool)})
+            % (len(pool), v), vertex=v, step=label, pool=len(pool))
 
     x = chosen
     z = state.inverse[x]

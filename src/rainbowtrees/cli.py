@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import Counter
 from typing import Dict, Optional, Sequence
@@ -38,6 +39,13 @@ def _emit_text(text: str, out: Optional[str]) -> None:
         write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: Optional[str]) -> None:
+    """Reject an --out in a missing directory before any trial runs."""
+    folder = os.path.dirname(path or "")
+    if folder and not os.path.isdir(folder):
+        raise ParameterError("--out directory %r does not exist" % folder)
 
 
 def _parse_knobs(raw: Optional[str]):
@@ -114,6 +122,7 @@ def _given_fields(args) -> Dict[str, object]:
 
 
 def _cmd_trials(args) -> int:
+    _check_out(args.out)
     config = TrialConfig(kind=args.kind, **_given_fields(args))
     records = run_trials(config, workers=args.workers)
     if args.out:
@@ -134,6 +143,7 @@ def _cmd_trials(args) -> int:
 
 
 def _cmd_lemma_stats(args) -> int:
+    _check_out(args.out)
     params = _given_fields(args)
     run = {key: params.pop(key) for key in ("trials", "base_seed")
            if key in params}
@@ -209,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RainbowTreesError as exc:
+    except (RainbowTreesError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (EmbedFailure, ExpanderFailure, InfeasibleParameters,
-                     ParameterError, RootEdgeFailure, SparsifyFailure)
+from .errors import (EmbedFailure, InfeasibleParameters, ParameterError,
+                     RootEdgeFailure, StageFailure)
 from .expanders import (ExpandParams, ell1, ell2, find_effective_expander,
                         sparsify)
 from .exposure import ExposureOracle
@@ -455,13 +455,13 @@ def select_root_edges(root_vertex: int, host: ColouredGraph,
                       fresh_reservoir: Iterable[int], needed: int,
                       stage: int = 0) -> Tuple[Tuple[Pair, int], ...]:
     """Reveal the pairs from `root_vertex` into the host and keep a rainbow
-    set of `needed` edges coloured from the fresh reservoir.
+    set of up to `needed` edges coloured from the fresh reservoir.
 
     Presence is revealed for every pair; colours only for the present
-    ones.  All revelations are recorded whether or not enough edges turn
-    up.  Returns ((pair, colour), ...) sorted by colour; raises
-    RootEdgeFailure carrying the partial pool when fewer than `needed`
-    exist.
+    ones.  Returns ((pair, colour), ...) sorted by colour: one edge for
+    each of the `needed` smallest reservoir colours found, or for all of
+    them when fewer turn up.  Such a short pool is not an error here; the
+    caller decides whether it can carry the piece.
     """
     if needed < 0:
         raise ParameterError("needed must be >= 0, got %r" % needed)
@@ -479,12 +479,7 @@ def select_root_edges(root_vertex: int, host: ColouredGraph,
             c = oracle.expose_colour(pair, kind="root", stage=stage)
             if c in reservoir and c not in by_colour:
                 by_colour[c] = pair
-    pool = tuple((by_colour[c], c) for c in sorted(by_colour))
-    if len(pool) < needed:
-        raise RootEdgeFailure(
-            "only %d reservoir-coloured edges at vertex %d, needed %d"
-            % (len(pool), root_vertex, needed), pool=pool, needed=needed)
-    return pool[:needed]
+    return tuple((by_colour[c], c) for c in sorted(by_colour)[:needed])
 
 
 # ---------------------------------------------------------------------------
@@ -688,76 +683,67 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
                            m=m, available=len(available))
         sample: dict = {}
         try:
-            stage_graph = sparsify(block, p, palette_size, available, m,
-                                   source.substream(("sparsify", i)), n=n,
-                                   sample_out=sample)
-        except SparsifyFailure as exc:
-            oracle.record_block(block, sample["pairs"], sample["colours"],
-                                stage_no)
-            return failure("sparsify", str(exc),
-                           survivors=exc.survivors, needed=exc.needed)
-        oracle.record_block(block, sample["pairs"], sample["colours"], stage_no)
-        _trace(trace, "sparsify-%d" % stage_no, True, edges=m,
-               included=len(sample["pairs"]))
-
-        # a graph with m edges on N vertices matches the binomial model
-        # of average degree 4C when C = m / (2N)
-        C = m / (2.0 * len(block))
-        regime["stage-%d" % stage_no] = params.stage_regime(i, C)
-        if C <= 1.0:
-            return failure("expander",
-                           "degree scale C=%.3g is not above 1 at this n" % C,
-                           C="%.3g" % C)
-        expand = params.stage_expand_params(i, C)
-        try:
-            effective = find_effective_expander(
-                stage_graph, expand, mode="sampled", trials=60,
-                source=source.substream(("expander", i)))
-        except ExpanderFailure as exc:
-            return failure("expander", str(exc),
-                           item=(exc.detail or {}).get("item"))
-        sub = effective.subgraph
-        # the peel budget theta = zeta / 2 implies this only for zeta <= 1/3
-        assert sub.order >= (1.0 + 0.75 * params.zeta) * piece_tree.m - 1e-9, \
-            "effective expander too small for piece %d" % stage_no
-        _trace(trace, "expander-%d" % stage_no, True, order=sub.order,
-               deleted=len(effective.deleted))
-
-        host = sub
-        if i == 0:
-            root_node = min(piece_tree.nodes)
-            root_vertex = None
-        else:
-            root_node = decomposition.piece_root(i)
-            root_vertex = placement[root_node]
-            degraded = {}
             try:
+                stage_graph = sparsify(block, p, palette_size, available, m,
+                                       source.substream(("sparsify", i)),
+                                       n=n, sample_out=sample)
+            finally:
+                oracle.record_block(block, sample["pairs"], sample["colours"],
+                                    stage_no)
+            _trace(trace, "sparsify-%d" % stage_no, True, edges=m,
+                   included=len(sample["pairs"]))
+
+            # a graph with m edges on N vertices matches the binomial model
+            # of average degree 4C when C = m / (2N)
+            C = m / (2.0 * len(block))
+            regime["stage-%d" % stage_no] = params.stage_regime(i, C)
+            if C <= 1.0:
+                return failure("expander",
+                               "degree scale C=%.3g is not above 1 at this n"
+                               % C, C="%.3g" % C)
+            effective = find_effective_expander(
+                stage_graph, params.stage_expand_params(i, C), mode="sampled",
+                trials=60, source=source.substream(("expander", i)))
+            sub = effective.subgraph
+            # the peel budget theta = zeta/2 implies this for zeta <= 1/3 only
+            assert sub.order >= (1.0 + 0.75 * params.zeta) * piece_tree.m \
+                - 1e-9, "effective expander too small for piece %d" % stage_no
+            _trace(trace, "expander-%d" % stage_no, True, order=sub.order,
+                   deleted=len(effective.deleted))
+
+            host = sub
+            if i == 0:
+                root_node = min(piece_tree.nodes)
+                root_vertex = None
+            else:
+                root_node = decomposition.piece_root(i)
+                root_vertex = placement[root_node]
                 pool = select_root_edges(root_vertex, sub, oracle,
                                          reservoir - used, quota,
                                          stage=stage_no)
-            except RootEdgeFailure as exc:
                 # a short pool can still carry the piece if it covers the
                 # root's child count; below that the stage is hopeless
-                pool = exc.pool
                 children = piece_tree.degree(root_node)
                 if len(pool) < children:
-                    return failure("root-edges", str(exc), found=len(pool),
-                                   needed=quota, children=children)
-                hypothesis_met = False
-                degraded = {"degraded": 1}
-            _trace(trace, "root-edges-%d" % stage_no, True, found=len(pool),
-                   needed=quota, **degraded)
-            # with the full quota this is degrade_attach's graph: its checks
-            # hold by select_root_edges' construction
-            host = sub.union([pair for pair, _ in pool], [root_vertex])
+                    raise RootEdgeFailure(
+                        "only %d reservoir-coloured edges at vertex %d, "
+                        "needed %d" % (len(pool), root_vertex, quota),
+                        found=len(pool), needed=quota, children=children)
+                degraded = {}
+                if len(pool) < quota:
+                    hypothesis_met = False
+                    degraded = {"degraded": 1}
+                _trace(trace, "root-edges-%d" % stage_no, True,
+                       found=len(pool), needed=quota, **degraded)
+                # with the full quota this is degrade_attach's graph: its
+                # checks hold by select_root_edges' construction
+                host = sub.union([pair for pair, _ in pool], [root_vertex])
 
-        try:
             mapping = embed_rooted_tree(host, piece_tree, root_node,
                                         root_vertex,
                                         source=source.substream(("embed", i)))
-        except EmbedFailure as exc:
-            return failure("embed", str(exc),
-                           placed=exc.placed, total=exc.total)
+        except StageFailure as exc:
+            return failure(exc.stage, str(exc), **exc.detail)
 
         # a later piece's root keeps the vertex it was pinned to
         placement.update(mapping)

@@ -1,11 +1,14 @@
 """Failure taxonomy shared across the package.
 
 Algorithmic failures (a randomized routine not finding its object) are
-distinct from usage errors (bad arguments), and carry enough structure for
-the harness to bucket them by stage.
+distinct from usage errors (bad arguments).  A StageFailure names its
+stage, for the harness to bucket it by, and keeps its counts (survivors
+and needed, placed and total, ...) in one keyword dict, `detail`.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class RainbowTreesError(Exception):
@@ -44,66 +47,51 @@ class StageFailure(RainbowTreesError):
     """A randomized construction stage failed on this sample.
 
     Not a bug: the underlying event simply did not occur.  `stage` names
-    the failing step for aggregation; `detail` is free-form diagnostics.
+    the failing step for aggregation: a subclass declares its own, and a
+    plain StageFailure is given one.  `detail` holds the failure's
+    counts, the keyword arguments in the order the raise site gave them.
     """
 
-    def __init__(self, stage: str, message: str, detail=None):
-        super().__init__("[%s] %s" % (stage, message))
-        self.stage = stage
+    stage: Optional[str] = None
+
+    def __init__(self, message: str, stage: Optional[str] = None, **detail):
+        if stage is not None:
+            self.stage = stage
+        super().__init__("[%s] %s" % (self.stage, message))
         self.detail = detail
 
 
 class SparsifyFailure(StageFailure):
     """Fewer than the requested number of palette colours survived."""
 
-    def __init__(self, message, survivors=None, needed=None):
-        super().__init__("sparsify", message,
-                         detail={"survivors": survivors, "needed": needed})
-        self.survivors = survivors
-        self.needed = needed
+    stage = "sparsify"
 
 
 class ExpanderFailure(StageFailure):
     """No effective expander of the required order exists in the sample."""
 
-    def __init__(self, message, detail=None):
-        super().__init__("expander", message, detail)
+    stage = "expander"
 
 
 class EmbedFailure(StageFailure):
     """Tree embedding exhausted its backtracking budget."""
 
-    def __init__(self, message, placed=None, total=None):
-        super().__init__("embed", message,
-                         detail={"placed": placed, "total": total})
-        self.placed = placed
-        self.total = total
+    stage = "embed"
 
 
 class RootEdgeFailure(StageFailure):
-    """Too few reservoir-coloured edges at a root vertex.
+    """Too few reservoir-coloured edges at a root vertex to carry a piece."""
 
-    `pool` carries the partial list found, so callers may proceed in a
-    degraded mode while recording that the hypothesis failed.
-    """
-
-    def __init__(self, message, pool=(), needed=0):
-        super().__init__("root-edges", message,
-                         detail={"found": len(pool), "needed": needed})
-        self.pool = list(pool)
-        self.needed = needed
+    stage = "root-edges"
 
 
 class AbsorptionFailure(StageFailure):
     """A leftover vertex could not be absorbed into the partial tree."""
 
-    def __init__(self, message, vertex=None, detail=None):
-        super().__init__("absorption", message, detail)
-        self.vertex = vertex
+    stage = "absorption"
 
 
 class PartitionFailure(StageFailure):
     """The highly connected partition audit rejected a block."""
 
-    def __init__(self, message, detail=None):
-        super().__init__("partition", message, detail)
+    stage = "partition"

@@ -317,13 +317,13 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
     if not alive:
         raise ExpanderFailure(
             "degree band [%g, %d] unsatisfiable: peeling removed every vertex"
-            % (lo, hi), detail={"item": 2, "deleted": graph.order})
+            % (lo, hi), item=2)
     deleted = graph.vertex_set - alive
     budget = params.theta * graph.order
     if len(deleted) > budget + 1e-9:
         raise ExpanderFailure(
             "peeled %d vertices, above the budget %.2f"
-            % (len(deleted), budget), detail={"item": 1, "deleted": len(deleted)})
+            % (len(deleted), budget), item=1)
 
     # _peel returns only once every degree lies in [lo, hi]; a step that
     # peels or caps nothing would only copy every row
@@ -337,8 +337,7 @@ def find_effective_expander(graph: ColouredGraph, params: ExpandParams,
     if not core.is_expander:
         raise ExpanderFailure(
             "a dense core failed the (%g, %d) expansion check"
-            % (params.eta, params.r),
-            detail={"item": 3, "witness": sorted(core.witness or ())})
+            % (params.eta, params.r), item=3)
     return EffectiveExpander(subgraph=sub, deleted=frozenset(deleted),
                              capped_edges=frozenset(capped))
 

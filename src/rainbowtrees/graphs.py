@@ -480,6 +480,37 @@ def gen_gnp(n: int, p: float, source: RandomSource) -> ColouredGraph:
     return ColouredGraph._from_rows(n, _sample_pairs(n, p, source.generator()))
 
 
+def seed_plan(n: int, delta: float, kind: str) -> Tuple[int, int]:
+    """(need, parts) for a seed of `kind` on n vertices: the minimum
+    degree ceil(delta*n) it must reach, and its largest feasible clique
+    count (clique-union) or smallest feasible class count (multipartite),
+    1 for the other kinds.  Raises ParameterError, building nothing, when
+    no seed exists, which is exactly when need > n - 1.
+    """
+    if kind not in SEED_KINDS:
+        raise ParameterError("unknown seed kind %r (choose from %s)"
+                             % (kind, ", ".join(SEED_KINDS)))
+    if not 0.0 < delta < 1.0:
+        raise ParameterError("delta must lie in (0, 1), got %r" % delta)
+    if n < 2:
+        raise ParameterError("seed graphs need n >= 2")
+    need = math.ceil(delta * n - 1e-9)
+    if need > n - 1:
+        raise ParameterError(
+            "no graph on n=%d vertices has minimum degree ceil(%g*n) = %d"
+            % (n, delta, need))
+    parts = 1
+    if kind == "clique-union":
+        parts = max(1, int(1.0 / delta))
+        while parts > 1 and n // parts - 1 < need:
+            parts -= 1
+    elif kind == "multipartite":
+        parts = max(2, math.ceil(1.0 / (1.0 - delta)))
+        while parts < n and n - math.ceil(n / parts) < need:
+            parts += 1
+    return need, parts
+
+
 # the fixed-kind seed this process holds, as ((n, delta, kind), graph)
 _held_seed: Optional[Tuple[Tuple[int, float, str], ColouredGraph]] = None
 
@@ -491,9 +522,8 @@ def gen_seed_graph(n: int, delta: float, kind: str,
     Kinds: "complete"; "clique-union" (disjoint cliques, as equal as
     possible); "multipartite" (complete multipartite, balanced classes);
     "random-supergraph" (binomial graph above the degree threshold, with
-    deficient vertices repaired deterministically).  Clique-union takes
-    the largest feasible clique count, multipartite the smallest
-    feasible class count.
+    deficient vertices repaired deterministically).  seed_plan sets the
+    clique or class count and rejects an infeasible (n, delta, kind).
 
     The first three kinds are functions of (n, delta, kind) alone and
     ignore `source`: each is built once per process and shared, rows
@@ -503,40 +533,18 @@ def gen_seed_graph(n: int, delta: float, kind: str,
     "random-supergraph" is drawn anew from `source` on every call.
     """
     global _held_seed
-    if kind not in SEED_KINDS:
-        raise ParameterError("unknown seed kind %r (choose from %s)"
-                             % (kind, ", ".join(SEED_KINDS)))
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1), got %r" % delta)
-    if n < 2:
-        raise ParameterError("seed graphs need n >= 2")
-    need = math.ceil(delta * n - 1e-9)
     fixed = kind != "random-supergraph"
     if fixed:
         if _held_seed is not None and _held_seed[0] == (n, delta, kind):
             return _held_seed[1]
         _held_seed = None
+    need, parts = seed_plan(n, delta, kind)
 
     if kind == "complete":
         g = complete_graph(n)
     elif kind == "clique-union":
-        parts = max(1, int(1.0 / delta))
-        while parts > 1 and n // parts - 1 < need:
-            parts -= 1
-        if n // parts - 1 < need:
-            raise ParameterError(
-                "clique-union with %d cliques on n=%d gives min degree %d < %d"
-                % (parts, n, n // parts - 1, need))
         g = _class_graph(n, parts, within=True)
     elif kind == "multipartite":
-        parts = max(2, math.ceil(1.0 / (1.0 - delta)))
-        while parts < n and n - math.ceil(n / parts) < need:
-            parts += 1
-        if n - math.ceil(n / parts) < need:
-            raise ParameterError(
-                "complete multipartite with %d classes on n=%d gives "
-                "min degree %d < %d"
-                % (parts, n, n - math.ceil(n / parts), need))
         g = _class_graph(n, parts, within=False)
     else:
         if source is None:
@@ -562,10 +570,7 @@ def gen_seed_graph(n: int, delta: float, kind: str,
         if extra:
             g = g.union(extra)
 
-    if g.min_degree() < need:
-        raise ParameterError(
-            "seed kind %r cannot reach minimum degree %d at n=%d (got %d)"
-            % (kind, need, n, g.min_degree()))
+    assert g.min_degree() >= need, "seed_plan admitted an infeasible seed"
     if fixed:
         g._rows.flags.writeable = False
         _held_seed = ((n, delta, kind), g)

@@ -33,7 +33,7 @@ from .errors import (ExpanderFailure, InfeasibleParameters, ParameterError,
                      StageFailure)
 from .expanders import ExpandParams, find_effective_expander
 from .graphs import (SEED_KINDS, gen_gnp, gen_seed_graph, perturb,
-                     uniform_colouring)
+                     seed_plan, uniform_colouring)
 from .rng import RandomSource, spawn_trial_source
 from .spanning import find_rainbow_spanning_tree
 from .trees import Tree, gen_random_bounded_tree, path_tree, star_tree, \
@@ -467,8 +467,19 @@ def _check_almost(config: TrialConfig) -> None:
     _derive_for(config)
 
 
+def _check_seed(config: TrialConfig) -> None:
+    """The trial's seed graph exists; nothing is built to check it."""
+    seed_plan(config.n, config.delta, config.seed_kind)
+
+
+def _check_large_buv(config: TrialConfig) -> None:
+    _rule("d", lambda v: v >= 2, ">= 2 to grow a tree")(config)
+    _check_seed(config)
+
+
 def _check_spanning(config: TrialConfig) -> None:
     _check_star(config)
+    _check_seed(config)
     spanning_setup(config.n, config.delta, config.d,
                    **_spanning_kwargs(config))
 
@@ -522,7 +533,8 @@ KINDS: Dict[str, TrialKind] = {
         help="embed spanning trees via trim, embed, absorb"),
     "rainbow-st": TrialKind(
         _trial_rainbow_st, _log_p(1.0), _reads("palette_size delta seed_kind"),
-        palette=lambda c: max(1, c.n - 1), command="rainbow-st",
+        palette=lambda c: max(1, c.n - 1), check=_check_seed,
+        command="rainbow-st",
         help="search perturbed coloured hosts for rainbow spanning trees"),
     "many-colours-a": TrialKind(
         lambda c, src: _trial_many_colours(c, src, per_vertex=False),
@@ -539,7 +551,7 @@ KINDS: Dict[str, TrialKind] = {
         _reads("eps delta d seed_kind samples"),
         lemma_defaults=dict(n=2000, delta=0.4, d=2, seed_kind="complete",
                             eps=0.25, samples=40),
-        check=_rule("d", lambda v: v >= 2, ">= 2 to grow a tree")),
+        check=_check_large_buv),
     "expand-membership": TrialKind(
         _trial_expand,
         lambda c: min(1.0, 4.0 * _expand_knobs(c)[0].C / c.n),
@@ -642,14 +654,15 @@ def lemma_stats(kind: str, params: Optional[Dict[str, object]] = None,
     if kind not in LEMMA_KINDS:
         raise ParameterError("unknown lemma kind %r; expected one of %s"
                              % (kind, ", ".join(LEMMA_KINDS)))
-    if trials < 1:
-        raise ParameterError("lemma_stats needs trials >= 1, got %r"
-                             % (trials,))
+    if not _int(trials) or trials < 1:
+        raise ParameterError("lemma_stats needs an integer trials >= 1, "
+                             "got %r" % (trials,))
     merged: Dict[str, object] = dict(KINDS[kind].lemma_defaults)
     merged.update(params or {})
-    unknown = set(merged) - {f.name for f in dataclasses.fields(TrialConfig)}
+    # kind, lemma_kind, trials and base_seed are set here, not by params
+    unknown = set(merged) - {"n", "p"} - {key for key, _ in _UNREAD_DEFAULTS}
     if unknown:
-        raise ParameterError("unknown lemma parameter(s): %s"
+        raise ParameterError("lemma_stats params cannot set %s"
                              % ", ".join(sorted(unknown)))
     config = TrialConfig(kind="lemma-stats", lemma_kind=kind, trials=trials,
                          base_seed=base_seed, **merged)

@@ -386,7 +386,5 @@ def build_I0(t0: Tree, tree: Tree, d: int, eps: float) -> Tuple[int, ...]:
         if len(chosen) == target:
             return tuple(chosen)
     raise StageFailure(
-        "build-I0",
         "anchor sweep found %d of %d nodes; trimming left too little room"
-        % (len(chosen), target),
-        detail={"found": len(chosen), "target": target})
+        % (len(chosen), target), "build-I0", found=len(chosen), target=target)

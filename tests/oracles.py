@@ -436,8 +436,7 @@ def reference_partition_edge_set(seed: ColouredGraph, removed, d: int,
         raise PartitionFailure(
             "minimum degree %d is below the post-removal floor %.2f"
             % (g_minus_r.min_degree(), floor_pre),
-            detail={"min_degree": g_minus_r.min_degree(),
-                    "required": floor_pre})
+            min_degree=g_minus_r.min_degree(), required=floor_pre)
     bound = delta * n / (2.0 * d)
     gen = source.generator()
     for _ in range(50):
@@ -452,7 +451,7 @@ def reference_partition_edge_set(seed: ColouredGraph, removed, d: int,
             return tuple(parts)
     raise PartitionFailure(
         "no slicing met the degree floor %.2f in 50 draws" % bound,
-        detail={"bound": bound, "draws": 50})
+        bound=bound, draws=50)
 
 
 def reference_compute_B(u: int, v: int, part: ColouredGraph, anchors,
@@ -474,8 +473,8 @@ def reference_select_fresh_part(parts, u: int, oracle) -> int:
     for j, h in enumerate(parts):
         if not any(oracle.colour_exposed((u, w)) for w in h.neighbours(u)):
             return j
-    raise StageFailure("absorption", "no fresh slice at vertex %d" % u,
-                       detail={"structural": True, "vertex": u})
+    raise StageFailure("no fresh slice at vertex %d" % u, "absorption",
+                       structural=True, vertex=u)
 
 
 def reference_match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:

@@ -339,7 +339,7 @@ def test_absorb_step_collision_exhausts_pool():
     state = hand_state(5, 3, HAND_SLICE)
     with pytest.raises(AbsorptionFailure) as err:
         absorb_step(state, 5, 15)
-    assert err.value.vertex == 5
+    assert err.value.detail == {"vertex": 5, "step": 1, "pool": 2}
     assert state.trace == ["i=1 j*=1 |B|=2 chosen=fail"]
     absorbs = [e for e in state.oracle.ledger if e[0] == "absorb"]
     assert len(absorbs) == 5  # 2 pairs for anchor 0, 3 for anchor 1

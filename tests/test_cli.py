@@ -169,6 +169,20 @@ def test_cli_reports_parameter_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_reports_missing_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["colour", "--in", missing]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # an --out in a missing directory stops the command before trial 0
+    out = str(tmp_path / "no-such-dir" / "x.csv")
+    for argv in (["rainbow-st", "--n", "20", "--trials", "2"],
+                 ["lemma-stats", "--kind", "many-colours-a", "--n", "50",
+                  "--trials", "2"]):
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "does not exist" in err.err
+
+
 @pytest.mark.parametrize("bad", [{"beta": "x"}, {"zeta": "x"}, {"rho": "x"},
                                  {"c_m": "x"}, {"c_m": 0}, {"c_m": -1}],
                          ids=["beta-x", "zeta-x", "rho-x", "c_m-x", "c_m-0",

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from rainbowtrees import (ColouredGraph, EmbedFailure, InfeasibleParameters,
-                          ParameterError, RandomSource, RootEdgeFailure, Tree,
-                          canonical_edge, complete_graph, derive_parameters,
+                          ParameterError, RandomSource, Tree, canonical_edge,
+                          complete_graph, derive_parameters,
                           embed_almost_spanning, embed_rooted_tree,
                           format_trace, gen_random_bounded_tree, harness,
                           lemma_stats, path_tree, select_root_edges,
@@ -134,7 +134,7 @@ def test_embed_star_into_cycle_fails():
     with pytest.raises(EmbedFailure) as err:
         embed_rooted_tree(cycle_graph(5), star_tree(4), 0,
                           source=RandomSource(4))
-    assert err.value.placed < err.value.total == 5
+    assert err.value.detail["placed"] < err.value.detail["total"] == 5
 
 
 def test_embed_respects_pinned_root():
@@ -231,19 +231,16 @@ def test_select_root_edges_all_present():
 
 def test_select_root_edges_short_pool():
     oracle = ExposureOracle(30, 100, 1.0, RandomSource(11))
-    # only two reservoir colours exist, so a quota of 9 cannot be met
-    with pytest.raises(RootEdgeFailure) as err:
-        select_root_edges(0, vertices(1, 30), oracle, [3, 4], 9)
-    assert len(err.value.pool) <= 2
-    for (u, v), c in err.value.pool:
-        assert c in (3, 4)
+    # only two reservoir colours exist, so a quota of 9 cannot be met:
+    # the pool comes back short, with every reservoir colour that showed
+    pool = select_root_edges(0, vertices(1, 30), oracle, [3, 4], 9)
+    assert [c for _, c in pool] == sorted(
+        {oracle.colour_of((0, v)) for v in range(1, 30)} & {3, 4})
 
 
 def test_select_root_edges_nothing_present():
     oracle = ExposureOracle(30, 8, 0.0, RandomSource(12))
-    with pytest.raises(RootEdgeFailure) as err:
-        select_root_edges(0, vertices(1, 30), oracle, range(8), 1)
-    assert tuple(err.value.pool) == ()
+    assert select_root_edges(0, vertices(1, 30), oracle, range(8), 1) == ()
     assert oracle.colour_exposure_count() == 0
 
 
@@ -255,10 +252,7 @@ def test_select_root_edges_root_inside_host():
 
 def test_select_root_edges_colour_only_for_present():
     oracle = ExposureOracle(60, 6, 0.4, RandomSource(14))
-    try:
-        select_root_edges(0, vertices(1, 60), oracle, range(6), 6)
-    except RootEdgeFailure:
-        pass
+    select_root_edges(0, vertices(1, 60), oracle, range(6), 6)
     present = sum(oracle.presence_of((0, v)) for v in range(1, 60))
     assert oracle.colour_exposure_count() == present
 

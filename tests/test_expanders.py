@@ -472,7 +472,8 @@ def test_sparsify_postconditions_and_failure():
             assert out.n == 10 and out.vertex_set == frozenset(range(6))
         except SparsifyFailure as exc:
             failures += 1
-            assert exc.needed == 4 and 0 <= exc.survivors < 4
+            assert exc.detail["needed"] == 4
+            assert 0 <= exc.detail["survivors"] < 4
     assert successes > 0 and failures > 0
 
 
@@ -571,7 +572,7 @@ def test_sparsify_pinned_stream(case):
             got = (out.n, sorted(out.vertex_set), out.edge_array().tolist(),
                    out.colour_array().tolist())
         except SparsifyFailure as exc:
-            got = ("fail", exc.survivors, exc.needed)
+            got = ("fail", exc.detail["survivors"], exc.detail["needed"])
         # the sample is handed out as arrays; it is hashed in the list
         # form the pins were taken from
         pairs, colours = sample["pairs"], sample["colours"]

@@ -13,7 +13,8 @@ import pytest
 from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
                           complete_graph, gen_gnp, gen_seed_graph, perturb,
                           uniform_colouring)
-from rainbowtrees.graphs import SEED_KINDS, _class_graph, find_codes
+from rainbowtrees.graphs import (SEED_KINDS, _class_graph, find_codes,
+                                 seed_plan)
 
 from oracles import NaiveGraph, assert_matches_naive, naive_is_rainbow
 
@@ -119,6 +120,21 @@ def test_seed_graph_clique_union():
     assert g.size == 2 * 10  # two K5s
     with pytest.raises(ParameterError):
         gen_seed_graph(10, 0.95, "clique-union")
+
+
+def test_seed_plan_rejects_exactly_the_seeds_that_cannot_exist():
+    # every kind reaches any minimum degree up to n - 1, and none beyond
+    for n in range(1, 13):
+        for delta in (0.05, 0.3, 0.5, 0.75, 0.9, 0.95):
+            need = math.ceil(delta * n - 1e-9)
+            for kind in SEED_KINDS:
+                if n < 2 or need > n - 1:
+                    with pytest.raises(ParameterError):
+                        seed_plan(n, delta, kind)
+                    continue
+                assert seed_plan(n, delta, kind)[0] == need
+                g = gen_seed_graph(n, delta, kind, RandomSource(n))
+                assert g.min_degree() >= need
 
 
 def test_seed_graph_multipartite():

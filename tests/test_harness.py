@@ -253,6 +253,24 @@ def test_run_trials_rejects_bad_config_before_running():
         run_trials("not a config")
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="rainbow-st", n=10, delta=0.95),
+    dict(kind="rainbow-st", n=1),
+    dict(kind="rainbow-st", n=30, delta=0.97, seed_kind="random-supergraph"),
+    dict(kind="spanning", n=40, delta=0.99, eps=0.1),
+    dict(kind="lemma-stats", lemma_kind="large-Buv", n=10, delta=0.95,
+         seed_kind="multipartite")],
+    ids=["rst-clique-union", "rst-n1", "rst-random-supergraph", "spanning",
+         "large-Buv"])
+def test_a_seed_that_cannot_be_built_fails_before_trial_0(fields,
+                                                          monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("validation built a seed")
+    monkeypatch.setattr(harness, "gen_seed_graph", build)
+    with pytest.raises(ParameterError, match="seed graphs need|no graph on"):
+        run_trials(TrialConfig(trials=2, **fields))
+
+
 def test_rainbow_st_trials_succeed_small_dense():
     cfg = TrialConfig(kind="rainbow-st", n=24, trials=6, base_seed=11)
     records = run_trials(cfg)
@@ -497,6 +515,14 @@ def test_lemma_stats_rejects_bad_requests():
         lemma_stats("many-colours-a", {}, trials=0)
     with pytest.raises(ParameterError):
         lemma_stats("many-colours-a", {"volume": 11}, trials=2)
+    # trials follows the harness's integer rule
+    for trials in ("x", 2.0, True):
+        with pytest.raises(ParameterError, match="trials"):
+            lemma_stats("many-colours-a", {}, trials=trials)
+    # a key lemma_stats sets itself is named, not a TypeError
+    for key in ("trials", "base_seed", "kind", "lemma_kind"):
+        with pytest.raises(ParameterError, match=key):
+            lemma_stats("many-colours-a", {key: 3}, trials=1)
 
 
 # -- CSV ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of the tests imports is used in
+that module.
 
 No linter runs on this tree, so a deletion that leaves an import behind
-is caught here.  `__init__.py` is skipped: its imports are the package's
-re-exports.
+is caught here.  The package's `__init__.py` is skipped: its imports are
+the package's re-exports.  Test modules are named with their folder.
 """
 
 import ast
@@ -10,9 +11,11 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rainbowtrees"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rainbowtrees"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
-                 if p.name != "__init__.py")
+                 if p.name != "__init__.py") \
+    + sorted("tests/" + p.name for p in (ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree):
@@ -42,11 +45,13 @@ def _used(tree):
 
 def test_modules_are_found():
     assert "embedding.py" in MODULES and "absorption.py" in MODULES
+    assert "tests/oracles.py" in MODULES
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    path = ROOT / module if module.startswith("tests/") else PACKAGE / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
     unused = ["%s (line %d)" % (name, line)
               for name, line in _imported(tree) if name not in used]
