@@ -13,17 +13,20 @@ the incoming vertex and the anchor itself becomes the new leaf.  The
 slices exist so that every step can draw its colours from a slice whose
 edges at the attachment vertex were never looked at before.
 
-A step queries a slice only through sorted-code lookups (`find_edges`)
-of the few pairs it asks about, so no neighbour index is built on a
-slice.  The grown image is audited once, at the end, by the embedding
-module's `_audit_image`.
+A slice is no graph of its own: it is a `SeedSlice`, a label on each of
+the seed's rows, and a step asks it about the few pairs it needs with
+one vectorised lookup in the seed's cached edge codes plus a label
+test.  So no slice rows, codes or neighbour index are ever built.  The
+grown image is audited once, at the end, by the embedding module's
+`_audit_image`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .embedding import (AlmostSpanningResult, PipelineParams, _audit_image,
 from .errors import (AbsorptionFailure, ParameterError, PartitionFailure,
                      StageFailure)
 from .exposure import ExposureOracle
-from .graphs import ColouredGraph, canonical_edge
+from .graphs import ColouredGraph, canonical_edge, find_codes
 from .rng import RandomSource
 from .trees import Tree, TrimResult, build_I0, trim_to_size
 
@@ -54,9 +57,64 @@ def draw_permutation(n: int, source: RandomSource) -> List[int]:
 # slicing the seed graph
 
 
+class SeedSlice:
+    """Slice j of a seed graph, as a read-only view: the seed's edges
+    whose entry in `labels`, one per edge_array() row, is j.
+
+    The slices of one partition share `labels`.  `has` answers pair
+    membership from the seed's cached edge codes, and `min_degree`
+    returns the value the partition computed.  `edges`, a frozenset
+    built on first use and cached, is read only by output checks and
+    tests; the absorb loop never builds it.
+    """
+
+    __slots__ = ("seed", "labels", "j", "_min_degree", "_edges")
+
+    def __init__(self, seed: ColouredGraph, labels: np.ndarray, j: int,
+                 min_degree: int):
+        self.seed = seed
+        self.labels = labels
+        self.j = j
+        self._min_degree = int(min_degree)
+        self._edges: Optional[FrozenSet[Pair]] = None
+
+    def has(self, a, b) -> np.ndarray:
+        """Mask of the pairs (a[i], b[i]), label arrays or scalars
+        broadcast together, that are edges of this slice: one lookup in
+        the seed's edge codes, then a label test.  A pair with an end
+        outside range(n) is no edge; loops raise ParameterError."""
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        # find_edges' lookup without its row building and sort: half the
+        # time of a find_edges call on the few dozen pairs a step asks about
+        lo = np.atleast_1d(np.minimum(a, b))
+        hi = np.atleast_1d(np.maximum(a, b))
+        loops = lo == hi
+        if loops.any():
+            x = int(lo[loops][0])
+            canonical_edge(x, x)                        # raises
+        n = self.seed.n
+        at, hit = find_codes(self.seed.edge_codes(), lo * n + hi)
+        # outside the label space a code could alias an edge's code
+        hit &= (lo >= 0) & (hi < n)
+        hit[hit] = self.labels[at[hit]] == self.j
+        return hit
+
+    def min_degree(self) -> int:
+        return self._min_degree
+
+    @property
+    def edges(self) -> FrozenSet[Pair]:
+        if self._edges is None:
+            rows = np.compress(self.labels == self.j,
+                               self.seed.edge_array(), axis=0)
+            self._edges = frozenset(zip(rows[:, 0].tolist(),
+                                        rows[:, 1].tolist()))
+        return self._edges
+
+
 def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
                        delta: float, source: RandomSource
-                       ) -> Tuple[ColouredGraph, ...]:
+                       ) -> Tuple[SeedSlice, ...]:
     """Split the seed minus R into d slices, each with minimum degree
     delta*n/(2d).
 
@@ -68,9 +126,12 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
     survives the removal of a sparse random graph from the seed; both
     the missing precondition and an exhausted retry budget raise
     PartitionFailure, which is a legitimate trial outcome rather than a
-    bug.  R is looked up once in the seed's edge codes, the degrees are
-    the seed's less R's, and the slices are cut straight from the seed's
-    rows, so the seed minus R is never built.
+    bug.  R is looked up once in the seed's edge codes, and each draw
+    labels the seed's rows: j for slice j, d for a row of R.  The seed
+    minus R's degrees are the seed's less R's; slices 0..d-2 count
+    theirs from their rows, and the last slice's are the remainder.  The
+    slices come back as `SeedSlice` views sharing one label array, so
+    neither the seed minus R nor any slice is built as a graph.
     """
     if int(d) != d or d < 1:
         raise ParameterError("d must be a positive integer, got %r" % d)
@@ -78,12 +139,15 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
         raise ParameterError("delta must lie in (0, 1), got %r" % delta)
     d = int(d)
     n = seed.n
+    rows = seed.edge_array()
     at, found = seed.find_edges(r_rows)
     # the distinct seed rows of R, ascending (sorting beats np.unique here)
     hit = np.sort(at[found])
     dropped = hit[np.diff(hit, prepend=-1) != 0]
     floor_pre = 0.9 * delta * n
-    min_degree = seed.min_degree_without(dropped)
+    # degrees in vertex_set order, as the seed counts its own
+    kept = seed._degrees() - seed._vertex_counts(rows[dropped])
+    min_degree = int(kept.min())
     if min_degree + 1e-9 < floor_pre:
         raise PartitionFailure(
             "minimum degree %d is below the post-removal floor %.2f"
@@ -98,14 +162,18 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
     for _ in range(50):
         labels = np.insert(gen.integers(0, d, size=seed.size - len(dropped)),
                            gaps, d)
-        parts = []
+        rest, floors = kept, []
         for j in range(d):
-            part = seed.keep_edges(labels == j)
-            if part.min_degree() + 1e-9 < bound:
+            degrees = rest if j == d - 1 else seed._vertex_counts(
+                np.compress(labels == j, rows, axis=0))
+            floors.append(int(degrees.min()))
+            if floors[-1] + 1e-9 < bound:
                 break
-            parts.append(part)
+            rest = rest - degrees
         else:
-            return tuple(parts)
+            labels.flags.writeable = False
+            return tuple(SeedSlice(seed, labels, j, m)
+                         for j, m in enumerate(floors))
     raise PartitionFailure(
         "no slicing met the degree floor %.2f in 50 draws" % bound,
         bound=bound, draws=50)
@@ -115,14 +183,14 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
 # absorber pools
 
 
-def compute_B(u: int, v: int, part: ColouredGraph, anchors: Iterable[int],
+def compute_B(u: int, v: int, part: SeedSlice, anchors: Iterable[int],
               image_tree: Tree) -> Tuple[int, ...]:
     """Anchors adjacent to u whose image-tree neighbours all neighbour v.
 
     Works on adjacency alone; no colour is revealed.  Two lookups in the
-    slice's sorted rows answer it: the pairs (u, x) for the anchors x,
-    then the pairs (y, v) for the image-tree neighbours y of the anchors
-    that passed.  A loop is never an edge, so x = u or y = v rules x out.
+    slice answer it: the pairs (u, x) for the anchors x, then the pairs
+    (y, v) for the image-tree neighbours y of the anchors that passed.
+    A loop is never an edge, so x = u or y = v rules x out.
     `image_tree` is the embedded tree on host labels, and the test
     against it always uses the original embedded copy, not the partially
     rewired one.
@@ -130,12 +198,11 @@ def compute_B(u: int, v: int, part: ColouredGraph, anchors: Iterable[int],
     if u == v:
         raise ParameterError("pool endpoints must differ, got u = v = %d" % u)
     xs = sorted(set(int(a) for a in anchors) - {u})
-    near_u = part.find_edges([(u, x) for x in xs])[1].tolist()
+    near_u = part.has(u, xs).tolist()
     cands = [(x, image_tree.neighbours(x))
              for x, hit in zip(xs, near_u) if hit]
     cands = [(x, ys) for x, ys in cands if v not in ys]
-    near_v = iter(part.find_edges([(y, v) for _, ys in cands for y in ys])[1]
-                  .tolist())
+    near_v = iter(part.has([y for _, ys in cands for y in ys], v).tolist())
     # all() over a list, so each x consumes exactly its own lookups
     return tuple(x for x, ys in cands if all([next(near_v) for _ in ys]))
 
@@ -158,11 +225,12 @@ class AbsorptionState:
     stays fixed at the originally embedded copy: the pool definition
     always refers to it.  `anchors` are the host images of the anchor
     nodes, `parts` the edge-disjoint slices of the seed minus the random
-    edges, and `used` the absorbers consumed so far, in order.
+    edges (`SeedSlice` views), and `used` the absorbers consumed so far,
+    in order.
     """
 
     def __init__(self, tree: Tree, t0_image: Tree, anchors: Sequence[int],
-                 parts: Sequence[ColouredGraph], mapping: Dict[int, int],
+                 parts: Sequence[SeedSlice], mapping: Dict[int, int],
                  edge_colours: Dict[Pair, int], oracle: ExposureOracle,
                  trace: Optional[List[str]] = None):
         self.tree = tree
@@ -181,17 +249,18 @@ class AbsorptionState:
         self.trace: List[str] = trace if trace is not None else []
 
 
-def select_fresh_part(parts: Sequence[ColouredGraph], u: int,
+def select_fresh_part(parts: Sequence[SeedSlice], u: int,
                       oracle: ExposureOracle) -> int:
     """Index of the first slice with no revealed colour at vertex u: the
-    first in which no colour-revealed pair at u is an edge.
+    first in which no colour-revealed pair at u is an edge, answered by
+    one `SeedSlice.has` lookup per slice.
 
     Raises a structural StageFailure when every slice has already been
     looked at around u; the slicing exists precisely to prevent that.
     """
-    pairs = [(u, w) for w in oracle.colour_exposed_at(u)]
+    ws = oracle.colour_exposed_at(u)
     for j, h in enumerate(parts):
-        if not h.find_edges(pairs)[1].any():
+        if not h.has(u, ws).any():
             return j
     raise StageFailure(
         "all %d slices carry exposed colours at vertex %d" % (len(parts), u),
@@ -232,10 +301,10 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
 
     # no colour-revealed pair between v and the current image may be an
     # edge of this slice yet; absorption is the only consumer of these pairs
-    leaks = [(v, w) for w in oracle.colour_exposed_at(v) if w in state.inverse]
-    leaked = h.find_edges(leaks)[1]
+    leaks = [w for w in oracle.colour_exposed_at(v) if w in state.inverse]
+    leaked = h.has(v, leaks)
     assert not leaked.any(), "slice %d colour at (%d, %d) leaked early" \
-        % ((j_star,) + leaks[int(leaked.argmax())])
+        % (j_star, v, leaks[int(leaked.argmax())])
 
     used = set(state.used)
     pool = [x for x in compute_B(u, v, h, state.anchors, state.t0_image)

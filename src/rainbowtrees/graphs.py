@@ -88,7 +88,10 @@ class ColouredGraph:
     index are views of those rows, built on first use and cached.  The
     neighbour index is in CSR form: the neighbours of v, ascending, are
     `targets[start[v]:start[v + 1]]`; `neighbours`, `degree` and
-    `adjacency()` read it.
+    `adjacency()` read it.  The derived graphs (`subgraph`,
+    `without_edges`, `union`, `uncoloured`) copy the rows they keep; a
+    subset of the rows that only answers pair lookups is a label array
+    over them instead (`absorption.SeedSlice`).
     """
 
     __slots__ = ("n", "palette_size", "vertex_set", "_rows", "_colours",
@@ -248,12 +251,6 @@ class ColouredGraph:
     def min_degree(self) -> int:
         return int(self._degrees().min())
 
-    def min_degree_without(self, drop: np.ndarray) -> int:
-        """The minimum degree once the edge_array() rows at the distinct
-        indices `drop` are gone, read off the cached degrees."""
-        return int((self._degrees()
-                    - self._vertex_counts(self._rows[drop])).min())
-
     def max_degree(self) -> int:
         return int(self._degrees().max())
 
@@ -316,14 +313,6 @@ class ColouredGraph:
         return ColouredGraph._from_rows(
             self.n, np.compress(keep, self._rows, axis=0), cols,
             self.palette_size, vertex_set)
-
-    def keep_edges(self, mask: np.ndarray) -> "ColouredGraph":
-        """Same vertex set, only the edge_array() rows where the boolean
-        `mask` is true (colouring restricted)."""
-        if len(mask) != self.size:
-            raise ParameterError("mask of length %d for %d edges"
-                                 % (len(mask), self.size))
-        return self._restrict(mask, self.vertex_set)
 
     def subgraph(self, vertices: Iterable[int]) -> "ColouredGraph":
         """Induced subgraph on `vertices`, labels preserved."""

@@ -14,6 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 import pytest
 
+from rainbowtrees.absorption import SeedSlice
 from rainbowtrees.errors import (ParameterError, PartitionFailure,
                                  StageFailure)
 from rainbowtrees.exposure import ExposureError
@@ -418,6 +419,48 @@ def check_anchor_set(i0, t0: Tree, tree: Tree) -> None:
             "anchors %d, %d too close" % (a, b)
 
 
+def keep_edges(graph: ColouredGraph, mask) -> ColouredGraph:
+    """`graph` on the same vertex set with only the edge_array() rows
+    where the boolean `mask` is true, colours kept: a slice as a graph of
+    its own."""
+    mask = np.asarray(mask, dtype=bool)
+    if len(mask) != graph.size:
+        raise ParameterError("mask of length %d for %d edges"
+                             % (len(mask), graph.size))
+    cols = graph.colour_array()[mask] if graph.is_coloured else None
+    return ColouredGraph._from_rows(graph.n, graph.edge_array()[mask], cols,
+                                    graph.palette_size, graph.vertex_set)
+
+
+def slice_graph(part: SeedSlice) -> ColouredGraph:
+    """The slice graph a SeedSlice stands for: its seed's rows that
+    carry its label."""
+    return keep_edges(part.seed, part.labels == part.j)
+
+
+def slice_views(seed: ColouredGraph, labels, d: int) -> Tuple[SeedSlice, ...]:
+    """The d SeedSlice views of `labels` over the seed's rows, each with
+    the minimum degree of its slice graph."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return tuple(SeedSlice(seed, labels, j,
+                           keep_edges(seed, labels == j).min_degree())
+                 for j in range(d))
+
+
+def label_slices(n: int, edge_lists) -> Tuple[SeedSlice, ...]:
+    """Edge-disjoint edge lists on range(n) as SeedSlice views: the seed
+    is their union, and a row of it is labelled with the list it came
+    from."""
+    edge_lists = [list(edges) for edges in edge_lists]
+    seed = ColouredGraph(n, [e for edges in edge_lists for e in edges])
+    assert seed.size == sum(len({(min(e), max(e)) for e in edges})
+                            for edges in edge_lists), "slices share an edge"
+    labels = np.zeros(seed.size, dtype=np.int64)
+    for j, edges in enumerate(edge_lists):
+        labels[seed.find_edges(edges)[0]] = j
+    return slice_views(seed, labels, len(edge_lists))
+
+
 def reference_partition_edge_set(seed: ColouredGraph, removed, d: int,
                                  delta: float, source: RandomSource
                                  ) -> Tuple[ColouredGraph, ...]:
@@ -443,7 +486,7 @@ def reference_partition_edge_set(seed: ColouredGraph, removed, d: int,
         labels = gen.integers(0, d, size=g_minus_r.size)
         parts = []
         for j in range(d):
-            part = g_minus_r.keep_edges(labels == j)
+            part = keep_edges(g_minus_r, labels == j)
             if part.min_degree() + 1e-9 < bound:
                 break
             parts.append(part)

@@ -8,7 +8,8 @@ import pytest
 
 from rainbowtrees import (AbsorptionFailure, AbsorptionState, ColouredGraph,
                           InfeasibleParameters, ParameterError,
-                          PartitionFailure, RandomSource, StageFailure, Tree,
+                          PartitionFailure, RandomSource, SeedSlice,
+                          StageFailure, Tree,
                           TrialConfig, absorb_leftovers, absorb_step,
                           b_size_bound, complete_graph, compute_B,
                           draw_permutation, embed_spanning, gen_gnp,
@@ -19,9 +20,9 @@ from rainbowtrees import (AbsorptionFailure, AbsorptionState, ColouredGraph,
 from rainbowtrees.embedding import AlmostSpanningResult
 from rainbowtrees.exposure import ExposureOracle
 
-from oracles import (check_spanning_result, reference_compute_B,
-                     reference_partition_edge_set,
-                     reference_select_fresh_part)
+from oracles import (check_spanning_result, label_slices,
+                     reference_compute_B, reference_partition_edge_set,
+                     reference_select_fresh_part, slice_graph, slice_views)
 from synthetic import make_synthetic_state
 
 
@@ -81,16 +82,23 @@ def test_partition_budget_exhausted():
 
 
 def _slicing(partition, seed, removed, d, delta, source):
-    """The slices' rows, colours, vertex sets and degrees, or the
-    PartitionFailure's message and detail."""
+    """The slices' rows, colours, vertex sets, degrees and minimum
+    degrees, or the PartitionFailure's message and detail.  A SeedSlice
+    is read through the slice graph it stands for, its minimum degree
+    from the view itself."""
     try:
         parts = partition(seed, removed, d, delta, source)
     except PartitionFailure as exc:
         return "fail", str(exc), exc.detail
-    return [(h.edge_array().tolist(),
-             None if not h.is_coloured else h.colour_array().tolist(),
-             sorted(h.vertex_set),
-             [h.degree(v) for v in sorted(h.vertex_set)]) for h in parts]
+    out = []
+    for h in parts:
+        g = slice_graph(h) if isinstance(h, SeedSlice) else h
+        out.append((g.edge_array().tolist(),
+                    None if not g.is_coloured else g.colour_array().tolist(),
+                    sorted(g.vertex_set),
+                    [g.degree(v) for v in sorted(g.vertex_set)],
+                    h.min_degree()))
+    return out
 
 
 def test_partition_matches_the_two_step_reference():
@@ -141,6 +149,72 @@ def test_partition_matches_the_two_step_reference():
     assert outcomes == {"sliced", "min_degree", "bound"}
 
 
+def _seed_slice_cases():
+    """(seed, R rows, d, delta) for slicings that succeed: complete,
+    clique-union, partial and coloured seeds."""
+    k40 = complete_graph(40)
+    cliques = gen_seed_graph(60, 0.4, "clique-union")
+    partial = complete_graph(50).subgraph(range(5, 45))
+    tinted = uniform_colouring(complete_graph(30), 7, RandomSource(5))
+    for i, (seed, d, delta) in enumerate([(k40, 2, 0.5), (k40, 3, 0.5),
+                                          (cliques, 2, 0.4),
+                                          (partial, 2, 0.5),
+                                          (tinted, 1, 0.5)]):
+        r_rows = gen_gnp(seed.n, 0.05, RandomSource(61, i)).edge_array()
+        yield seed, r_rows, d, delta
+
+
+def test_seed_slices_label_every_kept_row_once():
+    for i, (seed, r_rows, d, delta) in enumerate(_seed_slice_cases()):
+        parts = partition_edge_set(seed, r_rows, d, delta, RandomSource(62, i))
+        assert len(parts) == d and [h.j for h in parts] == list(range(d))
+        labels = parts[0].labels
+        assert all(h.seed is seed and h.labels is labels for h in parts)
+        assert not labels.flags.writeable
+        in_r = {(min(a, b), max(a, b)) for a, b in r_rows.tolist()}
+        rows = [tuple(e) for e in seed.edge_array().tolist()]
+        # a row of R carries label d; every other row one slice's label
+        assert [e in in_r for e in rows] == (labels == d).tolist()
+        assert set(labels[labels != d].tolist()) <= set(range(d))
+        edges = [h.edges for h in parts]
+        assert sum(len(es) for es in edges) == len(seed.edges - in_r)
+        assert frozenset().union(*edges) == seed.edges - in_r
+
+
+def test_seed_slice_matches_its_slice_graph():
+    gen = np.random.default_rng(63)
+    for i, (seed, r_rows, d, delta) in enumerate(_seed_slice_cases()):
+        n = seed.n
+        parts = partition_edge_set(seed, r_rows, d, delta, RandomSource(64, i))
+        # seed edges, rows of R, random pairs (mostly non-edges on the
+        # partial and clique-union seeds) and labels outside range(n)
+        a = np.concatenate([seed.edge_array()[:, 0], r_rows[:, 0],
+                            gen.integers(-3, n + 3, size=400)])
+        b = np.concatenate([seed.edge_array()[:, 1], r_rows[:, 1],
+                            gen.integers(-3, n + 3, size=400)])
+        a, b = a[a != b], b[a != b]
+        assert (a < 0).any() and (b >= n).any()
+        for h in parts:
+            g = slice_graph(h)
+            want = [(min(x, y), max(x, y)) in g.edges
+                    for x, y in zip(a.tolist(), b.tolist())]
+            assert h.has(a, b).tolist() == want
+            assert h.has(b, a).tolist() == want
+            assert h.edges == g.edges
+            assert h.min_degree() == g.min_degree()
+            # a scalar against an array: every pair at one vertex
+            x, y = next(iter(g.edges))
+            others = [w for w in range(n) if w != x]
+            assert h.has(x, others).tolist() == [
+                (min(x, w), max(x, w)) in g.edges for w in others]
+            assert h.has(x, y).tolist() == [True]
+            assert h.has([], y).tolist() == []
+            with pytest.raises(ParameterError):
+                h.has([x, y], [y, y])
+            with pytest.raises(ParameterError):
+                h.has(x, x)
+
+
 # -- anchor pools ----------------------------------------------------------
 
 
@@ -149,15 +223,15 @@ def test_pool_hand_instance():
     # contains 1 exactly when the slice has u~1 and v adjacent to both
     # image neighbours of 1
     image = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
-    h = ColouredGraph(5, [(3, 1), (4, 0), (4, 2)])
+    (h,) = label_slices(5, [[(3, 1), (4, 0), (4, 2)]])
     assert compute_B(3, 4, h, [1], image) == (1,)
-    weaker = ColouredGraph(5, [(3, 1), (4, 0)])
+    (weaker,) = label_slices(5, [[(3, 1), (4, 0)]])
     assert compute_B(3, 4, weaker, [1], image) == ()
 
 
 def test_pool_empty_anchors():
     image = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
-    h = complete_graph(5)
+    (h,) = label_slices(5, [complete_graph(5).edges])
     assert compute_B(3, 4, h, [], image) == ()
     with pytest.raises(ParameterError):
         compute_B(3, 3, h, [0], image)
@@ -166,7 +240,7 @@ def test_pool_empty_anchors():
 def test_pool_complete_slice():
     # in a complete slice every image vertex qualifies
     image = path_tree(6)
-    h = complete_graph(8)
+    (h,) = label_slices(8, [complete_graph(8).edges])
     anchors = list(range(6))
     assert compute_B(6, 7, h, anchors, image) == tuple(range(6))
 
@@ -234,7 +308,8 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
         verts = sorted(host.vertex_set)
         d = int(gen.integers(1, 4))
         labels = gen.integers(0, d, size=host.size)
-        parts = [host.keep_edges(labels == j) for j in range(d)]
+        parts = slice_views(host, labels, d)
+        graphs = [slice_graph(h) for h in parts]
 
         # an image tree on host labels, some of them outside the slice's
         # vertex set when that set is partial
@@ -265,8 +340,8 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
             seen["u is an anchor"] |= u in anchors
             seen["v is next to an anchor"] |= any(
                 v in image.neighbours(x) for x in anchors)
-            for part in parts:
-                want = reference_compute_B(u, v, part, anchors, image)
+            for part, graph in zip(parts, graphs):
+                want = reference_compute_B(u, v, graph, anchors, image)
                 assert compute_B(u, v, part, anchors, image) == want, \
                     (t, u, v)
                 seen["nonempty pool"] |= bool(want)
@@ -279,7 +354,7 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
             for u in verts:
                 got = _fresh_part_or_none(select_fresh_part, parts, u, oracle)
                 want = _fresh_part_or_none(reference_select_fresh_part,
-                                           parts, u, oracle)
+                                           graphs, u, oracle)
                 assert got == want, (t, u)
                 seen["u has no revealed colour"] |= not any(
                     oracle.colour_exposed((u, w)) for w in range(n) if w != u)
@@ -301,7 +376,8 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
 
 def hand_state(palette, seed_val, h_edges, before=()):
     """Path 10..15 trimmed at 15, embedded as hosts 0..4; the slices are
-    the edge lists `before` followed by `h_edges`."""
+    the edge lists `before` followed by `h_edges`, as labels over their
+    union."""
     tree = Tree(range(10, 16), [(a, a + 1) for a in range(10, 15)], 2)
     image = Tree(range(5), [(a, a + 1) for a in range(4)], 2)
     mapping = {node: node - 10 for node in range(10, 15)}
@@ -309,7 +385,7 @@ def hand_state(palette, seed_val, h_edges, before=()):
     oracle = ExposureOracle(7, palette, 0.5, RandomSource(seed_val))
     oracle.record_block(range(5), list(edge_colours),
                         list(edge_colours.values()), stage=0)
-    parts = [ColouredGraph(7, edges) for edges in before + (h_edges,)]
+    parts = label_slices(7, before + (h_edges,))
     return AbsorptionState(tree, image, (0, 1, 2), parts, mapping,
                            edge_colours, oracle)
 
@@ -369,7 +445,7 @@ def test_absorb_step_validation():
     path = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
     stub = Tree([0], [], 2)
     oracle = ExposureOracle(4, 10, 0.5, RandomSource(8))
-    parts = (ColouredGraph(4, [(0, 1)]),)
+    parts = label_slices(4, [[(0, 1)]])
     lone = AbsorptionState(path, stub, (), parts, {0: 0}, {}, oracle)
     with pytest.raises(ParameterError, match="0 embedded neighbours"):
         absorb_step(lone, 1, 2)
@@ -418,8 +494,7 @@ def test_absorb_step_asserts_on_a_leaked_slice_colour():
 
 def test_select_fresh_part():
     oracle = ExposureOracle(7, 10, 0.5, RandomSource(1))
-    h1 = ColouredGraph(7, [(4, 0), (4, 1)])
-    h2 = ColouredGraph(7, [(4, 2), (4, 3)])
+    h1, h2 = label_slices(7, [[(4, 0), (4, 1)], [(4, 2), (4, 3)]])
     assert select_fresh_part((h1, h2), 4, oracle) == 0
     oracle.expose_colour((4, 0))
     assert select_fresh_part((h1, h2), 4, oracle) == 1
@@ -457,6 +532,23 @@ def test_absorb_leftovers_planted():
         assert res.r_max_degree == max(degrees.values(), default=0)
         assert res.r_degree_ok == (res.r_max_degree <= 3 * math.log(n))
     assert wins == 10
+
+
+def test_absorb_leftovers_builds_no_slice_graph(monkeypatch):
+    # the slices are labels on the seed's rows: no graph is cut from them
+    n, r, d = 60, 3, 2
+    tree, trim, almost, src = make_synthetic_state(n, r, d, 20 * n, 0.05, 31)
+    seed_graph = complete_graph(n)
+
+    def refuse(*args):
+        raise AssertionError("a graph was cut from the seed's rows")
+
+    monkeypatch.setattr(ColouredGraph, "_restrict", refuse)
+    res = absorb_leftovers(seed_graph, tree, trim, almost, 0.5, d, r / n,
+                           src.substream("absorb"))
+    assert any(line.startswith("stage=partition status=ok")
+               for line in res.trace)
+    assert [line for line in res.trace if line.startswith("i=")]
 
 
 def test_absorb_leftovers_honest_failure():

@@ -32,8 +32,11 @@ def _check_digest(workload, seed):
     assert json.loads(lines[-1])["correct"] is True
 
 
-@pytest.mark.parametrize("workload", ["rst-300", "almost-2000", "absorb-600"])
+@pytest.mark.parametrize("workload", ["rst-300", "almost-2000", "absorb-600",
+                                      "buv-1000"])
 def test_digest_matches_the_reference(workload):
+    # buv-1000 hashes the pools compute_B returns on slices of a complete
+    # n = 1000 seed
     _check_digest(workload, 1)
 
 
