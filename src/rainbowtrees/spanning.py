@@ -20,10 +20,9 @@ without sharing code with this module.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import (Deque, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -262,7 +261,8 @@ def suzuki_check(graph: ColouredGraph
 
 
 # rows in the greedy warm start's first chunk, which is scanned unfiltered;
-# each later chunk is as long as all the rows before it
+# each later chunk is as long as all the rows before it, and its survivors
+# are visited this many at a time
 GREEDY_CHUNK = 256
 
 
@@ -281,23 +281,22 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     components on a colour not used yet.  Refusal is monotone: the
     components only merge and the used colours only grow, so a row
     refused at some point of the scan is refused again at its turn.
-    The rows are therefore scanned in chunks of doubling length, and at
-    the start of each chunk after the first, one vectorised test drops
-    every row whose ends already share a root or whose colour is
-    already used; the Python loop visits only the rows that survive,
-    and the scan stops once the forest spans.  A host with at most
-    GREEDY_CHUNK rows is one unfiltered chunk, with no array work in
-    the greedy pass.  The roots for a chunk's test come from pointer
-    jumping in numpy, and `parent` is then reset to them: the partition
-    is the same, so the pass keeps the same rows.
-
-    The endpoints are read as two contiguous columns, `us` and `vs`,
-    taken once per call; the chunk test, the connectivity pass and
-    `_augment` gather through them, never through the (m, 2) rows.
-    Cost: O(m) vectorised work over O(log m) chunks; per chunk, at most
-    O(log n) pointer-jumping passes of O(n) vectorised work each; Python
-    time for the first chunk and the survivors; then one `_augment` per
-    edge the greedy forest is short of spanning.
+    The rows are therefore scanned in chunks of doubling length; at the
+    start of each chunk after the first, one vectorised test drops every
+    row whose ends share a component or whose colour is used.  The
+    Python loop visits the survivors GREEDY_CHUNK at a time, and after
+    each block that kept a row the test runs again over the survivors
+    still ahead, so that it does not go stale inside a long chunk.
+    Components are kept as labels (`_join`), which the test reads as
+    they are.  If the forest falls short of spanning, the rows between
+    its components decide whether the host is connected; they are also
+    the only possible sources of the exchange search, and `_Forest`
+    keeps them across the augmentations.  Cost, with every test
+    gathering through the endpoint columns `us` and `vs`: O(m)
+    vectorised work over O(log m) chunks; Python time for the first
+    chunk, the survivors and the O(n log n) relabelling; one O(m) pass
+    for the rows between components; one `_augment` per edge the greedy
+    forest is short of spanning.
     """
     if not graph.is_coloured:
         raise ParameterError("a rainbow tree needs an edge-coloured graph")
@@ -317,61 +316,60 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     colours = graph.colour_array()
     m = len(rows)
     in_tree = np.zeros(m, dtype=bool)
-    colour_used: Dict[int, int] = {}
-    parent = list(range(graph.n))
+    # the used colours, and the forest row holding each colour (-1 if none)
+    used: Set[int] = set()
+    holder = np.full(graph.palette_size, -1, dtype=np.int64)
+    # the forest's component of every label, and each component's labels
+    label = list(range(graph.n))
+    members = [[x] for x in label]
 
-    # greedy warm start, chunk by chunk: [lo, hi) is the current chunk,
-    # `picks` its rows that can still be kept
-    lo, hi = 0, min(m, GREEDY_CHUNK)
-    picks = range(hi)
-    heads, tails, tints = us[:hi].tolist(), vs[:hi].tolist(), \
-        colours[:hi].tolist()
+    def open_rows(at) -> np.ndarray:
+        # rows `at` (slice or indices) that join components on a free colour
+        comp = np.array(label)
+        keep = ((comp[us[at]] != comp[vs[at]])
+                & (holder[colours[at]] < 0)).nonzero()[0]
+        return keep + at.start if isinstance(at, slice) else at[keep]
+
+    # greedy warm start: `picks`, the rows up to `hi` that can still be kept
+    hi = min(m, GREEDY_CHUNK)
+    picks = np.arange(hi)
     while True:
-        for i, u, v, c in zip(picks, heads, tails, tints):
-            if c in colour_used:
-                continue
-            ru, rv = _root(parent, u), _root(parent, v)
-            if ru == rv:
-                continue
-            parent[ru] = rv
-            in_tree[i] = True
-            colour_used[c] = i
-        if hi == m or len(colour_used) == n - 1:
+        while len(picks):
+            block, picks = picks[:GREEDY_CHUNK], picks[GREEDY_CHUNK:]
+            kept = len(used)
+            for i, u, v, c in zip(block.tolist(), us[block].tolist(),
+                                  vs[block].tolist(), colours[block].tolist()):
+                if c in used or label[u] == label[v]:
+                    continue
+                _join(label, members, label[u], label[v])
+                in_tree[i] = True
+                used.add(c)
+                holder[c] = i
+            if len(used) == n - 1:
+                break
+            if len(used) > kept and len(picks):
+                picks = open_rows(picks)
+        if hi == m or len(used) == n - 1:
             break
-        lo, hi = hi, min(m, 2 * hi)
-        root = _roots(parent)
-        used = np.zeros(graph.palette_size, dtype=bool)
-        used[list(colour_used)] = True
-        picks = lo + ((root[us[lo:hi]] != root[vs[lo:hi]])
-                      & ~used[colours[lo:hi]]).nonzero()[0]
-        heads, tails, tints = us[picks].tolist(), vs[picks].tolist(), \
-            colours[picks].tolist()
-        picks = picks.tolist()
+        picks = open_rows(slice(hi, min(m, 2 * hi)))
+        hi = min(m, 2 * hi)
 
-    if len(colour_used) < n - 1:
+    if len(used) < n - 1:
         # nor in a host with fewer than n - 1 distinct colours
         if np.count_nonzero(np.bincount(colours)) < n - 1:
             return None
-        # connected iff the rows join up the n - len(colour_used) greedy
-        # components; only rows between two of them can merge any
-        root = _roots(parent)
-        ru, rv = root[us], root[vs]
-        cross = ru != rv
-        apart = n - len(colour_used)
-        for a, b in zip(ru[cross].tolist(), rv[cross].tolist()):
-            a, b = _root(parent, a), _root(parent, b)
-            if a != b:
-                parent[a] = b
-                apart -= 1
-        if apart > 1:
+        # connected iff the rows join up the greedy components; only rows
+        # between two of them can merge any
+        comp = np.array(label)
+        cross = (comp[us] != comp[vs]).nonzero()[0]
+        for u, v in zip(us[cross].tolist(), vs[cross].tolist()):
+            if label[u] != label[v]:
+                _join(label, members, label[u], label[v])
+        if len(members[label[verts[0]]]) < n:
             return None
-
-        # a rainbow forest holds one edge per used colour; `holder` maps
-        # each colour to its forest edge, -1 when free
-        holder = np.full(graph.palette_size, -1, dtype=np.int64)
-        holder[list(colour_used)] = list(colour_used.values())
-        for _ in range(n - 1 - len(colour_used)):
-            if not _augment(us, vs, colours, verts, in_tree, holder):
+        forest = _Forest(us, vs, colours, in_tree, holder, comp, cross)
+        for _ in range(n - 1 - len(used)):
+            if not _augment(forest):
                 return None
 
     picked = np.flatnonzero(in_tree)
@@ -380,25 +378,15 @@ def find_rainbow_spanning_tree(graph: ColouredGraph
     return frozenset(map(tuple, pairs))
 
 
-def _root(parent, x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _roots(parent: List[int]) -> np.ndarray:
-    """Union-find root of every label, as an array, by pointer jumping:
-    each pass points every label at its grandparent, until none moves.
-    `parent` is then pointed at the roots, which keeps its partition."""
-    root = np.array(parent)
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            parent[:] = root.tolist()
-            return root
-        root = up
+def _join(label: List[int], members: List[List[int]], a: int, b: int
+          ) -> None:
+    """Merge components a and b: the smaller one's labels take the other
+    one's name, so each label is renamed O(log n) times in all."""
+    if len(members[a]) > len(members[b]):
+        a, b = b, a
+    for x in members[a]:
+        label[x] = b
+    members[b] += members[a]
 
 
 def _check_rainbow_spanning_tree(verts: Sequence[int], pairs: List[List[int]],
@@ -416,134 +404,146 @@ def _check_rainbow_spanning_tree(verts: Sequence[int], pairs: List[List[int]],
         parent[ru] = rv
 
 
-def _euler_forest(heads: List[int], tails: List[int], verts: Sequence[int],
-                  labels: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
-    """Component, Euler interval [tin, tout) and parent of every vertex
-    of the forest with edges (heads[i], tails[i]), from one iterative
-    DFS; labels outside `verts` get component -1."""
-    nbrs: List[List[int]] = [[] for _ in range(labels)]
-    for u, v in zip(heads, tails):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    comp = [-1] * labels
-    up = [-1] * labels
-    order: List[int] = []
-    for label, start in enumerate(v for v in verts if comp[v] < 0):
-        comp[start] = label
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in nbrs[x]:
-                if y != up[x]:
-                    up[y] = x
-                    comp[y] = label
-                    stack.append(y)
-    # a stack DFS visits every subtree contiguously, so a vertex's
-    # interval is its visit index plus its subtree size
-    tin = np.zeros(labels, dtype=np.int64)
-    tin[order] = np.arange(len(order))
-    size = [1] * labels
-    for x in reversed(order):
-        if up[x] >= 0:
-            size[up[x]] += size[x]
-    return np.array(comp), tin, tin + np.array(size), up
+def _root(parent: List[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
-def _augment(us: np.ndarray, vs: np.ndarray, colours: np.ndarray,
-             verts: Sequence[int], in_tree: np.ndarray,
-             holder: np.ndarray) -> bool:
+# `prev` of a row the exchange search has not reached
+UNSEEN = -2
+
+
+class _Forest:
+    """A rainbow forest of the host's rows, kept across augmentations:
+    `in_tree` marks its rows, `holder` maps a used colour to its row (-1
+    when free), and per label `nbrs` holds the forest neighbours and
+    `comp` a component name.  `cross` holds every row between two
+    components, and maybe some that no longer are."""
+
+    def __init__(self, us: np.ndarray, vs: np.ndarray, colours: np.ndarray,
+                 in_tree: np.ndarray, holder: np.ndarray, comp: np.ndarray,
+                 cross: np.ndarray):
+        self.us, self.vs, self.colours = us, vs, colours
+        self.in_tree, self.holder, self.comp, self.cross = \
+            in_tree, holder, comp, cross
+        self.nbrs: List[Set[int]] = [set() for _ in comp]
+        tree = np.flatnonzero(in_tree)
+        for u, v in zip(us[tree].tolist(), vs[tree].tolist()):
+            self.nbrs[u].add(v)
+            self.nbrs[v].add(u)
+
+    def cut(self, edge: int, prev: np.ndarray) -> np.ndarray:
+        """The rows not reached yet with exactly one end on the smaller
+        side of forest row `edge`, in row order, now reached from it."""
+        inside = np.zeros(len(self.comp), dtype=bool)
+        inside[_smaller_side(self.nbrs, int(self.us[edge]),
+                             int(self.vs[edge]))] = True
+        found = ((inside[self.us] != inside[self.vs])
+                 & (prev == UNSEEN)).nonzero()[0]
+        prev[found] = edge
+        return found
+
+
+def _smaller_side(nbrs: List[Set[int]], a: int, b: int) -> List[int]:
+    """The labels of the smaller of the two trees a forest falls into
+    once its edge (a, b) is removed, a's on a tie.
+
+    Two breadth-first searches, from a and from b, read one neighbour
+    entry each in turn.  A side of s labels has 2s - 1 entries, so the
+    first search to run dry has the smaller side, after at most twice as
+    many reads: a hub on the larger side costs nothing.
+    """
+    seen = {a, b}
+    sides = ([a], [b])
+    walks = [iter(nbrs[a]), iter(nbrs[b])]
+    at = [0, 0]
+    while True:
+        for k, side in enumerate(sides):
+            y = next(walks[k], None)
+            while y is None:
+                at[k] += 1
+                if at[k] == len(side):
+                    return side
+                walks[k] = iter(nbrs[side[at[k]]])
+                y = next(walks[k], None)
+            if y not in seen:
+                seen.add(y)
+                side.append(y)
+
+
+def _augment(forest: _Forest) -> bool:
     """One exchange augmentation; False means the forest is maximum.
 
-    Nodes of the search are edge indices.  Out-of-forest edges joining
-    two forest components are the sources, out-of-forest edges of an
-    unused colour (`holder[colour] < 0`; `holder` maps each used colour
-    to its forest edge) the sinks.  From an out-edge the walk may step
-    to the forest edge holding its colour; from a forest edge (a, b) to
-    any out-edge of its component that reconnects the two sides its
-    removal leaves behind.  Breadth-first order keeps the path
-    shortest, which is what makes the exchange valid in both matroids
-    at once.
+    Nodes of the search are row indices.  Out-of-forest rows joining two
+    components are the sources, out-of-forest rows of an unused colour
+    the sinks.  An out-edge steps to the forest edge holding its colour,
+    a forest edge (a, b) to the out-edges of its component that cross
+    the cut its removal leaves: the unreached rows with exactly one end
+    on the side `_smaller_side` returns, in row order (the other rows
+    with one end there, (a, b) and sources, are reached already).
+    Breadth-first order keeps the path shortest, which is what makes
+    the exchange valid in both matroids at once.  The FIFO queue holds
+    alternate levels of out-edges and forest edges, so a level of
+    out-edges steps to its holders at once, each new holder reached
+    from the first out-edge of its colour, as one-by-one pops would.
 
-    One DFS of the forest gives every vertex an Euler interval
-    [tin, tout).  With c the endpoint of (a, b) whose parent is the
-    other, the side cut off is the subtree of c, so an out-edge crosses
-    exactly when one endpoint has its tin in [tin[c], tout[c]).  The
-    test runs over all rows at once, in row order, so the search
-    enqueues edges in the order of the sorted rows.  Besides out-edges
-    of c's component, only (a, b) itself and sources touching the
-    subtree can cross; both are reached already, so the `prev` filter
-    that drops reached edges leaves exactly the component's new
-    crossing out-edges.
-
-    The queue is FIFO, so the first sink popped is the first sink
-    enqueued.  The sink test therefore runs when edges are enqueued,
-    vectorised over the sources and then over each batch a forest edge
-    enqueues, and the search stops at the first hit: the same `prev`
-    chain and the same path as testing on pop, without popping and
-    masking for everything queued ahead of the sink.
-
-    Cost: O(n) Python for the DFS; O(m) vectorised to find the sources
-    and to gather every row's endpoint tins, all through the endpoint
-    columns `us` and `vs` (1-D gathers, no (m, 2) row gather); and, per
-    popped forest edge, one vectorised test over the rows:
-    O(n + m x (1 + popped forest edges)), where only the forest edges
-    dequeued before the first sink is enqueued count.  In the hosts
-    measured the search enters one component holding nearly every
-    out-edge, so cutting out a component's out-edges first would cost
-    more than it saves.
+    The first sink popped is the first enqueued, so the sink test runs
+    at enqueue, with the path that testing on pop gives.  The path
+    flips, and only the source's two components merge, so the sources
+    shrink to the rows of `cross` still between two components.  Cost:
+    O(|cross|) for the sources, O(m) to reset `prev`; per forest edge
+    popped before the first sink is enqueued, Python time linear in its
+    smaller side and one O(m) mask test; O(path + n) for the flip and
+    the merge.
     """
-    tree = np.flatnonzero(in_tree)
-    comp, tin, tout, up = _euler_forest(us[tree].tolist(), vs[tree].tolist(),
-                                        verts, verts[-1] + 1)
-    # a forest edge lies inside its component, so every joining row is out
-    sources = (comp[us] != comp[vs]).nonzero()[0]
-    if not len(sources):
-        return False
-    tu, tv = tin[us], tin[vs]
-
-    UNSEEN = -2
+    us, vs, colours, holder = forest.us, forest.vs, forest.colours, \
+        forest.holder
+    comp, cross, nbrs, in_tree = forest.comp, forest.cross, forest.nbrs, \
+        forest.in_tree
+    forest.cross = level = cross[comp[us[cross]] != comp[vs[cross]]]
     prev = np.full(len(us), UNSEEN, dtype=np.int64)
-    prev[sources] = -1
-    goal = _first_sink(sources, colours, holder)
-    queue: Deque[int] = deque(sources.tolist() if goal < 0 else ())
-    while queue:
-        edge = queue.popleft()
-        if not in_tree[edge]:
-            # an enqueued out-edge is no sink: its colour has a holder
-            mate = int(holder[colours[edge]])
-            if prev[mate] == UNSEEN:
-                prev[mate] = edge
-                queue.append(mate)
-            continue
-        a, b = int(us[edge]), int(vs[edge])
-        c = a if up[a] == b else b
-        lo, hi = tin[c], tout[c]
-        found = (((tu >= lo) & (tu < hi))
-                 != ((tv >= lo) & (tv < hi))).nonzero()[0]
-        found = found[prev[found] == UNSEEN]
-        prev[found] = edge
-        goal = _first_sink(found, colours, holder)
-        if goal >= 0:
-            break
-        queue.extend(found.tolist())
+    prev[level] = -1
+    goal = _first_sink(level, colours, holder)
+    while goal < 0 and len(level):
+        # an enqueued out-edge is no sink: its colour has a holder
+        mates = holder[colours[level]]
+        first = np.sort(np.unique(mates, return_index=True)[1])
+        first = first[prev[mates[first]] == UNSEEN]
+        prev[mates[first]] = level[first]
+        batches = []
+        for edge in mates[first].tolist():
+            found = forest.cut(edge, prev)
+            goal = _first_sink(found, colours, holder)
+            if goal >= 0:
+                break
+            batches.append(found)
+        level = np.concatenate(batches) if batches else first[:0]
     if goal < 0:
         return False
 
     # flip along the path: out-edges enter the forest and take over the
-    # colours, forest edges leave
+    # colours, forest edges leave; the last node is the source
     node = goal
     while node >= 0:
-        in_tree[node] = not in_tree[node]
-        if in_tree[node]:
+        u, v = int(us[node]), int(vs[node])
+        in_tree[node] = enter = not in_tree[node]
+        if enter:
             holder[colours[node]] = node
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        else:
+            nbrs[u].discard(v)
+            nbrs[v].discard(u)
         node = int(prev[node])
+    comp[comp == comp[u]] = comp[v]
     return True
 
 
 def _first_sink(batch: np.ndarray, colours: np.ndarray,
                 holder: np.ndarray) -> int:
-    """The first edge of `batch` whose colour is free, or -1."""
+    """The first row of `batch` whose colour is free, or -1."""
     free = (holder[colours[batch]] < 0).nonzero()[0]
     return int(batch[free[0]]) if len(free) else -1

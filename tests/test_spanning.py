@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rainbowtrees import (ColouredGraph, ParameterError, complete_graph,
@@ -14,9 +15,10 @@ from rainbowtrees import (ColouredGraph, ParameterError, complete_graph,
                           spawn_trial_source, suzuki_check, uniform_colouring)
 from rainbowtrees import spanning
 from rainbowtrees.graphs import gen_gnp, gen_seed_graph, perturb
-from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, VertexPartition,
+from rainbowtrees.spanning import (GREEDY_CHUNK, SUZUKI_BUDGET, UNSEEN,
+                                   VertexPartition, _Forest,
                                    _check_rainbow_spanning_tree,
-                                   _growth_strings)
+                                   _growth_strings, _smaller_side)
 
 from oracles import (brute_rainbow_spanning_tree_exists, brute_suzuki,
                      check_partition_blocks, greedy_rainbow_forest,
@@ -438,6 +440,158 @@ def test_finder_on_a_vertex_subset():
                           colouring={(1, 3): 0, (5, 6): 1}, palette_size=2,
                           vertex_set={1, 3, 5, 6})
     assert find_rainbow_spanning_tree(split) is None
+
+
+def test_finder_on_vertex_subsets_at_scale():
+    # perturbed clique-union hosts with about a tenth of the labels
+    # dropped through `subgraph`, coloured at palette (order - 1): the
+    # forest state spans the label space, gaps included
+    deep = 0
+    for trial in range(40):
+        src = spawn_trial_source(8080, trial)
+        labels = 60 + (trial * 31) % 91
+        seed = gen_seed_graph(labels, 0.4, "clique-union",
+                              src.substream("seed"))
+        union = perturb(seed, labels ** -1.5, src.substream("perturb"))
+        drop = src.substream("drop").generator().choice(
+            labels, labels // 10, replace=False).tolist()
+        sub = union.subgraph(set(range(labels)) - set(drop))
+        n = sub.order
+        host = uniform_colouring(sub, n - 1, src.substream("colour"))
+        assert host.n == labels and n < labels
+        tree = find_rainbow_spanning_tree(host)
+        assert tree == reference_rainbow_spanning_tree(host), (trial, n)
+        if tree is not None and \
+                n - 1 - len(greedy_rainbow_forest(host)) >= 2:
+            deep += 1
+    assert deep >= 10, deep
+
+
+def test_finder_greedy_forest_and_tree_at_acceptance_8_shape(monkeypatch):
+    # n = 300, two cliques, palette 299: the second clique's rows all
+    # pass the filter at the start of the chunk they fall in (about 2,900
+    # rows a host), and only the re-tests inside that chunk drop them.
+    # The forest the first augmentation starts from is the greedy forest
+    greedy = []
+    augment = spanning._augment
+
+    def first(forest):
+        if not greedy:
+            greedy.append(np.flatnonzero(forest.in_tree))
+        return augment(forest)
+
+    monkeypatch.setattr(spanning, "_augment", first)
+    n = 300
+    for trial in range(10):
+        src = spawn_trial_source(3030, trial)
+        seed = gen_seed_graph(n, 0.4, "clique-union",
+                              src.substream("seed-graph"))
+        union = perturb(seed, n ** -1.5, src.substream("perturb"))
+        host = uniform_colouring(union, n - 1, src.substream("colour"))
+        assert host.size > 64 * GREEDY_CHUNK
+        greedy.clear()
+        tree = find_rainbow_spanning_tree(host)
+        assert tree == reference_rainbow_spanning_tree(host), trial
+        found = tree if not greedy else \
+            set(map(tuple, host.edge_array()[greedy[0]].tolist()))
+        assert found == greedy_rainbow_forest(host), trial
+
+
+def forest_shapes():
+    """Seeded forests of one to three trees on label sets with gaps:
+    random trees, paths, stars, and two equal stars joined at their
+    centres, so that some edges split a tree into equal halves."""
+    rng = random.Random(2424)
+    for trial in range(80):
+        size = rng.randint(2, 30)
+        labels = sorted(rng.sample(range(3 * size), size))
+        order = labels[:]
+        rng.shuffle(order)
+        edges = []
+        shape = (trial // 3) % 4
+        for part in np.array_split(order, 1 + trial % 3):
+            part = part.tolist()
+            half = len(part) // 2
+            for i in range(1, len(part)):
+                if shape == 0:
+                    j = rng.randrange(i)
+                elif shape == 1:
+                    j = i - 1
+                elif shape == 2:
+                    j = 0
+                else:
+                    # stars centred at part[0] and part[half], joined
+                    j = 0 if i <= half else half
+                edges.append(tuple(sorted((part[i], part[j]))))
+        yield labels, edges
+
+
+def components(labels, edges):
+    """{label: frozenset of its component}, by a union-find."""
+    parent = {x: x for x in labels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    parts = {}
+    for x in labels:
+        parts.setdefault(find(x), set()).add(x)
+    return {x: frozenset(parts[find(x)]) for x in labels}
+
+
+def test_smaller_side_and_cut_rows_match_a_union_find():
+    # every forest edge: `_smaller_side` returns the smaller side of the
+    # forest without it (either side on a tie), and `_Forest.cut` marks
+    # exactly the unreached rows with one end on that side
+    rng = random.Random(77)
+    ties = checked = 0
+    for labels, edges in forest_shapes():
+        whole = components(labels, edges)
+        extra = {tuple(sorted(rng.sample(labels, 2)))
+                 for _ in range(3 * len(labels))} - set(edges)
+        rows = np.array(sorted(set(edges) | extra), dtype=np.int64)
+        us, vs = np.ascontiguousarray(rows.T)
+        pairs = list(map(tuple, rows.tolist()))
+        in_tree = np.isin(np.arange(len(pairs)),
+                          [pairs.index(e) for e in edges])
+        comp = np.arange(labels[-1] + 1)
+        for x in labels:
+            comp[x] = min(whole[x])
+        forest = _Forest(us, vs, np.zeros(len(rows), dtype=np.int64),
+                         in_tree, np.empty(0, dtype=np.int64), comp,
+                         np.empty(0, dtype=np.int64))
+        for a, b in edges:
+            side = _smaller_side(forest.nbrs, a, b)
+            parts = components(labels, [e for e in edges if e != (a, b)])
+            small, large = sorted((parts[a], parts[b]), key=len)
+            assert len(side) == len(set(side))
+            if len(small) == len(large):
+                ties += 1
+                assert frozenset(side) in (small, large)
+            else:
+                assert frozenset(side) == small
+            # the edge and the rows between trees are reached already
+            edge = pairs.index((a, b))
+            prev = np.full(len(rows), UNSEEN, dtype=np.int64)
+            prev[[i for i, (u, v) in enumerate(pairs)
+                  if whole[u] != whole[v]] + [edge]] = -1
+            before = prev.copy()
+            found = forest.cut(edge, prev)
+            inside = set(side)
+            want = [i for i, (u, v) in enumerate(pairs)
+                    if before[i] == UNSEEN and (u in inside) != (v in inside)]
+            assert found.tolist() == want
+            assert (prev[want] == edge).all()
+            untouched = np.ones(len(rows), dtype=bool)
+            untouched[want] = False
+            assert np.array_equal(prev[untouched], before[untouched])
+            checked += 1
+    assert ties >= 10 and checked >= 500, (ties, checked)
 
 
 def test_closing_audit_flags_each_defect():
