@@ -31,7 +31,7 @@ from .errors import (EmbedFailure, InfeasibleParameters, ParameterError,
 from .expanders import (ExpandParams, ell1, ell2, find_effective_expander,
                         sparsify)
 from .exposure import ExposureOracle
-from .graphs import ColouredGraph, canonical_edge
+from .graphs import ColouredGraph, canonical_edge, find_codes
 from .rng import RandomSource
 from .trees import Tree, compute_root_sets, decompose_tree
 
@@ -231,79 +231,78 @@ def derive_parameters(eps: float, d: int, n: int, *,
 def _match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
     """Assign every node a distinct host from its candidate list.
 
-    One Hopcroft-Karp run resolves the whole level's contention at once.
-    Each node's candidates are shuffled, nodes in a shuffled order, so
-    that a rerun can land on a different maximum matching.  Returns None
-    when some node stays unmatched (the maximum matching misses it
-    regardless of shuffling).
+    The nodes draw in a shuffled order, each a shuffled copy of its
+    candidate list (siblings may share one list), so that a rerun can
+    land on a different maximum matching.  Returns None when some node
+    stays unmatched: its list is empty, or no maximum matching covers it.
 
-    The search visits a node's candidates in their shuffled order and
-    the nodes in the iteration order of the set of (0, v) tuples, the
-    order networkx's bipartite.sets gives its Hopcroft-Karp: the
-    matching is the one networkx finds on the same draws.  Int tuples
-    hash alike in every process, so that order does not vary.
+    This is Hopcroft and Karp's algorithm.  The right nodes are the host
+    labels: `mate_r` maps a matched host to its left index, and a host
+    missing from it is free.  In the first phase every left node is free
+    at layer 0, so a search can only step to a free host: each node, in
+    left order, takes the first free host of its list.  The layered
+    phases run only while some node is still free.  Left nodes come in
+    the iteration order of the set of (0, v) tuples, as networkx's
+    bipartite.sets hands them to its Hopcroft-Karp (int tuples hash alike
+    in every process), so the matching is the one networkx finds on the
+    same draws.
     """
     order = list(nodes)
     gen.shuffle(order)
     shuffled = {}
     for v in order:
-        ws = list(cand[v])
+        shuffled[v] = ws = list(cand[v])
         gen.shuffle(ws)
-        shuffled[v] = ws
     left = [v for _, v in set((0, v) for v in nodes)]
+    nbrs = [shuffled[v] for v in left]
+    if not all(nbrs):
+        return None
     size = len(left)
-    # hosts are numbered in order of first sight; mate_r[u] == size marks
-    # a free host, and dist[size] is the layer at which one is reached
-    right: Dict[int, int] = {}
-    nbrs = [[right.setdefault(w, len(right)) for w in shuffled[v]]
-            for v in left]
-    hosts = list(right)
-    inf = size + 2
-    mate_l = [-1] * size
-    mate_r = [size] * len(hosts)
-    dist = [0] * (size + 1)
-    while True:
+    mate_l: List[Optional[int]] = [None] * size
+    mate_r: Dict[int, int] = {}
+    for i, ws in enumerate(nbrs):
+        for w in ws:
+            if w not in mate_r:
+                mate_r[w] = i
+                mate_l[i] = w
+                break
+    inf, dist = size + 2, [0] * (size + 1)
+    while None in mate_l:
         # breadth-first layering from the free left nodes; dist[size] is
         # the length of a shortest augmenting path
-        queue = [i for i in range(size) if mate_l[i] < 0]
+        queue = [i for i in range(size) if mate_l[i] is None]
         for i in range(size):
-            dist[i] = 0 if mate_l[i] < 0 else inf
+            dist[i] = 0 if mate_l[i] is None else inf
         dist[size] = inf
         for i in queue:
             if dist[i] < dist[size]:
                 for u in nbrs[i]:
-                    j = mate_r[u]
+                    j = mate_r.get(u, size)
                     if dist[j] == inf:
                         dist[j] = dist[i] + 1
                         queue.append(j)
         if dist[size] == inf:
-            break
+            return None
         for i in range(size):
-            if mate_l[i] < 0:
+            if mate_l[i] is None:
                 _augment_from(i, nbrs, mate_l, mate_r, dist, inf)
-    if -1 in mate_l:
-        return None
     at = dict(zip(left, mate_l))
-    return {v: hosts[at[v]] for v in nodes}
+    return {v: at[v] for v in nodes}
 
 
-def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> bool:
-    """Depth-first search for an augmenting path along the layers `dist`,
-    from the free left node `root`; flips the path when found.
-
-    An explicit stack of (node, next neighbour position) replaces the
-    recursion, visiting the same edges in the same order.  A node whose
-    search fails is taken out of the layering (dist = inf)."""
+def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> None:
+    """Depth-first search along the layers `dist` for an augmenting path
+    from the free left node `root`, flipped when found.  An explicit
+    stack of (node, next neighbour position) replaces the recursion and
+    visits the same edges in the same order; a node whose search fails
+    leaves the layering (dist = inf)."""
     size = len(mate_l)
     stack = [[root, 0]]
     while stack:
         top = stack[-1]
         i, k = top
         ns = nbrs[i]
-        while k < len(ns):
-            j = mate_r[ns[k]]
-            if dist[j] == dist[i] + 1:
-                break
+        while k < len(ns) and dist[mate_r.get(ns[k], size)] != dist[i] + 1:
             k += 1
         if k == len(ns):
             dist[i] = inf
@@ -312,16 +311,16 @@ def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> bool:
                 stack[-1][1] += 1
             continue
         top[1] = k
+        j = mate_r.get(ns[k], size)
         if j != size:
             stack.append([j, 0])
             continue
-        # a free right node: flip every edge of the path on the stack
+        # a free host: flip every edge of the path on the stack
         for i, k in stack:
             u = nbrs[i][k]
             mate_r[u] = i
             mate_l[i] = u
-        return True
-    return False
+        return
 
 
 def _embed_pass(levels, parent, demand, adj, gen,
@@ -364,12 +363,14 @@ def _embed_pass(levels, parent, demand, adj, gen,
     take(r)
 
     def candidates(level) -> Dict[int, List[int]]:
-        out = {}
+        # one list per sibling group: (parent's image, demand)
+        lists: Dict[Tuple[int, int], List[int]] = {}
         for v in level:
-            pw = image[parent[v]]
-            out[v] = [w for w in adj[pw]
-                      if w not in used and free[w] >= demand[v]]
-        return out
+            key = (image[parent[v]], demand[v])
+            if key not in lists:
+                lists[key] = [w for w in adj[key[0]]
+                              if w not in used and free[w] >= key[1]]
+        return {v: lists[image[parent[v]], demand[v]] for v in level}
 
     placed_best = 1
     i = 1
@@ -384,8 +385,8 @@ def _embed_pass(levels, parent, demand, adj, gen,
             placed_best = max(placed_best, len(image))
             i += 1
             continue
-        # redraw the previous level and try again; at the first level
-        # there is nothing to redraw unless the root itself is free
+        # redraw the previous level and try again; the root is never
+        # redrawn within a pass, so a failure at level 1 ends the pass
         if i == 1 or tries_left[i] <= 0:
             return None, placed_best
         tries_left[i] -= 1
@@ -540,15 +541,14 @@ def _audit_image(tree: Tree, placement: Dict[int, int],
     assert edge_colours.keys() == set(images), \
         "edge_colours is not the image's edge set"
     assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"
-    # one lookup in the host's rows; the oracle is asked about the rest
-    in_host = [False] * len(images) if host is None \
-        else host.find_edges(images)[1].tolist()
+    # a spanning image lies in range(host.n): look its codes up there
+    in_host = [False] * len(images) if host is None else find_codes(
+        host.edge_codes(), [u * host.n + v for u, v in images])[1].tolist()
     for pair, seen in zip(images, in_host):
         assert seen or oracle.presence_of(pair), \
             "image edge %r is not present" % (pair,)
-    assert host is None or all(oracle.colour_of(pair) == c for pair, c
-                               in edge_colours.items()), \
-        "a colour disagrees with the oracle"
+    assert host is None or oracle.colours_of(images) == list(
+        map(edge_colours.get, images)), "a colour disagrees with the oracle"
 
 
 def format_trace(trace: Sequence[str]) -> str:
@@ -747,9 +747,9 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
 
         # a later piece's root keeps the vertex it was pinned to
         placement.update(mapping)
-        for x, y in piece_tree.edges:
-            pair = canonical_edge(mapping[x], mapping[y])
-            edge_colours[pair] = oracle.colour_of(pair)
+        pairs = [canonical_edge(mapping[x], mapping[y])
+                 for x, y in piece_tree.edges]
+        edge_colours.update(zip(pairs, oracle.colours_of(pairs)))
         _trace(trace, "embed-%d" % stage_no, True, placed=piece_tree.m)
 
     _audit_image(tree, placement, edge_colours, oracle)

@@ -20,7 +20,7 @@ edge_codes() are, so bulk steps write and relabel them in numpy.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -124,6 +124,29 @@ class ExposureOracle:
         if code not in self._colour:
             raise ExposureError("colour of %r consulted before exposure" % (key,))
         return self._colour[code]
+
+    def colours_of(self, pairs: Sequence[Pair]) -> List[int]:
+        """colour_of for each of `pairs`, in either orientation, in one
+        read of the colour book.  A loop or a label outside range(n)
+        raises ParameterError, and the first pair without a revealed
+        colour raises ExposureError."""
+        ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+        if len(ends) != 2 * len(pairs):
+            raise ParameterError("colours_of takes (u, v) pairs")
+        lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T
+        loops = lo[lo == hi]
+        if len(loops):
+            raise ParameterError("pair (%d, %d) is a loop"
+                                 % (loops[0], loops[0]))
+        if len(lo) and not (0 <= lo.min() and hi.max() < self.n):
+            raise ParameterError("a pair lies outside range(%d)" % self.n)
+        codes = (lo * self.n + hi).tolist()
+        out = list(map(self._colour.get, codes))
+        if None in out:
+            key = divmod(codes[out.index(None)], self.n)
+            raise ExposureError("colour of %r consulted before exposure"
+                                % (key,))
+        return out
 
     # -- single-pair exposure --------------------------------------------
 

@@ -13,7 +13,7 @@ from rainbowtrees import (ColouredGraph, EmbedFailure, InfeasibleParameters,
                           format_trace, gen_random_bounded_tree, harness,
                           lemma_stats, path_tree, select_root_edges,
                           star_tree, uniform_colouring)
-from rainbowtrees.exposure import ExposureOracle
+from rainbowtrees.exposure import ExposureError, ExposureOracle
 
 from rainbowtrees.absorption import absorb_leftovers
 from rainbowtrees.embedding import _audit_image, _match_level
@@ -175,34 +175,71 @@ def test_embed_random_trees_into_gnp():
     assert placed >= 17
 
 
+def _greedy_leaves_a_node_free(nodes, cand, gen) -> bool:
+    """Replay the level's draws, then let each node, in the order of the
+    set of (0, v) tuples, take the first untaken host of its shuffled
+    list: True when some node finds none."""
+    order = list(nodes)
+    gen.shuffle(order)
+    lists = {}
+    for v in order:
+        lists[v] = list(cand[v])
+        gen.shuffle(lists[v])
+    taken = set()
+    for _, v in set((0, v) for v in nodes):
+        free = [w for w in lists[v] if w not in taken]
+        if not free:
+            return True
+        taken.add(free[0])
+    return False
+
+
 def test_match_level_matches_networkx():
     # levels of up to 60 nodes with up to 9 candidates each among a few more
-    # hosts; tight ones leave some node unmatched.  Both matchers draw
-    # from generators in the same state and must leave them alike.
+    # hosts; tight ones leave some node unmatched.  From t = 300 on, runs
+    # of siblings share one list object.  Both matchers, and a greedy
+    # replay of the first phase, draw from generators in the same state;
+    # the two matchers must leave theirs alike and the lists unchanged.
     import numpy as np
 
     outcomes = set()
-    for t in range(300):
+    seen = {"empty": 0, "shared": 0, "augmented": 0}
+    for t in range(600):
         r = np.random.default_rng([71, t])
         size = int(r.integers(1, 60))
         nodes = r.choice(1000, size, replace=False).tolist()
         hosts = r.choice(5000, size + int(r.integers(0, 20)),
                          replace=False).tolist()
         most = min(int(r.integers(1, 10)), len(hosts))
-        cand = {v: r.choice(hosts, int(r.integers(0 if t % 7 == 0 else 1,
+
+        def draw():
+            return r.choice(hosts, int(r.integers(0 if t % 7 == 0 else 1,
                                                   most + 1)),
                             replace=False).tolist()
-                for v in nodes}
-        ours, ref = (np.random.default_rng([72, t]) for _ in range(2))
+
+        cand = {}
+        for v in nodes:
+            if not (t >= 300 and cand and r.random() < 0.6):
+                ws = draw()
+            cand[v] = ws
+        before = {v: list(ws) for v, ws in cand.items()}
+        ours, ref, replay = (np.random.default_rng([72, t]) for _ in range(3))
         got = _match_level(nodes, cand, ours)
         assert got == reference_match_level(nodes, cand, ref)
         assert ours.bit_generator.state == ref.bit_generator.state
+        assert cand == before
         if got is not None:
             assert list(got) == nodes
             assert all(got[v] in cand[v] for v in nodes)
             assert len(set(got.values())) == len(nodes)
         outcomes.add(got is None)
+        seen["empty"] += not all(cand.values())
+        seen["shared"] += len(set(map(id, cand.values()))) < len(nodes)
+        seen["augmented"] += got is not None and \
+            _greedy_leaves_a_node_free(nodes, cand, replay)
     assert outcomes == {True, False}
+    assert seen["empty"] >= 20 and seen["shared"] >= 200
+    assert seen["augmented"] >= 20, seen
 
 
 # -- root edges ---------------------------------------------------------------
@@ -502,6 +539,11 @@ def test_audit_image_rejects_each_corruption(make):
                  and oracle.presence_exposed((placement[x], w))
                  and not oracle.presence_of((placement[x], w)))
         rejects(*moved(w))
+        # an image edge whose presence was never revealed
+        w = next(w for w in range(oracle.n) if w not in used
+                 and not oracle.presence_exposed((placement[x], w)))
+        with pytest.raises(ExposureError):
+            _audit_image(tree, *moved(w), oracle, host)
         return
     # an image edge that is neither a seed edge nor present in the
     # oracle: a seed edge of the image, once the seed lacks it
@@ -512,6 +554,21 @@ def test_audit_image_rejects_each_corruption(make):
                      edges[1]: edge_colours[edges[0]]})
     # a mapping that misses a host vertex
     rejects(*moved(oracle.n))
+    # image edges whose colours were never revealed: the leaf swaps hosts
+    # with another leaf, and each moved image edge keeps its colour
+    other, (y,) = next((b, tree.neighbours(b)) for b in tree.leaves()
+                       if tree.neighbours(b) != (x,) and not any(
+                           oracle.colour_exposed(pair) for pair in (
+                               (placement[x], placement[b]),
+                               (placement[tree.neighbours(b)[0]],
+                                placement[leaf]))))
+    place = {**placement, leaf: placement[other], other: placement[leaf]}
+    colours = dict(edge_colours)
+    for a, z in ((leaf, x), (other, y)):
+        c = colours.pop(canonical_edge(placement[z], placement[a]))
+        colours[canonical_edge(place[z], place[a])] = c
+    with pytest.raises(ExposureError):
+        _audit_image(tree, place, colours, oracle, host)
 
 
 # -- small helpers ------------------------------------------------------------

@@ -451,6 +451,22 @@ def test_colour_index_by_vertex():
         o.colour_exposed_at(6)
 
 
+def test_colours_of_reads_the_book_at_once():
+    o = make(n=8, palette=32)
+    o.record_block([0, 1, 2, 3], [(0, 1), (2, 3)], [5, 9], stage=1)
+    o.expose_colour((4, 6))
+    pairs = [(1, 0), (2, 3), (4, 6), (6, 4)]
+    assert o.colours_of(pairs) == [o.colour_of(e) for e in pairs]
+    assert o.colours_of([]) == []
+    ledger = list(o.ledger)
+    with pytest.raises(ExposureError, match=r"\(0, 2\)"):
+        o.colours_of([(0, 1), (2, 0), (1, 3)])         # first unrevealed
+    for bad in ([(0, 1), (3, 3)], [(0, 8)], [(-1, 2)], [(0, 1, 2)]):
+        with pytest.raises(ParameterError):
+            o.colours_of(bad)
+    assert o.ledger == ledger                          # reads reveal nothing
+
+
 def test_apply_permutation_validates():
     o = make(n=4)
     with pytest.raises(ParameterError):
