@@ -7,10 +7,11 @@ that upgrades it to spanning trees, exact spanning-tree criteria, and a
 Monte Carlo harness with a CLI.
 """
 
-from .absorption import (AbsorptionState, SeedSlice, SpanningResult,
-                         absorb_leftovers, absorb_step, b_size_bound,
-                         compute_B, draw_permutation, embed_spanning,
-                         partition_edge_set, select_fresh_part)
+from .absorption import (AbsorptionState, AnchorTable, SeedSlice,
+                         SpanningResult, absorb_leftovers, absorb_step,
+                         b_size_bound, compute_B, draw_permutation,
+                         embed_spanning, partition_edge_set,
+                         select_fresh_part)
 from .embedding import (AlmostSpanningResult, PipelineParams,
                         derive_parameters, embed_almost_spanning,
                         embed_rooted_tree, format_trace, select_root_edges)

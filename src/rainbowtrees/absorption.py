@@ -14,10 +14,14 @@ slices exist so that every step can draw its colours from a slice whose
 edges at the attachment vertex were never looked at before.
 
 A slice is no graph of its own: it is a `SeedSlice`, a label on each of
-the seed's rows, and a step asks it about the few pairs it needs with
-one vectorised lookup in the seed's cached edge codes plus a label
-test.  So no slice rows, codes or neighbour index are ever built.  The
-grown image is audited once, at the end, by the embedding module's
+the seed's rows, and `SeedSlice.pair_labels` answers a batch of pairs
+with one vectorised lookup in the seed's cached edge codes: j for slice
+j, d for a row of R, -1 for a non-edge.  A step makes two lookups: the
+fresh-slice question at u with the leak check at v, then both pool
+questions in `compute_B`.  The embedded tree is not relabelled either:
+an `AnchorTable`, built once per run, holds the anchors' host labels
+and their image neighbours, the only part of the image the pools read.
+The grown image is audited once, at the end, by the embedding module's
 `_audit_image`.
 """
 
@@ -78,10 +82,11 @@ class SeedSlice:
         self._min_degree = int(min_degree)
         self._edges: Optional[FrozenSet[Pair]] = None
 
-    def has(self, a, b) -> np.ndarray:
-        """Mask of the pairs (a[i], b[i]), label arrays or scalars
-        broadcast together, that are edges of this slice: one lookup in
-        the seed's edge codes, then a label test.  A pair with an end
+    def pair_labels(self, a, b) -> np.ndarray:
+        """The label of each pair (a[i], b[i]), label arrays or scalars
+        broadcast together: j for slice j, d for a row of R, -1 for a
+        pair that is no seed edge.  One lookup in the seed's edge codes,
+        so every slice of a partition answers alike.  A pair with an end
         outside range(n) is no edge; loops raise ParameterError."""
         a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
         # find_edges' lookup without its row building and sort: half the
@@ -96,8 +101,13 @@ class SeedSlice:
         at, hit = find_codes(self.seed.edge_codes(), lo * n + hi)
         # outside the label space a code could alias an edge's code
         hit &= (lo >= 0) & (hi < n)
-        hit[hit] = self.labels[at[hit]] == self.j
-        return hit
+        out = np.full(len(hit), -1, dtype=np.int64)
+        out[hit] = self.labels[at[hit]]
+        return out
+
+    def has(self, a, b) -> np.ndarray:
+        """Mask of the pairs (a[i], b[i]) that are edges of this slice."""
+        return self.pair_labels(a, b) == self.j
 
     def min_degree(self) -> int:
         return self._min_degree
@@ -183,28 +193,80 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
 # absorber pools
 
 
-def compute_B(u: int, v: int, part: SeedSlice, anchors: Iterable[int],
-              image_tree: Tree) -> Tuple[int, ...]:
-    """Anchors adjacent to u whose image-tree neighbours all neighbour v.
+class AnchorTable:
+    """The anchors of one run and their image-tree neighbours, on host
+    labels: what the pools read of the embedded tree.
 
-    Works on adjacency alone; no colour is revealed.  Two lookups in the
-    slice answer it: the pairs (u, x) for the anchors x, then the pairs
-    (y, v) for the image-tree neighbours y of the anchors that passed.
-    A loop is never an edge, so x = u or y = v rules x out.
-    `image_tree` is the embedded tree on host labels, and the test
-    against it always uses the original embedded copy, not the partially
-    rewired one.
+    `hosts` holds the anchors' host labels, ascending, and row i of
+    `rows` the host labels of hosts[i]'s neighbours in the embedded
+    tree, ascending and padded with -1 to the tree's degree bound.  It
+    is built once per run from the trimmed tree, the anchor nodes and
+    the placement (a dict or a list, node to host), and always holds
+    the originally embedded copy, not the partially rewired one.
+    `edges`, the image edges at the anchors, is read by output checks.
+    """
+
+    __slots__ = ("hosts", "rows", "_around")
+
+    def __init__(self, tree: Tree, nodes: Iterable[int], mapping):
+        place = mapping.__getitem__
+        nodes = tuple(nodes)
+        self._around = {place(x): tuple(sorted(map(place, tree.neighbours(x))))
+                        for x in nodes}
+        if len(self._around) != len(nodes):
+            raise ParameterError("two anchors share a host")
+        hosts = sorted(self._around)
+        self.hosts = np.array(hosts, dtype=np.int64)
+        self.rows = np.array(
+            [ys + (-1,) * (tree.d - len(ys)) for ys in map(self._around.get,
+                                                            hosts)],
+            dtype=np.int64).reshape(len(hosts), tree.d)
+
+    def neighbours(self, x: int) -> Tuple[int, ...]:
+        """The image-tree neighbours of anchor host x, ascending."""
+        return self._around[x]
+
+    @property
+    def edges(self) -> FrozenSet[Pair]:
+        return frozenset(canonical_edge(x, y)
+                         for x, ys in self._around.items() for y in ys)
+
+
+def compute_B(u: int, v: int, part: SeedSlice, anchors: Iterable[int],
+              table: AnchorTable) -> Tuple[int, ...]:
+    """The anchors x among `anchors` (host labels, each with a row in
+    `table`) adjacent to u whose image-tree neighbours all neighbour v,
+    ascending.
+
+    Works on adjacency alone; no colour is revealed.  One lookup in the
+    slice answers both questions for every anchor at once: the pairs
+    (u, x), and the pairs (y, v) for the neighbours y in x's table row.
+    A loop is never an edge, so x = u is dropped, and so is any x with
+    v among its neighbours.
     """
     if u == v:
         raise ParameterError("pool endpoints must differ, got u = v = %d" % u)
-    xs = sorted(set(int(a) for a in anchors) - {u})
-    near_u = part.has(u, xs).tolist()
-    cands = [(x, image_tree.neighbours(x))
-             for x, hit in zip(xs, near_u) if hit]
-    cands = [(x, ys) for x, ys in cands if v not in ys]
-    near_v = iter(part.has([y for _, ys in cands for y in ys], v).tolist())
-    # all() over a list, so each x consumes exactly its own lookups
-    return tuple(x for x, ys in cands if all([next(near_v) for _ in ys]))
+    hosts = table.hosts
+    want = np.asarray(anchors, dtype=np.int64)
+    at = np.searchsorted(hosts, want)
+    known = at < len(hosts)
+    known[known] = hosts[at[known]] == want[known]
+    if not known.all():
+        raise ParameterError("anchor %d has no row in the table"
+                             % want[~known][0])
+    # a mask over the table's rows, which also drops repeated anchors
+    pick = np.zeros(len(hosts), dtype=bool)
+    pick[at] = True
+    pick &= (hosts != u) & (table.rows != v).all(axis=1)
+    xs, ys = hosts[pick], table.rows[pick]
+    real = ys >= 0
+    k = len(xs)
+    hit = part.pair_labels(np.concatenate([np.full(k, u), ys[real]]),
+                           np.concatenate([xs, np.full(real.sum(), v)])
+                           ) == part.j
+    near_v = ~real
+    near_v[real] = hit[k:]
+    return tuple(xs[hit[:k] & near_v.all(axis=1)].tolist())
 
 
 def b_size_bound(delta: float, d: int, n: int) -> float:
@@ -221,21 +283,20 @@ class AbsorptionState:
 
     `mapping` sends embedded tree nodes to host vertices and `inverse`
     sends them back; `edge_colours` carries the current image edges with
-    their colours and `colours` the set of those colours.  `t0_image`
-    stays fixed at the originally embedded copy: the pool definition
-    always refers to it.  `anchors` are the host images of the anchor
-    nodes, `parts` the edge-disjoint slices of the seed minus the random
-    edges (`SeedSlice` views), and `used` the absorbers consumed so far,
-    in order.
+    their colours and `colours` the set of those colours.  `table` is
+    the `AnchorTable` of the anchors' host labels and their neighbours
+    in the originally embedded copy, which the pool definition always
+    refers to; `parts` are the edge-disjoint slices of the seed minus
+    the random edges (`SeedSlice` views), and `used` the absorbers
+    consumed so far, in order.
     """
 
-    def __init__(self, tree: Tree, t0_image: Tree, anchors: Sequence[int],
+    def __init__(self, tree: Tree, table: AnchorTable,
                  parts: Sequence[SeedSlice], mapping: Dict[int, int],
                  edge_colours: Dict[Pair, int], oracle: ExposureOracle,
                  trace: Optional[List[str]] = None):
         self.tree = tree
-        self.t0_image = t0_image
-        self.anchors = tuple(anchors)
+        self.table = table
         self.parts = tuple(parts)
         self.used: List[int] = []
         self.mapping = dict(mapping)
@@ -249,22 +310,32 @@ class AbsorptionState:
         self.trace: List[str] = trace if trace is not None else []
 
 
+def _first_fresh(parts: Sequence[SeedSlice], u: int,
+                 labels: np.ndarray) -> int:
+    """Index of the first slice whose label is not among `labels`, the
+    labels of u's colour-revealed pairs; a structural StageFailure when
+    there is none."""
+    seen = set(labels.tolist())
+    for j, h in enumerate(parts):
+        if h.j not in seen:
+            return j
+    raise StageFailure(
+        "all %d slices carry exposed colours at vertex %d" % (len(parts), u),
+        "absorption", structural=True, vertex=u)
+
+
 def select_fresh_part(parts: Sequence[SeedSlice], u: int,
                       oracle: ExposureOracle) -> int:
     """Index of the first slice with no revealed colour at vertex u: the
-    first in which no colour-revealed pair at u is an edge, answered by
-    one `SeedSlice.has` lookup per slice.
+    first whose label no colour-revealed pair at u carries, answered by
+    one lookup of all those pairs.
 
     Raises a structural StageFailure when every slice has already been
     looked at around u; the slicing exists precisely to prevent that.
     """
     ws = oracle.colour_exposed_at(u)
-    for j, h in enumerate(parts):
-        if not h.has(u, ws).any():
-            return j
-    raise StageFailure(
-        "all %d slices carry exposed colours at vertex %d" % (len(parts), u),
-        "absorption", structural=True, vertex=u)
+    labels = parts[0].pair_labels(u, ws) if parts else np.empty(0)
+    return _first_fresh(parts, u, labels)
 
 
 def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
@@ -272,20 +343,22 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
 
     v_node must have exactly one embedded tree neighbour, which sits on
     host u; j* is the first slice with no revealed colour at u
-    (select_fresh_part).  Scans the anchor pool for (u, v) in slice j* in
-    ascending vertex order, revealing for each candidate x only the
-    colour of the edge u-x and of the edges from v to x's image-tree
-    neighbours.  The first candidate whose revealed colours are pairwise
-    distinct and disjoint from the tree's colours wins: the tree node
-    sitting at x moves to v (its incident image edges swing from x to v
-    on the just-revealed colours), and v_node lands on x through the
-    edge u-x.  Appends and returns a record line
+    (select_fresh_part).  One lookup answers that question together with
+    the leak check: no colour-revealed pair between v and the current
+    image may be an edge of slice j* yet.  Scans the anchor pool for
+    (u, v) in slice j* in ascending vertex order, revealing for each
+    candidate x only the colour of the edge u-x and of the edges from v
+    to x's image-tree neighbours.  The first candidate whose revealed
+    colours are pairwise distinct and disjoint from the tree's colours
+    wins: the tree node sitting at x moves to v (its incident image
+    edges swing from x to v on the just-revealed colours), and v_node
+    lands on x through the edge u-x.  Appends and returns a record line
     `i=<step> j*=<slice> |B|=<pool> chosen=<x|fail>`.
 
     Raises AbsorptionFailure when no candidate qualifies (a legitimate
     random outcome) and asserts on any contract violation.
     """
-    tree, oracle = state.tree, state.oracle
+    tree, oracle, table = state.tree, state.oracle, state.table
     if v in state.inverse:
         raise ParameterError("host vertex %d already carries a tree node" % v)
     if v_node not in tree.nodes or v_node in state.mapping:
@@ -296,26 +369,27 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
         raise ParameterError("node %r has %d embedded neighbours, not one"
                              % (v_node, len(hooks)))
     u = state.mapping[hooks[0]]
-    j_star = select_fresh_part(state.parts, u, oracle)
-    h = state.parts[j_star]
-
-    # no colour-revealed pair between v and the current image may be an
-    # edge of this slice yet; absorption is the only consumer of these pairs
+    ws = oracle.colour_exposed_at(u)
+    # absorption is the only consumer of the pairs between v and the image
     leaks = [w for w in oracle.colour_exposed_at(v) if w in state.inverse]
-    leaked = h.has(v, leaks)
+    labels = state.parts[0].pair_labels(
+        np.repeat([u, v], [len(ws), len(leaks)]), ws + tuple(leaks))
+    j_star = _first_fresh(state.parts, u, labels[:len(ws)])
+    h = state.parts[j_star]
+    leaked = labels[len(ws):] == h.j
     assert not leaked.any(), "slice %d colour at (%d, %d) leaked early" \
         % (j_star, v, leaks[int(leaked.argmax())])
 
     used = set(state.used)
-    pool = [x for x in compute_B(u, v, h, state.anchors, state.t0_image)
+    pool = [x for x in compute_B(u, v, h, table.hosts, table)
             if x not in used]
 
     label = len(state.used) + 1
     chosen = None
     kept: List[int] = []
     for x in pool:
-        ys = sorted(state.t0_image.neighbours(x))
-        pairs = [canonical_edge(u, x)] + [canonical_edge(y, v) for y in ys]
+        pairs = [canonical_edge(u, x)] + [canonical_edge(y, v)
+                                          for y in table.neighbours(x)]
         cols = [oracle.expose_colour(q, kind="absorb", stage=label)
                 for q in pairs]
         if len(set(cols) - state.colours) == len(cols):
@@ -331,7 +405,7 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
 
     x = chosen
     z = state.inverse[x]
-    ys = sorted(state.t0_image.neighbours(x))
+    ys = table.neighbours(x)
     # swing z's image edges from x onto v, then hang v_node on x
     for y in ys:
         state.colours.remove(state.edge_colours.pop(canonical_edge(x, y)))
@@ -443,11 +517,10 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         _trace(trace, "r-degree", rok, max=rmax, cap="%.2f" % cap)
         _trace(trace, "shift", True, edges=len(r_rows))
 
-        t0_image = trim.t0.relabel(mapping)
         try:
             i0 = build_I0(trim.t0, tree, d, eps_used)
-            anchors = tuple(mapping[x] for x in i0)
-            _trace(trace, "anchors", True, count=len(anchors))
+            table = AnchorTable(trim.t0, i0, mapping)
+            _trace(trace, "anchors", True, count=len(i0))
             parts = partition_edge_set(seed, r_rows, d, delta,
                                        source.substream("partition"))
         except StageFailure as exc:
@@ -459,8 +532,8 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         # the k-th leftover is absorbed while the k-th trimmed leaf, in
         # reverse trim order, rejoins the tree
         leftovers = sorted(set(range(n)) - set(mapping.values()))
-        state = AbsorptionState(tree, t0_image, anchors, parts, mapping,
-                                edge_colours, oracle, trace=trace)
+        state = AbsorptionState(tree, table, parts, mapping, edge_colours,
+                                oracle, trace=trace)
         rejoin = tuple(reversed(trim.deleted))
         assert len(rejoin) == len(leftovers) == r
         try:

@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (EmbedFailure, InfeasibleParameters, ParameterError,
                      RootEdgeFailure, StageFailure)
@@ -525,30 +528,43 @@ def _audit_image(tree: Tree, placement: Dict[int, int],
                  host: Optional[ColouredGraph] = None) -> None:
     """The one audit of a rainbow tree image.
 
-    `placement` is injective, `edge_colours` holds exactly the images of
-    the tree's edges on distinct colours, and every image edge is an
-    edge of `host` or present in the oracle.  A spanning image (`host`
-    given) must also cover range(host.n) and carry the colours the
-    oracle revealed for its edges.
+    `placement` is injective into range(n), `edge_colours` holds exactly
+    the images of the tree's edges on distinct colours, and every image
+    edge is an edge of `host` or present in the oracle.  A spanning
+    image (`host` given) must also cover range(host.n) and carry the
+    colours the oracle revealed for its edges.  The image is checked on
+    pair codes u * n + v: one lookup in the host's edge codes, one read
+    of the oracle's presence for the edges the host lacks, and one read
+    of its colours.
     """
+    n = oracle.n
     hosts = set(placement.values())
     assert len(placement) == len(hosts) == tree.m, \
         "placement is not injective on the tree"
     assert host is None or hosts == set(range(host.n)), \
         "image misses a host vertex"
-    images = [canonical_edge(placement[x], placement[y])
-              for x, y in tree.edges]
-    assert edge_colours.keys() == set(images), \
+    m = tree.m - 1
+    ends = np.fromiter(map(placement.__getitem__,
+                           chain.from_iterable(tree.edges)),
+                       dtype=np.int64, count=2 * m).reshape(m, 2)
+    lo, hi = np.sort(ends, axis=1).T
+    assert not m or (lo.min() >= 0 and hi.max() < n), \
+        "placement leaves range(%d)" % n
+    codes = lo * n + hi
+    a, b = np.fromiter(chain.from_iterable(edge_colours), dtype=np.int64,
+                       count=2 * len(edge_colours)).reshape(-1, 2).T
+    keys = a * n + b
+    assert len(keys) == m and (0 <= a).all() and (a < b).all() \
+        and (b < n).all() and (np.sort(keys) == np.sort(codes)).all(), \
         "edge_colours is not the image's edge set"
-    assert len(set(edge_colours.values())) == tree.m - 1, "image is not rainbow"
-    # a spanning image lies in range(host.n): look its codes up there
-    in_host = [False] * len(images) if host is None else find_codes(
-        host.edge_codes(), [u * host.n + v for u, v in images])[1].tolist()
-    for pair, seen in zip(images, in_host):
-        assert seen or oracle.presence_of(pair), \
-            "image edge %r is not present" % (pair,)
-    assert host is None or oracle.colours_of(images) == list(
-        map(edge_colours.get, images)), "a colour disagrees with the oracle"
+    assert len(set(edge_colours.values())) == m, "image is not rainbow"
+    missing = np.ones(m, dtype=bool) if host is None else \
+        ~find_codes(host.edge_codes(), lo * host.n + hi)[1]
+    present = oracle.presence_by_code(codes[missing])
+    assert present.all(), "image edge %r is not present" \
+        % (divmod(int(codes[missing][~present][0]), n),)
+    assert host is None or oracle.colours_by_code(keys) == list(
+        edge_colours.values()), "a colour disagrees with the oracle"
 
 
 def format_trace(trace: Sequence[str]) -> str:

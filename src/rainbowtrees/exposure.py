@@ -20,7 +20,7 @@ edge_codes() are, so bulk steps write and relabel them in numpy.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +64,10 @@ class ExposureOracle:
         # revealed values by pair code
         self._presence: Dict[int, bool] = {}
         self._colour: Dict[int, int] = {}
+        # the (2, k) ends of the pairs keyed first in the colour book, k
+        # of them; colour_exposed_at adds the keys written since, and a
+        # relabelling moves them with the book
+        self._colour_ends = np.empty((2, 0), dtype=np.int64)
         # block number of each vertex, -1 outside every block
         self._block = np.full(self.n, -1, dtype=np.int64)
         self.ledger: List[Tuple[str, object, int]] = []
@@ -83,9 +87,9 @@ class ExposureOracle:
             u, v = v, u
         return (u, v), u * self.n + v
 
-    def _ends(self, table: Dict[int, object]) -> np.ndarray:
-        """The (2, k) rows u and v of the pairs keyed in `table`."""
-        codes = np.fromiter(table, dtype=np.int64, count=len(table))
+    def _ends(self, codes: Iterable[int]) -> np.ndarray:
+        """The (2, k) rows u and v of the pairs with these codes."""
+        codes = np.fromiter(codes, dtype=np.int64)
         return np.stack(np.divmod(codes, self.n))
 
     def _in_block(self, key: Pair) -> bool:
@@ -107,7 +111,15 @@ class ExposureOracle:
         u = int(u)
         if not 0 <= u < self.n:
             raise ParameterError("vertex %d outside range(%d)" % (u, self.n))
-        lo, hi = self._ends(self._colour)
+        new = len(self._colour) - self._colour_ends.shape[1]
+        if new:
+            # the book only grows between relabellings, and a dict keeps
+            # insertion order: the new keys are its last ones
+            self._colour_ends = np.concatenate(
+                [self._colour_ends,
+                 self._ends(islice(reversed(self._colour), new))],
+                axis=1)
+        lo, hi = self._colour_ends
         return tuple(sorted(hi[lo == u].tolist() + lo[hi == u].tolist()))
 
     def presence_of(self, pair) -> bool:
@@ -140,13 +152,36 @@ class ExposureOracle:
                                  % (loops[0], loops[0]))
         if len(lo) and not (0 <= lo.min() and hi.max() < self.n):
             raise ParameterError("a pair lies outside range(%d)" % self.n)
-        codes = (lo * self.n + hi).tolist()
+        return self.colours_by_code(lo * self.n + hi)
+
+    def colours_by_code(self, codes: np.ndarray) -> List[int]:
+        """The revealed colour of each pair code u * n + v (u < v, both
+        in range(n)); the first code without one raises ExposureError."""
+        codes = codes.tolist()
         out = list(map(self._colour.get, codes))
         if None in out:
             key = divmod(codes[out.index(None)], self.n)
             raise ExposureError("colour of %r consulted before exposure"
                                 % (key,))
         return out
+
+    def presence_by_code(self, codes: np.ndarray) -> np.ndarray:
+        """presence_of for each pair code u * n + v (u < v, both in
+        range(n)), as a mask, in one read of the book; the first code
+        whose presence is unrevealed raises ExposureError."""
+        got = list(map(self._presence.get, codes.tolist()))
+        unknown = np.fromiter((g is None for g in got), dtype=bool,
+                              count=len(got))
+        if unknown.any() and not self.presence_complete:
+            # a pair of one block had its presence decided by the block
+            lo, hi = self._ends(codes[unknown])
+            block = self._block[lo]
+            open_ = (block < 0) | (block != self._block[hi])
+            if open_.any():
+                key = (int(lo[open_][0]), int(hi[open_][0]))
+                raise ExposureError("presence of %r consulted before "
+                                    "exposure" % (key,))
+        return np.fromiter(map(bool, got), dtype=bool, count=len(got))
 
     # -- single-pair exposure --------------------------------------------
 
@@ -304,12 +339,15 @@ class ExposureOracle:
                                  % self.n)
         to = np.asarray(perm, dtype=np.int64)
 
-        def move(table: Dict[int, object]) -> Dict[int, object]:
-            a, b = np.sort(to[self._ends(table)], axis=0)
-            return dict(zip((a * self.n + b).tolist(), table.values()))
+        def move(table: Dict[int, object]
+                 ) -> Tuple[Dict[int, object], np.ndarray]:
+            ends = np.sort(to[self._ends(table)], axis=0)
+            codes = ends[0] * self.n + ends[1]
+            return dict(zip(codes.tolist(), table.values())), ends
 
-        self._presence = move(self._presence)
-        self._colour = move(self._colour)
+        self._presence = move(self._presence)[0]
+        # the moved book's ends, in its new key order
+        self._colour, self._colour_ends = move(self._colour)
         back = np.argsort(to)
         self._block, self._touched = self._block[back], self._touched[back]
         self.ledger.append(("permute", tuple(perm), 0))

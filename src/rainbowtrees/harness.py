@@ -26,8 +26,9 @@ from numbers import Integral, Real
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
-from .absorption import (b_size_bound, compute_B, draw_permutation,
-                         embed_spanning, partition_edge_set, spanning_setup)
+from .absorption import (AnchorTable, b_size_bound, compute_B,
+                         draw_permutation, embed_spanning, partition_edge_set,
+                         spanning_setup)
 from .embedding import _number, derive_parameters, embed_almost_spanning
 from .errors import (ExpanderFailure, InfeasibleParameters, ParameterError,
                      StageFailure)
@@ -395,9 +396,8 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
     if not anchor_nodes:
         return "fail", "build-I0", {"detail": "anchor target is zero",
                                     "bound": bound}
-    perm = draw_permutation(n, src.substream("shift"))
-    image_tree = trim.t0.relabel(perm)
-    anchors = tuple(sorted(perm[x] for x in anchor_nodes))
+    table = AnchorTable(trim.t0, anchor_nodes,
+                        draw_permutation(n, src.substream("shift")))
     gen = src.substream("triples").generator()
     sizes = []
     for _ in range(config.samples):
@@ -406,10 +406,10 @@ def _trial_large_buv(config: TrialConfig, src: RandomSource):
         v = int(gen.integers(n - 1))
         if v >= u:
             v += 1
-        sizes.append(len(compute_B(u, v, parts[j], anchors, image_tree)))
+        sizes.append(len(compute_B(u, v, parts[j], table.hosts, table)))
     violated = min(sizes) < bound
     metrics = {"min": min(sizes), "mean": sum(sizes) / len(sizes),
-               "bound": bound, "anchors": len(anchors),
+               "bound": bound, "anchors": len(table.hosts),
                "samples": len(sizes), "violated": bool(violated)}
     if violated:
         return "fail", "bound", metrics

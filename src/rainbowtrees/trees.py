@@ -349,8 +349,11 @@ def compute_root_sets(dec: TreeDecomposition) -> RootSets:
         attach, root = dec.connecting[k]
         z[piece_of[attach]].add(root)
     z_sets = tuple(frozenset(s) for s in z)
-    augmented = tuple(dec.tree.induced_subtree(dec.pieces[i] | z_sets[i])
-                      for i in range(dec.s))
+    # a piece that with its z-set covers the tree augments to the tree
+    augmented = tuple(
+        dec.tree if len(nodes) == dec.tree.m
+        else dec.tree.induced_subtree(nodes)
+        for nodes in map(frozenset.union, dec.pieces, z_sets))
     return RootSets(z_sets=z_sets, augmented_trees=augmented)
 
 

@@ -1,12 +1,14 @@
 """Absorption stage: relabelling, edge slicing, anchor pools, absorb loop."""
 
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rainbowtrees import (AbsorptionFailure, AbsorptionState, ColouredGraph,
+from rainbowtrees import (AbsorptionFailure, AbsorptionState, AnchorTable,
+                          ColouredGraph,
                           InfeasibleParameters, ParameterError,
                           PartitionFailure, RandomSource, SeedSlice,
                           StageFailure, Tree,
@@ -223,18 +225,26 @@ def test_pool_hand_instance():
     # contains 1 exactly when the slice has u~1 and v adjacent to both
     # image neighbours of 1
     image = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
+    table = AnchorTable(image, [1], range(5))
+    assert table.hosts.tolist() == [1] and table.rows.tolist() == [[0, 2]]
+    assert table.edges == image.edges
     (h,) = label_slices(5, [[(3, 1), (4, 0), (4, 2)]])
-    assert compute_B(3, 4, h, [1], image) == (1,)
+    assert compute_B(3, 4, h, [1], table) == (1,)
     (weaker,) = label_slices(5, [[(3, 1), (4, 0)]])
-    assert compute_B(3, 4, weaker, [1], image) == ()
+    assert compute_B(3, 4, weaker, [1], table) == ()
 
 
 def test_pool_empty_anchors():
     image = Tree([0, 1, 2], [(0, 1), (1, 2)], 2)
     (h,) = label_slices(5, [complete_graph(5).edges])
-    assert compute_B(3, 4, h, [], image) == ()
+    assert compute_B(3, 4, h, [], AnchorTable(image, [], range(5))) == ()
     with pytest.raises(ParameterError):
-        compute_B(3, 3, h, [0], image)
+        compute_B(3, 3, h, [0], AnchorTable(image, [0], range(5)))
+    # an anchor the table has no row for
+    with pytest.raises(ParameterError):
+        compute_B(3, 4, h, [0, 2], AnchorTable(image, [0], range(5)))
+    with pytest.raises(ParameterError):
+        compute_B(3, 4, h, [0], AnchorTable(image, [], range(5)))
 
 
 def test_pool_complete_slice():
@@ -242,7 +252,8 @@ def test_pool_complete_slice():
     image = path_tree(6)
     (h,) = label_slices(8, [complete_graph(8).edges])
     anchors = list(range(6))
-    assert compute_B(6, 7, h, anchors, image) == tuple(range(6))
+    table = AnchorTable(image, anchors, range(8))
+    assert compute_B(6, 7, h, anchors, table) == tuple(range(6))
 
 
 def test_pool_bound_value():
@@ -289,13 +300,16 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
     """compute_B and select_fresh_part answer as the neighbour scans of
     tests/oracles.py do, on random slices of complete graphs and of
     gen_gnp graphs, some on a partial vertex set, with colours revealed
-    before and after a relabelling."""
+    before and after a relabelling.  The anchor table is built through a
+    list placement of a d = 3 tree and holds the image's neighbours."""
     n = 30
     gen = np.random.default_rng(seed)
     src = RandomSource(4400 + seed)
     seen = dict.fromkeys(("u is an anchor", "v is next to an anchor",
                           "no anchors", "partial vertex set",
-                          "u has no revealed colour", "nonempty pool"), False)
+                          "u has no revealed colour", "nonempty pool",
+                          "padded row", "anchor outside the vertex set"),
+                         False)
     for t in range(24):
         if t % 3 == 0:
             host = complete_graph(n)
@@ -323,6 +337,17 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
         else:
             anchors = gen.choice(where, size=int(gen.integers(1, k + 1)),
                                  replace=False).tolist()
+        table = AnchorTable(shape, [where.index(x) for x in anchors], where)
+        assert table.hosts.tolist() == sorted(anchors)
+        assert table.rows.shape == (len(anchors), 3)
+        for x, row in zip(table.hosts.tolist(), table.rows.tolist()):
+            ys = list(image.neighbours(x))
+            assert row == ys + [-1] * (3 - len(ys))
+            assert table.neighbours(x) == tuple(ys)
+            seen["padded row"] |= len(ys) < 3
+            seen["anchor outside the vertex set"] |= x not in host.vertex_set
+        assert table.edges == {e for e in image.edges
+                               if e[0] in anchors or e[1] in anchors}
 
         pairs = [tuple(gen.choice(verts, size=2, replace=False).tolist())
                  for _ in range(3)]
@@ -342,11 +367,11 @@ def test_pools_and_fresh_slices_match_the_neighbour_scans(seed):
                 v in image.neighbours(x) for x in anchors)
             for part, graph in zip(parts, graphs):
                 want = reference_compute_B(u, v, graph, anchors, image)
-                assert compute_B(u, v, part, anchors, image) == want, \
+                assert compute_B(u, v, part, anchors, table) == want, \
                     (t, u, v)
                 seen["nonempty pool"] |= bool(want)
         with pytest.raises(ParameterError):
-            compute_B(verts[0], verts[0], parts[0], anchors, image)
+            compute_B(verts[0], verts[0], parts[0], anchors, table)
 
         oracle = ExposureOracle(n, 50, 0.5, src.substream(("oracle", t)))
 
@@ -386,8 +411,8 @@ def hand_state(palette, seed_val, h_edges, before=()):
     oracle.record_block(range(5), list(edge_colours),
                         list(edge_colours.values()), stage=0)
     parts = label_slices(7, before + (h_edges,))
-    return AbsorptionState(tree, image, (0, 1, 2), parts, mapping,
-                           edge_colours, oracle)
+    table = AnchorTable(image, (0, 1, 2), range(5))
+    return AbsorptionState(tree, table, parts, mapping, edge_colours, oracle)
 
 
 HAND_SLICE = [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2)]
@@ -446,10 +471,11 @@ def test_absorb_step_validation():
     stub = Tree([0], [], 2)
     oracle = ExposureOracle(4, 10, 0.5, RandomSource(8))
     parts = label_slices(4, [[(0, 1)]])
-    lone = AbsorptionState(path, stub, (), parts, {0: 0}, {}, oracle)
+    none = AnchorTable(stub, (), range(1))
+    lone = AbsorptionState(path, none, parts, {0: 0}, {}, oracle)
     with pytest.raises(ParameterError, match="0 embedded neighbours"):
         absorb_step(lone, 1, 2)
-    ends = AbsorptionState(path, stub, (), parts, {0: 0, 2: 2}, {}, oracle)
+    ends = AbsorptionState(path, none, parts, {0: 0, 2: 2}, {}, oracle)
     with pytest.raises(ParameterError, match="2 embedded neighbours"):
         absorb_step(ends, 1, 1)
 
@@ -563,6 +589,37 @@ def test_absorb_leftovers_honest_failure():
     assert res.mapping is None
     assert res.used_absorbers == ()
     assert any(line.endswith("chosen=fail") for line in res.trace)
+
+
+def test_absorb_leftovers_pinned():
+    # 32 planted states on complete and clique-union seeds, d 2 and 3,
+    # palettes 1.25n and 20n: every run's trace, stage, detail, absorbers,
+    # mapping and edge colours are hashed, over runs that succeed, run out
+    # of fresh candidates, find every slice looked at around u, and fail
+    # to slice the seed
+    outcomes, rows = set(), []
+    for kind, n, r, delta, seeds in (("complete", 200, 4, 0.5, 4),
+                                     ("complete", 200, 12, 0.5, 2),
+                                     ("clique-union", 60, 6, 0.3, 2)):
+        seed_graph = gen_seed_graph(n, delta, kind, RandomSource(7, n))
+        for d in (2, 3):
+            for alpha in (0.25, 19):
+                for s in range(seeds):
+                    tree, trim, almost, src = make_synthetic_state(
+                        n, r, d, int((1 + alpha) * n), 0.05, 500 + s)
+                    res = absorb_leftovers(seed_graph, tree, trim, almost,
+                                           delta, d, r / n,
+                                           src.substream("absorb"))
+                    outcomes.add((res.stage, (res.detail or "")[:18]))
+                    rows.append((res.stage, res.detail, res.trace,
+                                 res.used_absorbers,
+                                 sorted((res.mapping or {}).items()),
+                                 sorted(res.edge_colours.items())))
+    assert outcomes == {(None, ""), ("absorption", "[absorption] none "),
+                        ("absorption", "[absorption] all 2"),
+                        ("partition", "[partition] minimu")}
+    digest = hashlib.blake2b(repr(rows).encode(), digest_size=16)
+    assert digest.hexdigest() == "676fc62c8dd34194e75bc00e669f84a9"
 
 
 def test_absorb_leftovers_nothing_to_absorb():

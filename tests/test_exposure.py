@@ -451,6 +451,80 @@ def test_colour_index_by_vertex():
         o.colour_exposed_at(6)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_colour_index_follows_every_write(seed):
+    """colour_exposed_at(u), asked between single tints, blocks and
+    relabellings, lists the w with colour_exposed((u, w)) every time: a
+    read extends the cached ends by the keys written since the last one,
+    and a relabelling drops them."""
+    n = 40
+    o = make(n=n, palette=60, p=0.3, seed=seed)
+    gen = np.random.default_rng(seed)
+    free = set(range(n))                     # vertices in no block yet
+    writes = set()
+
+    def agree(us):
+        for u in us:
+            assert o.colour_exposed_at(u) == tuple(
+                w for w in range(n) if w != u and o.colour_exposed((u, w))), u
+
+    for step in range(16):
+        kind = ("tint", "tint", "block", "permute")[int(gen.integers(4))]
+        if kind == "tint":
+            for _ in range(int(gen.integers(1, 12))):
+                pair = tuple(gen.choice(n, 2, replace=False).tolist())
+                if not o.colour_exposed(pair):
+                    o.expose_colour(pair)
+        elif kind == "block" and len(free) >= 5:
+            block = gen.choice(sorted(free), 5, replace=False).tolist()
+            free -= set(block)
+            pairs = [q for q in itertools.combinations(block, 2)
+                     if gen.random() < 0.5 and not o.colour_exposed(q)]
+            o.record_block(block, pairs,
+                           gen.integers(0, 60, len(pairs)).tolist(), step)
+        elif kind == "permute":
+            perm = gen.permutation(n).tolist()
+            o.apply_permutation(perm)
+            free = {perm[w] for w in free}
+        writes.add(kind)
+        agree(gen.choice(n, 4, replace=False).tolist())
+        agree(gen.choice(n, 2, replace=False).tolist())    # nothing new
+    agree(range(n))
+    assert writes >= {"tint", "block", "permute"}
+
+
+def test_bulk_reads_by_code_match_the_single_reads():
+    o = make(n=10, palette=32, p=0.5)
+    o.record_block([0, 1, 2, 3], [(0, 1), (2, 3)], [5, 9], stage=1)
+    o.expose_colour((4, 6))
+    o.expose_presence((4, 6))
+    o.expose_presence((5, 8))
+
+    def code(pair):
+        return min(pair) * 10 + max(pair)
+
+    decided = [(0, 1), (0, 2), (2, 3), (1, 3), (4, 6), (5, 8)]
+    codes = np.array([code(q) for q in decided], dtype=np.int64)
+    assert o.presence_by_code(codes).tolist() == [o.presence_of(q)
+                                                  for q in decided]
+    assert o.presence_by_code(codes[:0]).tolist() == []
+    # (3, 4) crosses the block's boundary and was never probed
+    with pytest.raises(ExposureError, match=r"\(3, 4\)"):
+        o.presence_by_code(np.array([code((0, 1)), code((3, 4)),
+                                     code((7, 9))]))
+    tinted = [(0, 1), (2, 3), (4, 6)]
+    assert o.colours_by_code(np.array([code(q) for q in tinted])) == [
+        o.colour_of(q) for q in tinted]
+    with pytest.raises(ExposureError, match=r"\(0, 2\)"):
+        o.colours_by_code(np.array([code((0, 1)), code((0, 2))]))
+    ledger = list(o.ledger)
+    o.materialize_presence()
+    every = list(itertools.combinations(range(10), 2))
+    assert o.presence_by_code(np.array([code(q) for q in every])).tolist() \
+        == [o.presence_of(q) for q in every]
+    assert o.ledger == ledger + [("materialize", None, 0)]
+
+
 def test_colours_of_reads_the_book_at_once():
     o = make(n=8, palette=32)
     o.record_block([0, 1, 2, 3], [(0, 1), (2, 3)], [5, 9], stage=1)

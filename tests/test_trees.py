@@ -129,6 +129,7 @@ def test_root_sets_trivial_and_path():
     rs = compute_root_sets(dec)
     assert rs.z_sets == (frozenset(),)
     assert rs.augmented_trees[0] == t
+    assert rs.augmented_trees[0] is t          # reused, not rebuilt
 
     p = path_tree(8)
     dec = decompose_tree(p, 2, 0.0, 0.5, n=8)  # window [2, 4]
