@@ -14,11 +14,13 @@ slices exist so that every step can draw its colours from a slice whose
 edges at the attachment vertex were never looked at before.
 
 A slice is no graph of its own: it is a `SeedSlice`, a label on each of
-the seed's rows, and `SeedSlice.pair_labels` answers a batch of pairs
-with one vectorised lookup in the seed's cached edge codes: j for slice
-j, d for a row of R, -1 for a non-edge.  A step makes two lookups: the
-fresh-slice question at u with the leak check at v, then both pool
-questions in `compute_B`.  The embedded tree is not relabelled either:
+the seed's rows, one byte per row while d < 256, and
+`SeedSlice.pair_labels` answers a batch of pairs with one vectorised
+lookup in the seed's cached edge codes: j for slice j, d for a row of R,
+-1 for a non-edge.  The slicing counts a slice's degrees from its label
+mask alone (`ColouredGraph.degrees_where`), never from a copy of its
+rows.  A step makes two lookups: the fresh-slice question at u with the
+leak check at v, then both pool questions in `compute_B`.  The embedded tree is not relabelled either:
 an `AnchorTable`, built once per run, holds the anchors' host labels
 and their image neighbours, the only part of the image the pools read.
 The grown image is audited once, at the end, by the embedding module's
@@ -65,8 +67,9 @@ class SeedSlice:
     """Slice j of a seed graph, as a read-only view: the seed's edges
     whose entry in `labels`, one per edge_array() row, is j.
 
-    The slices of one partition share `labels`.  `has` answers pair
-    membership from the seed's cached edge codes, and `min_degree`
+    The slices of one partition share `labels`, an unsigned array of the
+    smallest dtype that holds d (one byte for d < 256).  `has` answers
+    pair membership from the seed's cached edge codes, and `min_degree`
     returns the value the partition computed.  `edges`, a frozenset
     built on first use and cached, is read only by output checks and
     tests; the absorb loop never builds it.
@@ -137,11 +140,14 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
     the missing precondition and an exhausted retry budget raise
     PartitionFailure, which is a legitimate trial outcome rather than a
     bug.  R is looked up once in the seed's edge codes, and each draw
-    labels the seed's rows: j for slice j, d for a row of R.  The seed
-    minus R's degrees are the seed's less R's; slices 0..d-2 count
-    theirs from their rows, and the last slice's are the remainder.  The
-    slices come back as `SeedSlice` views sharing one label array, so
-    neither the seed minus R nor any slice is built as a graph.
+    labels the seed's rows in an array of `np.min_scalar_type(d)`, one
+    byte while d < 256: the kept rows take the draws in row order, and a
+    row of R keeps label d.  The seed minus R's degrees are the seed's
+    less R's; slices 0..d-2 count theirs from their label masks with
+    `ColouredGraph.degrees_where`, which reads no (m, 2) rows, and the
+    last slice's are the remainder.  The slices come back as `SeedSlice`
+    views sharing one label array, so neither the seed minus R nor any
+    slice is built as a graph.
     """
     if int(d) != d or d < 1:
         raise ParameterError("d must be a positive integer, got %r" % d)
@@ -149,14 +155,13 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
         raise ParameterError("delta must lie in (0, 1), got %r" % delta)
     d = int(d)
     n = seed.n
-    rows = seed.edge_array()
     at, found = seed.find_edges(r_rows)
     # the distinct seed rows of R, ascending (sorting beats np.unique here)
     hit = np.sort(at[found])
     dropped = hit[np.diff(hit, prepend=-1) != 0]
     floor_pre = 0.9 * delta * n
     # degrees in vertex_set order, as the seed counts its own
-    kept = seed._degrees() - seed._vertex_counts(rows[dropped])
+    kept = seed._degrees() - seed._vertex_counts(seed.edge_array()[dropped])
     min_degree = int(kept.min())
     if min_degree + 1e-9 < floor_pre:
         raise PartitionFailure(
@@ -166,16 +171,16 @@ def partition_edge_set(seed: ColouredGraph, r_rows: Iterable[Pair], d: int,
 
     bound = delta * n / (2.0 * d)
     gen = source.generator()
-    # the label of a kept row goes to its place among the seed's rows;
-    # a row of R gets label d, which no slice takes
-    gaps = dropped - np.arange(len(dropped))
+    # the kept rows take the draws in order; a row of R keeps label d,
+    # which no slice takes
+    keep = np.ones(seed.size, dtype=bool)
+    keep[dropped] = False
     for _ in range(50):
-        labels = np.insert(gen.integers(0, d, size=seed.size - len(dropped)),
-                           gaps, d)
+        labels = np.full(seed.size, d, dtype=np.min_scalar_type(d))
+        labels[keep] = gen.integers(0, d, size=seed.size - len(dropped))
         rest, floors = kept, []
         for j in range(d):
-            degrees = rest if j == d - 1 else seed._vertex_counts(
-                np.compress(labels == j, rows, axis=0))
+            degrees = rest if j == d - 1 else seed.degrees_where(labels == j)
             floors.append(int(degrees.min()))
             if floors[-1] + 1e-9 < bound:
                 break

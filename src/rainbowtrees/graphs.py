@@ -84,18 +84,21 @@ class ColouredGraph:
     The edges are stored once, as a canonical (u < v), duplicate-free
     (m, 2) int64 array in lexicographic order, next to an aligned colour
     array or None.  `edges` (a frozenset), `colouring` (a read-only
-    mapping, or None), the edge codes, the degrees and the neighbour
-    index are views of those rows, built on first use and cached.  The
+    mapping, or None), the edge codes, the degrees, the neighbour index
+    and the row ends `degrees_where` reads are views of those rows, built
+    on first use and cached.  The
     neighbour index is in CSR form: the neighbours of v, ascending, are
     `targets[start[v]:start[v + 1]]`; `neighbours`, `degree` and
     `adjacency()` read it.  The derived graphs (`subgraph`,
     `without_edges`, `union`, `uncoloured`) copy the rows they keep; a
-    subset of the rows that only answers pair lookups is a label array
-    over them instead (`absorption.SeedSlice`).
+    subset of the rows that only answers pair lookups and degree counts
+    is a label array over them instead (`absorption.SeedSlice`), whose
+    degrees `degrees_where` counts.
     """
 
     __slots__ = ("n", "palette_size", "vertex_set", "_rows", "_colours",
-                 "_edges", "_colouring", "_csr", "_adj", "_ecodes", "_degs")
+                 "_edges", "_colouring", "_csr", "_adj", "_ecodes", "_degs",
+                 "_ends")
 
     def __init__(self, n: int, edges: Iterable[Edge],
                  colouring: Optional[Dict[Edge, int]] = None,
@@ -147,7 +150,7 @@ class ColouredGraph:
             else np.asarray(colours, dtype=np.int64)
         self.palette_size = 0 if colours is None else int(palette_size)
         self._edges = self._colouring = self._csr = self._adj = None
-        self._ecodes = self._degs = None
+        self._ecodes = self._degs = self._ends = None
 
     @classmethod
     def _from_rows(cls, n: int, rows, colours=None, palette_size: int = 0,
@@ -235,10 +238,41 @@ class ColouredGraph:
 
     def _vertex_counts(self, rows: np.ndarray) -> np.ndarray:
         """How often each vertex occurs in `rows`, in vertex_set order."""
-        counts = np.bincount(rows.ravel(), minlength=self.n)
+        return self._in_vertex_order(np.bincount(rows.ravel(),
+                                                 minlength=self.n))
+
+    def _in_vertex_order(self, counts: np.ndarray) -> np.ndarray:
+        """Per-label `counts` (length n) restricted to the vertex set, in
+        vertex_set order."""
         if len(self.vertex_set) < self.n:
             counts = counts[list(self.vertex_set)]
         return counts
+
+    def degrees_where(self, mask: np.ndarray) -> np.ndarray:
+        """Degrees in the subgraph of the edge_array() rows where the
+        boolean `mask` is true, in vertex_set order, as _vertex_counts of
+        those rows would count them.
+
+        No pass over the (m, 2) rows: the rows whose smaller end is v
+        form one range, so v's count there is the number of selected row
+        indices between its offsets, and the larger ends are read from a
+        contiguous column.  The offsets and the column are read-only,
+        built on first use and cached.
+        """
+        if len(mask) != self.size:
+            raise ParameterError("mask of length %d for %d edges"
+                                 % (len(mask), self.size))
+        if self._ends is None:
+            offsets = np.searchsorted(
+                self.edge_codes(), np.arange(self.n + 1, dtype=np.int64)
+                * self.n)
+            self._ends = (_read_only(offsets),
+                          _read_only(np.ascontiguousarray(self._rows[:, 1])))
+        offsets, larger = self._ends
+        at = np.flatnonzero(mask)
+        counts = np.diff(np.searchsorted(at, offsets))
+        counts += np.bincount(larger[at], minlength=self.n)
+        return self._in_vertex_order(counts)
 
     def _degrees(self) -> np.ndarray:
         """Degrees of the vertices, in vertex_set order; cached."""

@@ -376,16 +376,18 @@ def build_I0(t0: Tree, tree: Tree, d: int, eps: float) -> Tuple[int, ...]:
     if target <= 0:
         return ()
     chosen: List[int] = []
-    blocked = set()
+    # a node with a full-tree neighbour outside t0 neighbours a trimmed
+    # node, so the skipped nodes start out blocked
+    blocked = {x for u in tree.nodes - t0.nodes for x in tree.neighbours(u)}
     for x in t0.bfs_order(min(t0.nodes)):
         if x in blocked:
             continue
-        if any(u not in t0.nodes for u in tree.neighbours(x)):
-            continue
         chosen.append(x)
-        ring = {x} | set(t0.neighbours(x))
-        ring |= {w for u in t0.neighbours(x) for w in t0.neighbours(u)}
-        blocked |= ring
+        # the sweep never returns to x; block the nodes within distance 2
+        near = t0.neighbours(x)
+        blocked.update(near)
+        for u in near:
+            blocked.update(t0.neighbours(u))
         if len(chosen) == target:
             return tuple(chosen)
     raise StageFailure(

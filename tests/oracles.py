@@ -419,6 +419,34 @@ def check_anchor_set(i0, t0: Tree, tree: Tree) -> None:
             "anchors %d, %d too close" % (a, b)
 
 
+def reference_build_I0(t0: Tree, tree: Tree, d: int, eps: float
+                       ) -> Tuple[int, ...]:
+    """The anchor sweep with a full-tree neighbour scan at every node:
+    the same anchors, order and failures as `build_I0`."""
+    if not t0.nodes <= tree.nodes or not t0.edges <= tree.edges:
+        raise ParameterError("t0 must be a subtree of tree")
+    n = tree.m
+    target = int((n - (d + 1) * eps * n) // (d * d + 1))
+    if target <= 0:
+        return ()
+    chosen: List[int] = []
+    blocked = set()
+    for x in t0.bfs_order(min(t0.nodes)):
+        if x in blocked:
+            continue
+        if any(u not in t0.nodes for u in tree.neighbours(x)):
+            continue
+        chosen.append(x)
+        ring = {x} | set(t0.neighbours(x))
+        ring |= {w for u in t0.neighbours(x) for w in t0.neighbours(u)}
+        blocked |= ring
+        if len(chosen) == target:
+            return tuple(chosen)
+    raise StageFailure(
+        "anchor sweep found %d of %d nodes; trimming left too little room"
+        % (len(chosen), target), "build-I0", found=len(chosen), target=target)
+
+
 def keep_edges(graph: ColouredGraph, mask) -> ColouredGraph:
     """`graph` on the same vertex set with only the edge_array() rows
     where the boolean `mask` is true, colours kept: a slice as a graph of

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -181,6 +182,30 @@ def test_seed_slices_label_every_kept_row_once():
         edges = [h.edges for h in parts]
         assert sum(len(es) for es in edges) == len(seed.edges - in_r)
         assert frozenset().union(*edges) == seed.edges - in_r
+
+
+def test_seed_slice_labels_are_bytes_with_the_int64_values():
+    for i, (seed, r_rows, d, delta) in enumerate(_seed_slice_cases()):
+        src = RandomSource(65, i)
+        parts = partition_edge_set(seed, r_rows, d, delta, src)
+        labels = parts[0].labels
+        assert labels.dtype == np.uint8
+        # the int64 labelling of one of the 50 draws: the draw inserted
+        # around R's rows, which take label d
+        at, found = seed.find_edges(r_rows)
+        dropped = np.unique(at[found])
+        gaps = dropped - np.arange(len(dropped))
+        gen = src.generator()
+        assert any((np.insert(gen.integers(0, d, size=len(labels)
+                                           - len(dropped)), gaps, d)
+                    == labels).all() for _ in range(50))
+        # a pickled seed slices alike; only its rows were shipped
+        copy = pickle.loads(pickle.dumps(seed))
+        assert copy._ends is None and copy._ecodes is None
+        again = partition_edge_set(copy, r_rows, d, delta, src)
+        assert again[0].labels.tolist() == labels.tolist()
+        assert [h.min_degree() for h in again] == \
+            [h.min_degree() for h in parts]
 
 
 def test_seed_slice_matches_its_slice_graph():

@@ -328,6 +328,47 @@ def test_keep_edges_mask_covers_every_row():
             keep_edges(g, np.ones(length, dtype=bool))
 
 
+def test_degrees_where_matches_the_counts_of_the_masked_rows():
+    k = complete_graph(30)
+    # a fresh graph on the seed's rows: the process-wide seed may carry
+    # views an earlier test built
+    cliques = gen_seed_graph(40, 0.3, "clique-union").uncoloured()
+    sparse = gen_gnp(50, 0.02, RandomSource(67))         # isolated vertices
+    graphs = [k, cliques, sparse,
+              k.subgraph(range(3, 30, 2)),                # label gaps
+              sparse.subgraph(range(5, 45)),
+              ColouredGraph(9, [(0, 4), (2, 3), (3, 8)],
+                            vertex_set={0, 2, 3, 4, 7, 8}),
+              ColouredGraph(6, []), complete_graph(1).subgraph([0])]
+    assert any(g.min_degree() == 0 for g in graphs if g.size)
+    gen = np.random.default_rng(68)
+    for g in graphs:
+        rows = g.edge_array()
+        for mask in (np.zeros(g.size, bool), np.ones(g.size, bool),
+                     gen.random(g.size) < 0.5, gen.random(g.size) < 0.1):
+            got = g.degrees_where(mask)
+            want = g._vertex_counts(np.compress(mask, rows, axis=0))
+            assert got.tolist() == want.tolist()
+        # the offsets and the larger ends are cached and read-only
+        ends = g._ends
+        full = g.degrees_where(np.ones(g.size, bool))
+        assert g._ends is ends
+        for arr in ends:
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+        # the full mask counts the degrees; pickling ships no cache
+        if g.order:
+            assert full.tolist() == g._degrees().tolist()
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._ends is None
+        assert copy.degrees_where(mask).tolist() == got.tolist()
+        for length in (g.size - 1, g.size + 1):
+            if length >= 0:
+                with pytest.raises(ParameterError):
+                    g.degrees_where(np.ones(length, bool))
+
+
 def test_subgraph_keeps_labels():
     g = uniform_colouring(complete_graph(6), 10, RandomSource(8))
     sub = g.subgraph({1, 3, 5})

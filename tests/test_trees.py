@@ -8,7 +8,7 @@ from rainbowtrees import (ParameterError, RandomSource, StageFailure, Tree,
                           trim_to_size)
 
 from oracles import (check_anchor_set, check_decomposition, check_root_sets,
-                     check_tree, replay_trim)
+                     check_tree, reference_build_I0, replay_trim)
 
 
 def test_tree_validation():
@@ -167,6 +167,40 @@ def test_build_I0_random_trees():
         i0 = build_I0(res.t0, tree, 3, 0.05)
         assert len(i0) == int((200 - 4 * 0.05 * 200) // 10)
         check_anchor_set(i0, res.t0, tree)
+
+
+def _anchor_sweep(build, t0, tree, d, eps):
+    """The anchors `build` picks, or its failure's message, stage and
+    counts."""
+    try:
+        return build(t0, tree, d, eps)
+    except StageFailure as exc:
+        return str(exc), exc.stage, exc.detail
+
+
+def test_build_I0_matches_reference():
+    cases = []
+    for s in range(120):
+        d = 2 + s % 2
+        m = 20 + (s * 37) % 180
+        tree = gen_random_bounded_tree(m, d, RandomSource(702, s))
+        # from no trimming to 60% of the tree, so that some sweeps fall
+        # short
+        keep = m - (m * ((s * 7) % 13)) // 20
+        t0 = trim_to_size(tree, keep, RandomSource(703, s)).t0
+        cases.append((t0, tree, d, (0.0, 0.02, 0.05, 0.1)[s % 4]))
+    star = star_tree(29)
+    cases.append((star.induced_subtree(set(star.nodes) - {29}), star, 2,
+                  1.0 / 30.0))
+    outcomes = []
+    for t0, tree, d, eps in cases:
+        got = _anchor_sweep(build_I0, t0, tree, d, eps)
+        assert got == _anchor_sweep(reference_build_I0, t0, tree, d, eps)
+        outcomes.append(got)
+    # the trimmed star picks one anchor of the five it needs
+    assert outcomes[-1][1:] == ("build-I0", {"found": 1, "target": 5})
+    failed = sum(isinstance(got[0], str) for got in outcomes)
+    assert 1 < failed < len(cases) // 2, failed
 
 
 def test_build_I0_requires_subtree():
