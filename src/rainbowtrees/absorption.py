@@ -15,14 +15,15 @@ edges at the attachment vertex were never looked at before.
 
 A slice is no graph of its own: it is a `SeedSlice`, a label on each of
 the seed's rows, one byte per row while d < 256, and
-`SeedSlice.pair_labels` answers a batch of pairs with one vectorised
-lookup in the seed's cached edge codes: j for slice j, d for a row of R,
--1 for a non-edge.  The slicing counts a slice's degrees from its label
-mask alone (`ColouredGraph.degrees_where`), never from a copy of its
-rows.  A step makes two lookups: the fresh-slice question at u with the
-leak check at v, then both pool questions in `compute_B`.  The embedded tree is not relabelled either:
-an `AnchorTable`, built once per run, holds the anchors' host labels
-and their image neighbours, the only part of the image the pools read.
+`SeedSlice.pair_labels` answers a batch of pairs with one seed lookup,
+`ColouredGraph.find_pairs`: j for slice j, d for a row of R, -1 for a
+non-edge.  The slicing counts a slice's degrees from its label mask
+alone (`ColouredGraph.degrees_where`), never from a copy of its rows.
+A step makes two lookups: the fresh-slice question at u with the leak
+check at v, then both pool questions in `compute_B`.  The embedded tree
+is not relabelled either: an `AnchorTable`, built once per run, holds
+the anchors' host labels and their image neighbours, the only part of
+the image the pools read.
 The grown image is audited once, at the end, by the embedding module's
 `_audit_image`.
 """
@@ -42,7 +43,7 @@ from .embedding import (AlmostSpanningResult, PipelineParams, _audit_image,
 from .errors import (AbsorptionFailure, ParameterError, PartitionFailure,
                      StageFailure)
 from .exposure import ExposureOracle
-from .graphs import ColouredGraph, canonical_edge, find_codes
+from .graphs import ColouredGraph, canonical_edge
 from .rng import RandomSource
 from .trees import Tree, TrimResult, build_I0, trim_to_size
 
@@ -68,11 +69,11 @@ class SeedSlice:
     whose entry in `labels`, one per edge_array() row, is j.
 
     The slices of one partition share `labels`, an unsigned array of the
-    smallest dtype that holds d (one byte for d < 256).  `has` answers
-    pair membership from the seed's cached edge codes, and `min_degree`
-    returns the value the partition computed.  `edges`, a frozenset
-    built on first use and cached, is read only by output checks and
-    tests; the absorb loop never builds it.
+    smallest dtype that holds d (one byte for d < 256).  `pair_labels`
+    answers pair membership from the seed's cached edge codes, and
+    `min_degree` returns the value the partition computed.  `edges`, a
+    frozenset built on first use and cached, is read only by output
+    checks and tests; the absorb loop never builds it.
     """
 
     __slots__ = ("seed", "labels", "j", "_min_degree", "_edges")
@@ -88,29 +89,14 @@ class SeedSlice:
     def pair_labels(self, a, b) -> np.ndarray:
         """The label of each pair (a[i], b[i]), label arrays or scalars
         broadcast together: j for slice j, d for a row of R, -1 for a
-        pair that is no seed edge.  One lookup in the seed's edge codes,
+        pair that is no seed edge.  One `find_pairs` lookup in the seed,
         so every slice of a partition answers alike.  A pair with an end
-        outside range(n) is no edge; loops raise ParameterError."""
-        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
-        # find_edges' lookup without its row building and sort: half the
-        # time of a find_edges call on the few dozen pairs a step asks about
-        lo = np.atleast_1d(np.minimum(a, b))
-        hi = np.atleast_1d(np.maximum(a, b))
-        loops = lo == hi
-        if loops.any():
-            x = int(lo[loops][0])
-            canonical_edge(x, x)                        # raises
-        n = self.seed.n
-        at, hit = find_codes(self.seed.edge_codes(), lo * n + hi)
-        # outside the label space a code could alias an edge's code
-        hit &= (lo >= 0) & (hi < n)
+        outside range(n) is no edge; a loop or a label that is not an
+        integer raises ParameterError."""
+        at, hit = self.seed.find_pairs(a, b)
         out = np.full(len(hit), -1, dtype=np.int64)
         out[hit] = self.labels[at[hit]]
         return out
-
-    def has(self, a, b) -> np.ndarray:
-        """Mask of the pairs (a[i], b[i]) that are edges of this slice."""
-        return self.pair_labels(a, b) == self.j
 
     def min_degree(self) -> int:
         return self._min_degree
@@ -393,8 +379,7 @@ def absorb_step(state: AbsorptionState, v: int, v_node: int) -> str:
     chosen = None
     kept: List[int] = []
     for x in pool:
-        pairs = [canonical_edge(u, x)] + [canonical_edge(y, v)
-                                          for y in table.neighbours(x)]
+        pairs = [(u, x)] + [(y, v) for y in table.neighbours(x)]
         cols = [oracle.expose_colour(q, kind="absorb", stage=label)
                 for q in pairs]
         if len(set(cols) - state.colours) == len(cols):
@@ -513,7 +498,7 @@ def absorb_leftovers(seed: ColouredGraph, tree: Tree, trim: TrimResult,
         mapping = {node: perm[w] for node, w in mapping.items()}
         edge_colours = {canonical_edge(perm[a], perm[b]): c
                         for (a, b), c in edge_colours.items()}
-        r_rows = np.sort(np.asarray(perm)[rows], axis=1)
+        r_rows = np.asarray(perm)[rows]
         # the maximum degree of R, which relabelling keeps, is checked
         # against an advisory cap of 3 ln n and recorded either way
         rmax = int(np.bincount(r_rows.ravel(), minlength=n).max())

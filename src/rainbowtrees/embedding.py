@@ -34,7 +34,7 @@ from .errors import (EmbedFailure, InfeasibleParameters, ParameterError,
 from .expanders import (ExpandParams, ell1, ell2, find_effective_expander,
                         sparsify)
 from .exposure import ExposureOracle
-from .graphs import ColouredGraph, canonical_edge, find_codes
+from .graphs import ColouredGraph, canonical_edge, pair_codes
 from .rng import RandomSource
 from .trees import Tree, compute_root_sets, decompose_tree
 
@@ -533,9 +533,9 @@ def _audit_image(tree: Tree, placement: Dict[int, int],
     edge is an edge of `host` or present in the oracle.  A spanning
     image (`host` given) must also cover range(host.n) and carry the
     colours the oracle revealed for its edges.  The image is checked on
-    pair codes u * n + v: one lookup in the host's edge codes, one read
-    of the oracle's presence for the edges the host lacks, and one read
-    of its colours.
+    its `pair_codes`: one lookup in the host's edge codes, one read of
+    the oracle's presence for the edges the host lacks, and one read of
+    its colours.
     """
     n = oracle.n
     hosts = set(placement.values())
@@ -547,22 +547,20 @@ def _audit_image(tree: Tree, placement: Dict[int, int],
     ends = np.fromiter(map(placement.__getitem__,
                            chain.from_iterable(tree.edges)),
                        dtype=np.int64, count=2 * m).reshape(m, 2)
-    lo, hi = np.sort(ends, axis=1).T
-    assert not m or (lo.min() >= 0 and hi.max() < n), \
-        "placement leaves range(%d)" % n
-    codes = lo * n + hi
+    codes, inside = pair_codes(ends[:, 0], ends[:, 1], n)
+    assert inside.all(), "placement leaves range(%d)" % n
     a, b = np.fromiter(chain.from_iterable(edge_colours), dtype=np.int64,
                        count=2 * len(edge_colours)).reshape(-1, 2).T
-    keys = a * n + b
-    assert len(keys) == m and (0 <= a).all() and (a < b).all() \
-        and (b < n).all() and (np.sort(keys) == np.sort(codes)).all(), \
+    keys, inside = pair_codes(a, b, n)
+    assert len(keys) == m and inside.all() and (a < b).all() \
+        and (np.sort(keys) == np.sort(codes)).all(), \
         "edge_colours is not the image's edge set"
     assert len(set(edge_colours.values())) == m, "image is not rainbow"
     missing = np.ones(m, dtype=bool) if host is None else \
-        ~find_codes(host.edge_codes(), lo * host.n + hi)[1]
+        ~host.find_pairs(ends[:, 0], ends[:, 1])[1]
     present = oracle.presence_by_code(codes[missing])
     assert present.all(), "image edge %r is not present" \
-        % (divmod(int(codes[missing][~present][0]), n),)
+        % (tuple(ends[missing][~present][0].tolist()),)
     assert host is None or oracle.colours_by_code(keys) == list(
         edge_colours.values()), "a colour disagrees with the oracle"
 

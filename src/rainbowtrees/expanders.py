@@ -351,7 +351,7 @@ def degrade_attach(graph: ColouredGraph, new_vertex: int,
     output are (1/(2d+2), d+1)-expanders.  The attachment degree must be
     at least (d+2)^2 for that trade to hold.
     """
-    edges = [(min(u, v), max(u, v)) for u, v in attach_edges]
+    edges = [canonical_edge(u, v) for u, v in attach_edges]
     need = (d + 2) * (d + 2)
     if len(set(edges)) < need:
         raise ParameterError("attachment degree %d below (d+2)^2 = %d"

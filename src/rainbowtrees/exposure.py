@@ -14,19 +14,21 @@ A block is stored as its vertex set plus its included pairs, so a pair
 inside it that was not included is absent without an entry of its own.
 The ledger is append-only: a block is one ("block", vertices, stage)
 entry, and a relabelling appends ("permute", perm, 0).  Revealed values
-are keyed by the pair code u * n + v (u < v), as ColouredGraph's
-edge_codes() are, so bulk steps write and relabel them in numpy.
+are keyed by pair codes, as ColouredGraph's edge_codes() are, so bulk
+steps write and relabel them in numpy; graphs.py checks, encodes and
+decodes the codes (`pair_codes`, `edge_code`, `pair_ends`).
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError, RainbowTreesError
-from .graphs import _codes, _pair_rows, gen_gnp
+from .graphs import (canonical_edge, edge_code, gen_gnp, pair_array,
+                     pair_codes, pair_ends)
 from .rng import RandomSource
 
 Pair = Tuple[int, int]
@@ -64,10 +66,10 @@ class ExposureOracle:
         # revealed values by pair code
         self._presence: Dict[int, bool] = {}
         self._colour: Dict[int, int] = {}
-        # the (2, k) ends of the pairs keyed first in the colour book, k
+        # the (k, 2) ends of the pairs keyed first in the colour book, k
         # of them; colour_exposed_at adds the keys written since, and a
         # relabelling moves them with the book
-        self._colour_ends = np.empty((2, 0), dtype=np.int64)
+        self._colour_ends = np.empty((0, 2), dtype=np.int64)
         # block number of each vertex, -1 outside every block
         self._block = np.full(self.n, -1, dtype=np.int64)
         self.ledger: List[Tuple[str, object, int]] = []
@@ -76,21 +78,17 @@ class ExposureOracle:
         self.presence_complete = False
 
     def _norm(self, pair) -> Tuple[Pair, int]:
-        """The canonical pair (u < v) and its code u * n + v."""
+        """The canonical pair (u < v) and its pair code; a loop, a label
+        that is not an integer or one outside range(n) raises
+        ParameterError."""
         u, v = int(pair[0]), int(pair[1])
-        if u == v:
-            raise ParameterError("pair (%d, %d) is a loop" % (u, v))
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ParameterError("pair (%d, %d) outside range(%d)"
-                                 % (u, v, self.n))
-        if u > v:
-            u, v = v, u
-        return (u, v), u * self.n + v
-
-    def _ends(self, codes: Iterable[int]) -> np.ndarray:
-        """The (2, k) rows u and v of the pairs with these codes."""
-        codes = np.fromiter(codes, dtype=np.int64)
-        return np.stack(np.divmod(codes, self.n))
+        if u != pair[0] or v != pair[1]:
+            raise ParameterError("pair %r has a label that is not an "
+                                 "integer" % (tuple(pair),))
+        key = canonical_edge(u, v)
+        if not (0 <= key[0] and key[1] < self.n):
+            raise ParameterError("pair %r outside range(%d)" % (key, self.n))
+        return key, edge_code(key[0], key[1], self.n)
 
     def _in_block(self, key: Pair) -> bool:
         """Both ends lie in one block, which decided the pair's presence."""
@@ -111,15 +109,14 @@ class ExposureOracle:
         u = int(u)
         if not 0 <= u < self.n:
             raise ParameterError("vertex %d outside range(%d)" % (u, self.n))
-        new = len(self._colour) - self._colour_ends.shape[1]
+        new = len(self._colour) - len(self._colour_ends)
         if new:
             # the book only grows between relabellings, and a dict keeps
             # insertion order: the new keys are its last ones
             self._colour_ends = np.concatenate(
                 [self._colour_ends,
-                 self._ends(islice(reversed(self._colour), new))],
-                axis=1)
-        lo, hi = self._colour_ends
+                 pair_ends(islice(reversed(self._colour), new), self.n)])
+        lo, hi = self._colour_ends.T
         return tuple(sorted(hi[lo == u].tolist() + lo[hi == u].tolist()))
 
     def presence_of(self, pair) -> bool:
@@ -139,42 +136,36 @@ class ExposureOracle:
 
     def colours_of(self, pairs: Sequence[Pair]) -> List[int]:
         """colour_of for each of `pairs`, in either orientation, in one
-        read of the colour book.  A loop or a label outside range(n)
-        raises ParameterError, and the first pair without a revealed
-        colour raises ExposureError."""
-        ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
-        if len(ends) != 2 * len(pairs):
-            raise ParameterError("colours_of takes (u, v) pairs")
-        lo, hi = np.sort(ends.reshape(-1, 2), axis=1).T
-        loops = lo[lo == hi]
-        if len(loops):
-            raise ParameterError("pair (%d, %d) is a loop"
-                                 % (loops[0], loops[0]))
-        if len(lo) and not (0 <= lo.min() and hi.max() < self.n):
+        read of the colour book.  A malformed pair, a loop or a label
+        that is not an integer or lies outside range(n) raises
+        ParameterError, and the first pair without a revealed colour
+        raises ExposureError."""
+        rows = pair_array(pairs)
+        codes, inside = pair_codes(rows[:, 0], rows[:, 1], self.n)
+        if not inside.all():
             raise ParameterError("a pair lies outside range(%d)" % self.n)
-        return self.colours_by_code(lo * self.n + hi)
+        return self.colours_by_code(codes)
 
     def colours_by_code(self, codes: np.ndarray) -> List[int]:
-        """The revealed colour of each pair code u * n + v (u < v, both
-        in range(n)); the first code without one raises ExposureError."""
-        codes = codes.tolist()
-        out = list(map(self._colour.get, codes))
+        """The revealed colour of each pair code (of a pair of range(n));
+        the first code without one raises ExposureError."""
+        out = list(map(self._colour.get, codes.tolist()))
         if None in out:
-            key = divmod(codes[out.index(None)], self.n)
+            (key,) = pair_ends(codes[[out.index(None)]], self.n).tolist()
             raise ExposureError("colour of %r consulted before exposure"
-                                % (key,))
+                                % (tuple(key),))
         return out
 
     def presence_by_code(self, codes: np.ndarray) -> np.ndarray:
-        """presence_of for each pair code u * n + v (u < v, both in
-        range(n)), as a mask, in one read of the book; the first code
-        whose presence is unrevealed raises ExposureError."""
+        """presence_of for each pair code (of a pair of range(n)), as a
+        mask, in one read of the book; the first code whose presence is
+        unrevealed raises ExposureError."""
         got = list(map(self._presence.get, codes.tolist()))
         unknown = np.fromiter((g is None for g in got), dtype=bool,
                               count=len(got))
         if unknown.any() and not self.presence_complete:
             # a pair of one block had its presence decided by the block
-            lo, hi = self._ends(codes[unknown])
+            lo, hi = pair_ends(codes[unknown], self.n).T
             block = self._block[lo]
             open_ = (block < 0) | (block != self._block[hi])
             if open_.any():
@@ -224,26 +215,26 @@ class ExposureOracle:
         `sample_out["pairs"]`, or any iterable of pairs in either
         orientation; `colours` holds one colour per pair, in the same
         order.  The pairs are checked together, in numpy, before anything
-        is written, so a rejected block leaves no trace: a count of
-        colours other than the count of pairs, a loop, a label outside
-        range(n), a pair leaving the block or a pair listed twice raises
-        ParameterError, and so does a colour off the palette.
+        is written, so a rejected block leaves no trace: a malformed
+        pair, a count of colours other than the count of pairs, a loop, a
+        label that is not an integer or lies outside range(n), a pair
+        leaving the block or a pair listed twice raises ParameterError,
+        and so does a colour off the palette.
         """
         if self.presence_complete:
             raise ExposureError("cannot register a block after materialization")
         verts = sorted({int(v) for v in vertices})
         if verts and not (0 <= verts[0] and verts[-1] < self.n):
             raise ParameterError("block vertices outside range(%d)" % self.n)
-        if not isinstance(included_pairs, np.ndarray):
-            included_pairs = list(included_pairs)
+        rows = pair_array(included_pairs)
         cols = np.asarray(colours if isinstance(colours, np.ndarray)
                           else list(colours), dtype=np.int64)
         k = len(cols)
-        if len(included_pairs) != k:
+        if len(rows) != k:
             raise ParameterError("%d included pairs but %d colours"
-                                 % (len(included_pairs), k))
-        rows = _pair_rows(included_pairs)
-        if k and not (0 <= rows[:, 0].min() and rows[:, 1].max() < self.n):
+                                 % (len(rows), k))
+        codes, in_range = pair_codes(rows[:, 0], rows[:, 1], self.n)
+        if not in_range.all():
             raise ParameterError("an included pair lies outside range(%d)"
                                  % self.n)
         inside = np.zeros(self.n, dtype=bool)
@@ -252,14 +243,14 @@ class ExposureOracle:
         if leaves.any():
             raise ParameterError("included pair %r leaves the block"
                                  % (tuple(rows[leaves.argmax()].tolist()),))
-        inc = dict(zip(_codes(rows, self.n).tolist(), cols.tolist()))
+        inc = dict(zip(codes.tolist(), cols.tolist()))
         if len(inc) != k:
             raise ParameterError("the block lists a pair twice")
         if (self._block[verts] >= 0).any():
             raise ExposureError("block shares a vertex with an earlier block")
         # every pair with a revealed presence has both ends touched
         if self._touched[verts].any() and \
-                inside[self._ends(self._presence)].all(axis=0).any():
+                inside[pair_ends(self._presence, self.n)].all(axis=1).any():
             raise ExposureError("a block pair had its presence exposed before")
         if not self._colour.keys().isdisjoint(inc) or (
                 k and not (0 <= cols.min() and cols.max() < self.palette_size)):
@@ -267,8 +258,9 @@ class ExposureOracle:
             # check of one pair at a time would
             for code, c in inc.items():
                 if code in self._colour:
+                    (key,) = pair_ends([code], self.n).tolist()
                     raise ExposureError("block pair %r colour exposed twice"
-                                        % (divmod(code, self.n),))
+                                        % (tuple(key),))
                 if not 0 <= c < self.palette_size:
                     raise ParameterError("colour %d outside the palette" % c)
         self._block[verts] = self._block.max() + 1
@@ -285,12 +277,12 @@ class ExposureOracle:
         first call.
         """
         if not self.presence_complete:
-            rows = gen_gnp(self.n, self.p,
-                           self.source.substream("materialize")).edge_array()
+            drawn = gen_gnp(self.n, self.p,
+                            self.source.substream("materialize"))
             # already decided pairs (inside a block or probed) keep their value
-            ends = self._block[rows]
-            fresh = _codes(rows, self.n)[(ends[:, 0] < 0)
-                                         | (ends[:, 0] != ends[:, 1])]
+            ends = self._block[drawn.edge_array()]
+            fresh = drawn.edge_codes()[(ends[:, 0] < 0)
+                                       | (ends[:, 0] != ends[:, 1])]
             self._presence = {**dict.fromkeys(fresh.tolist(), True),
                               **self._presence}
             self.presence_complete = True
@@ -305,7 +297,7 @@ class ExposureOracle:
             raise ExposureError("presence has not been fully materialized")
         codes = np.fromiter(compress(self._presence, self._presence.values()),
                             dtype=np.int64)
-        return np.column_stack(np.divmod(np.sort(codes), self.n))
+        return pair_ends(np.sort(codes), self.n)
 
     # -- audits ------------------------------------------------------------
 
@@ -341,8 +333,8 @@ class ExposureOracle:
 
         def move(table: Dict[int, object]
                  ) -> Tuple[Dict[int, object], np.ndarray]:
-            ends = np.sort(to[self._ends(table)], axis=0)
-            codes = ends[0] * self.n + ends[1]
+            ends = to[pair_ends(table, self.n)]
+            codes = pair_codes(ends[:, 0], ends[:, 1], self.n)[0]
             return dict(zip(codes.tolist(), table.values())), ends
 
         self._presence = move(self._presence)[0]

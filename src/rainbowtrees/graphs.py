@@ -39,28 +39,80 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _pair_rows(pairs: Iterable[Edge]) -> np.ndarray:
-    """`pairs` as canonical (u < v) int64 rows, in the given order.
+def edge_code(u, v, n: int):
+    """The code u * n + v of canonical pairs (u < v, both in range(n)),
+    scalars or arrays, as edge_codes() and the exposure oracle key them.
+    No checks: `pair_codes` checks and orders pairs for it."""
+    return u * n + v
 
-    An (m, 2) integer array, such as another graph's edge_array(), is
-    read whole instead of row by row."""
-    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" \
-            and pairs.ndim == 2 and pairs.shape[1] == 2:
-        rows = np.sort(pairs.astype(np.int64), axis=1)
-    else:
-        # a 2-vector dtype raises ValueError on an item of any other
-        # length; a lone label broadcasts to a loop, which raises below
-        rows = np.sort(np.fromiter(pairs, dtype=np.dtype((np.int64, 2))),
-                       axis=1)
-    loops = rows[:, 0] == rows[:, 1]
+
+def _labels(x) -> np.ndarray:
+    """`x` as an int64 array; a label that is not an integer raises
+    ParameterError.  Integer input is never compared."""
+    x = np.asarray(x)
+    if x.dtype.kind in "iub":
+        return x.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        labels = x.astype(np.int64)
+        if not (labels == x).all():
+            raise ParameterError("vertex labels must be integers")
+    return labels
+
+
+def pair_array(pairs) -> np.ndarray:
+    """`pairs`, an (m, 2) array or an iterable of (u, v) pairs, as an
+    (m, 2) int64 array in the given order and orientation.  An item of
+    another length, or a label that is not an integer, raises
+    ParameterError."""
+    try:
+        rows = np.asarray(pairs if isinstance(pairs, np.ndarray)
+                          else list(pairs))
+    except ValueError:                        # items of unequal lengths
+        raise ParameterError("pairs must be (u, v) pairs") from None
+    if not len(rows):
+        rows = rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ParameterError("pairs must be (u, v) pairs")
+    return _labels(rows)
+
+
+def pair_codes(a, b, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The canonical codes edge_code(min, max, n) of the pairs
+    (a[i], b[i]), label arrays or scalars broadcast together, as a 1-D
+    array, and a mask of the pairs with both ends in range(n); outside
+    it a code may alias another pair's.  A loop or a label that is not
+    an integer raises ParameterError."""
+    a, b = _labels(a), _labels(b)
+    lo = np.atleast_1d(np.minimum(a, b))
+    hi = np.atleast_1d(np.maximum(a, b))
+    loops = lo == hi
     if loops.any():
-        canonical_edge(*rows[loops][0].tolist())   # raises on the loop
-    return rows
+        x = int(lo[loops][0])
+        canonical_edge(x, x)                            # raises
+    return edge_code(lo, hi, n), (lo >= 0) & (hi < n)
 
 
-def _codes(rows: np.ndarray, n: int) -> np.ndarray:
-    """Rows with entries in [0, n) as codes u * n + v; the order is kept."""
-    return rows[:, 0] * n + rows[:, 1]
+def pair_ends(codes, n: int) -> np.ndarray:
+    """The (k, 2) int64 rows (u, v), u < v, of pair codes, given as an
+    array or an iterable of ints; the inverse of `pair_codes`."""
+    if not isinstance(codes, np.ndarray):
+        codes = np.fromiter(codes, dtype=np.int64)
+    return np.stack(np.divmod(codes, n), axis=-1)
+
+
+def _codes_within(pairs, n: int, vertex_set: FrozenSet[int]) -> np.ndarray:
+    """The distinct codes of `pairs` (as pair_array takes them),
+    ascending; a pair that is not an edge on `vertex_set` raises
+    ParameterError."""
+    rows = pair_array(pairs)
+    codes, inside = pair_codes(rows[:, 0], rows[:, 1], n)
+    member = np.zeros(n, dtype=bool)
+    member[list(vertex_set)] = True
+    if not (inside.all() and member[rows].all()):
+        raise ParameterError("an edge leaves the vertex set")
+    # distinct by a sort: np.unique would import numpy.ma, about 1 MB
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]
 
 
 def find_codes(codes: np.ndarray, want: np.ndarray
@@ -115,31 +167,24 @@ class ColouredGraph:
                 if not 0 <= v < n:
                     raise ParameterError("vertex %d outside label space [0, %d)"
                                          % (v, n))
-        es = frozenset(canonical_edge(u, v) for u, v in edges)
-        for u, v in es:
-            if u not in vs or v not in vs:
-                raise ParameterError("edge (%d, %d) leaves the vertex set" % (u, v))
-        ordered = sorted(es)
-        colours = col = None
+        self._init(n, pair_ends(_codes_within(edges, n, vs), n), None, 0, vs)
         if colouring is None:
             if palette_size:
                 raise ParameterError("palette_size without colouring")
-        else:
-            if palette_size <= 0:
-                raise ParameterError("coloured graph needs palette_size >= 1")
-            col = {canonical_edge(u, v): int(c) for (u, v), c in colouring.items()}
-            if col.keys() != es:
-                raise ParameterError("colouring must cover exactly the edge set")
-            for e, c in col.items():
-                if not 0 <= c < palette_size:
-                    raise ParameterError("colour %d of edge %s outside palette [0, %d)"
-                                         % (c, e, palette_size))
-            colours = [col[e] for e in ordered]
-        self._init(n, np.array(ordered, dtype=np.int64), colours,
-                   palette_size, vs)
-        # the checks built both views already
-        self._edges = es
-        self._colouring = None if col is None else MappingProxyType(col)
+            return
+        if palette_size <= 0:
+            raise ParameterError("coloured graph needs palette_size >= 1")
+        col = {canonical_edge(u, v): int(c) for (u, v), c in colouring.items()}
+        if col.keys() != self.edges:
+            raise ParameterError("colouring must cover exactly the edge set")
+        for e, c in col.items():
+            if not 0 <= c < palette_size:
+                raise ParameterError("colour %d of edge %s outside palette [0, %d)"
+                                     % (c, e, palette_size))
+        self._colours = np.array([col[e] for e in self._pairs()], dtype=np.int64)
+        self.palette_size = int(palette_size)
+        # the checks built the mapping view already
+        self._colouring = MappingProxyType(col)
 
     def _init(self, n: int, rows, colours, palette_size: int,
               vertex_set: FrozenSet[int]) -> None:
@@ -205,9 +250,9 @@ class ColouredGraph:
         if self._csr is None:
             # each edge once from either end, as codes source * n + target;
             # sorting them lists every vertex's neighbours, ascending
-            n, rows = self.n, self._rows
-            codes = np.sort(np.concatenate((_codes(rows, n),
-                                            _codes(rows[:, ::-1], n))))
+            n, u, v = self.n, self._rows[:, 0], self._rows[:, 1]
+            codes = np.sort(np.concatenate((edge_code(u, v, n),
+                                            edge_code(v, u, n))))
             start = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
             self._csr = (start, codes % max(n, 1))
         return self._csr
@@ -289,12 +334,12 @@ class ColouredGraph:
         return int(self._degrees().max())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.find_edges([(u, v)])[1][0])
+        return bool(self.find_pairs(u, v)[1][0])
 
     def colour_of(self, u: int, v: int) -> int:
         if self._colours is None:
             raise ParameterError("graph is uncoloured")
-        at, found = self.find_edges([(u, v)])
+        at, found = self.find_pairs(u, v)
         if not found[0]:
             raise KeyError(canonical_edge(u, v))
         return int(self._colours[at[0]])
@@ -316,19 +361,28 @@ class ColouredGraph:
         """Edges as ascending int64 codes u * n + v, aligned with
         edge_array(); read-only, computed on first use and cached."""
         if self._ecodes is None:
-            self._ecodes = _read_only(_codes(self._rows, self.n))
+            self._ecodes = _read_only(edge_code(self._rows[:, 0],
+                                                self._rows[:, 1], self.n))
         return self._ecodes
+
+    def find_pairs(self, a, b) -> Tuple[np.ndarray, np.ndarray]:
+        """Row in edge_array() of each pair (a[i], b[i]), label arrays or
+        scalars broadcast together, in either orientation, and a mask of
+        the pairs that are edges: one lookup of their `pair_codes` in
+        edge_codes().  A pair with an end outside the label space is no
+        edge; a loop or a label that is not an integer raises
+        ParameterError."""
+        codes, inside = pair_codes(a, b, self.n)
+        at, found = find_codes(self.edge_codes(), codes)
+        return at, found & inside
 
     def find_edges(self, pairs: Iterable[Edge]
                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Row of each pair in edge_array() (either orientation), and a
-        mask of the pairs that are edges; a pair with an end outside the
-        label space is no edge.  Loops raise ParameterError."""
-        rows = _pair_rows(pairs)
-        # outside the label space a code could alias an edge's code
-        inside = (rows[:, 0] >= 0) & (rows[:, 1] < self.n)
-        at, found = find_codes(self.edge_codes(), _codes(rows, self.n))
-        return at, found & inside
+        """find_pairs for `pairs`, an (m, 2) array or an iterable of
+        (u, v) pairs; an item of another length raises ParameterError,
+        a ValueError."""
+        rows = pair_array(pairs)
+        return self.find_pairs(rows[:, 0], rows[:, 1])
 
     def colour_array(self) -> np.ndarray:
         """Colours aligned with edge_array() rows, read-only."""
@@ -377,23 +431,18 @@ class ColouredGraph:
             raise ParameterError("vertex labels must be nonnegative")
         n = max([self.n] + [v + 1 for v in new])
         vs = self.vertex_set | new
-        extra = _pair_rows(edges)
-        inside = np.zeros(n, dtype=bool)
-        inside[list(vs)] = True
-        if len(extra) and not (0 <= extra.min() and extra.max() < n
-                               and inside[extra].all()):
-            raise ParameterError("an added edge leaves the vertex set")
+        add = _codes_within(edges, n, vs)
         # merge the new rows into the sorted old ones, no full re-sort: as
         # 16-byte records, a 1-D insert copies the old rows between the
         # insertion points and writes each new row in its place
-        codes = self.edge_codes() if n == self.n else _codes(self._rows, n)
-        add, first = np.unique(_codes(extra, n), return_index=True)
-        fresh = ~find_codes(codes, add)[1]
+        codes = self.edge_codes() if n == self.n \
+            else edge_code(self._rows[:, 0], self._rows[:, 1], n)
+        add = add[~find_codes(codes, add)[1]]
         record = np.dtype((np.void, 16))
         merged = np.insert(
             np.ascontiguousarray(self._rows).view(record).ravel(),
-            np.searchsorted(codes, add[fresh]),
-            np.ascontiguousarray(extra[first[fresh]]).view(record).ravel())
+            np.searchsorted(codes, add),
+            pair_ends(add, n).view(record).ravel())
         return ColouredGraph._from_rows(
             n, merged.view(np.int64).reshape(-1, 2), vertex_set=vs)
 

@@ -363,7 +363,7 @@ def _trial_many_colours(config: TrialConfig, src: RandomSource,
     col = uniform_colouring(g, n, src.substream("colour"))
     a_count = int(round(config.alpha * n))
     if per_vertex:
-        at, hit = col.find_edges([(0, w) for w in range(1, order)])
+        at, hit = col.find_pairs(0, range(1, order))
         at_u = set(col.colour_array()[at[hit]].tolist())
         got = sum(1 for c in at_u if c < a_count)
         bound = float(config.d)

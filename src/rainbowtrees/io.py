@@ -8,7 +8,7 @@ deterministic, so write-read-write round trips are byte-identical.
 from __future__ import annotations
 
 from .errors import FormatError
-from .graphs import ColouredGraph
+from .graphs import ColouredGraph, canonical_edge
 
 
 def format_edge_list(graph: ColouredGraph) -> str:
@@ -56,7 +56,7 @@ def parse_edge_list(text: str) -> ColouredGraph:
             raise FormatError("self-loop at vertex %d" % u, line=no)
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError("vertex outside [0, %d) in %r" % (n, raw), line=no)
-        e = (u, v) if u < v else (v, u)
+        e = canonical_edge(u, v)
         if e in seen:
             raise FormatError("duplicate edge (%d, %d)" % e, line=no)
         seen.add(e)

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import ParameterError, StageFailure
+from .graphs import Edge, canonical_edge
 from .rng import RandomSource
-
-Edge = Tuple[int, int]
-
-
-def _canon(u: int, v: int) -> Edge:
-    if u == v:
-        raise ParameterError("tree edge with equal endpoints: %d" % u)
-    return (u, v) if u < v else (v, u)
 
 
 class Tree:
@@ -37,7 +30,7 @@ class Tree:
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[Edge], d: int):
         self.nodes = frozenset(int(v) for v in nodes)
-        self.edges = frozenset(_canon(u, v) for u, v in edges)
+        self.edges = frozenset(canonical_edge(u, v) for u, v in edges)
         self.d = int(d)
         if not self.nodes:
             raise ParameterError("a tree needs at least one node")
@@ -109,24 +102,6 @@ class Tree:
             raise ParameterError("subtree nodes must belong to the tree")
         es = [e for e in self.edges if e[0] in ns and e[1] in ns]
         return Tree(ns, es, self.d if d is None else d)
-
-    def relabel(self, mapping) -> "Tree":
-        """The same tree with every node v renamed to mapping[v].
-
-        The mapping must be injective on the nodes; the renamed copy is
-        a tree again, so only that is checked, not degrees or
-        connectivity."""
-        new = {v: int(mapping[v]) for v in self.nodes}
-        nodes = frozenset(new.values())
-        if len(nodes) != len(self.nodes):
-            raise ParameterError("relabelling is not injective on the nodes")
-        out = object.__new__(Tree)
-        out.nodes = nodes
-        out.edges = frozenset(_canon(new[u], new[v]) for u, v in self.edges)
-        out.d = self.d
-        out._adj = {new[v]: tuple(sorted(new[u] for u in ns))
-                    for v, ns in self._adj.items()}
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, Tree) and self.nodes == other.nodes

@@ -225,21 +225,21 @@ def test_seed_slice_matches_its_slice_graph():
             g = slice_graph(h)
             want = [(min(x, y), max(x, y)) in g.edges
                     for x, y in zip(a.tolist(), b.tolist())]
-            assert h.has(a, b).tolist() == want
-            assert h.has(b, a).tolist() == want
+            assert (h.pair_labels(a, b) == h.j).tolist() == want
+            assert (h.pair_labels(b, a) == h.j).tolist() == want
             assert h.edges == g.edges
             assert h.min_degree() == g.min_degree()
             # a scalar against an array: every pair at one vertex
             x, y = next(iter(g.edges))
             others = [w for w in range(n) if w != x]
-            assert h.has(x, others).tolist() == [
+            assert (h.pair_labels(x, others) == h.j).tolist() == [
                 (min(x, w), max(x, w)) in g.edges for w in others]
-            assert h.has(x, y).tolist() == [True]
-            assert h.has([], y).tolist() == []
+            assert (h.pair_labels(x, y) == h.j).tolist() == [True]
+            assert (h.pair_labels([], y) == h.j).tolist() == []
             with pytest.raises(ParameterError):
-                h.has([x, y], [y, y])
+                h.pair_labels([x, y], [y, y])
             with pytest.raises(ParameterError):
-                h.has(x, x)
+                h.pair_labels(x, x)
 
 
 # -- anchor pools ----------------------------------------------------------

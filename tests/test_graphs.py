@@ -1,5 +1,6 @@
 """Graph core: generators, colourings, perturbation, basic predicates."""
 
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,8 @@ import pytest
 from rainbowtrees import (ColouredGraph, ParameterError, RandomSource,
                           complete_graph, gen_gnp, gen_seed_graph, perturb,
                           uniform_colouring)
+from rainbowtrees.absorption import partition_edge_set
+from rainbowtrees.exposure import ExposureOracle
 from rainbowtrees.graphs import (SEED_KINDS, _class_graph, find_codes,
                                  seed_plan)
 
@@ -501,3 +504,51 @@ def test_edge_lookup_matches_isin():
                 lookup(bad)
     with pytest.raises(ParameterError):
         g.find_edges(np.array([[0, 1], [2, 2]]))
+
+
+def test_every_pair_entry_point_checks_pairs_alike():
+    """The same pairs through every entry point that takes vertex pairs.
+    A reversed pair gets its canonical twin's answer, and so does one
+    with integral float labels; a loop or a label that is not an
+    integer raises ParameterError everywhere; a pair with an end
+    outside range(n), including ones whose code u * n + v aliases an
+    edge's, is a non-edge for the graph lookups and a ParameterError
+    for the oracle."""
+    n = 6
+    g = complete_graph(n)
+    part = partition_edge_set(g, np.empty((0, 2), dtype=np.int64), 1, 0.5,
+                              RandomSource(67))[0]
+    book = ExposureOracle(n, 32, 0.5, RandomSource(68))
+    every = list(itertools.combinations(range(n), 2))
+    book.record_block(range(n), every, range(len(every)), 1)
+
+    def recorded(u, v):
+        o = ExposureOracle(n, 32, 0.5, RandomSource(68))
+        o.record_block(range(n), [(u, v)], [7], 1)
+        return o._colour
+
+    # each entry point, its answer on (1, 4), and on a non-edge
+    table = [
+        (lambda u, v: g.find_edges([(u, v)])[1].tolist()
+         + g.find_edges(np.array([[u, v]]))[1].tolist(),
+         [True, True], [False, False]),
+        (lambda u, v: g.find_pairs(u, v)[1].tolist(), [True], [False]),
+        (lambda u, v: part.pair_labels([u], v).tolist(), [0], [-1]),
+        (lambda u, v: book.colours_of([(u, v)]), [every.index((1, 4))],
+         None),
+        (recorded, {1 * n + 4: 7}, None),
+    ]
+    for ask, hit, miss in table:
+        for pair in [(1, 4), (4, 1), (4.0, 1), (np.int32(1), 4.0)]:
+            assert ask(*pair) == hit
+        for bad in [(2, 2), (2.0, 2), (0, 1.5), (1.5, 0), (0.2, 1.9),
+                    (3, np.nan)]:
+            with pytest.raises(ParameterError):
+                ask(*bad)
+        # (-1, 8) and (9, 1) have the codes of the edges (0, 2), (2, 3)
+        for outside in [(-1, 8), (9, 1), (0, n), (-2, 3)]:
+            if miss is None:
+                with pytest.raises(ParameterError):
+                    ask(*outside)
+            else:
+                assert ask(*outside) == miss

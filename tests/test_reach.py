@@ -106,3 +106,31 @@ def test_the_slicing_counts_degrees_through_the_graph():
     fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
               and node.name == "partition_edge_set")
     assert "degrees_where" in _read(fn)
+
+
+def _function(tree, *path):
+    """The function definition at `path` (a top-level name, or a class
+    and one of its methods) in a module's tree."""
+    body = tree.body
+    for name in path:
+        node = next(node for node in body if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        body = node.body
+    return node
+
+
+def test_pair_codes_are_decided_in_graphs_alone():
+    """graphs.py checks, orders, encodes and decodes vertex pairs; no
+    other module reads its private row and code helpers or looks codes
+    up itself, and the pair questions of absorption, exposure and the
+    image audit go through its kernel."""
+    trees = _trees()
+    private = {"_codes", "_pair_rows", "find_codes"}
+    for module, tree in trees.items():
+        if module != "graphs":
+            assert not _read(tree) & private, module
+    kernel = {"pair_codes", "find_pairs"}
+    for module, *path in [("absorption", "SeedSlice", "pair_labels"),
+                          ("exposure", "ExposureOracle", "colours_of"),
+                          ("embedding", "_audit_image")]:
+        assert _read(_function(trees[module], *path)) & kernel, path

@@ -22,21 +22,6 @@ def test_tree_validation():
         Tree(range(4), [(0, 1), (0, 2), (0, 3)], 2)  # degree bound
 
 
-def test_relabel_matches_construction():
-    for t in range(10):
-        tree = gen_random_bounded_tree(25, 3, RandomSource(74, t))
-        mapping = {v: 1000 - 7 * v for v in tree.nodes}
-        want = Tree((mapping[v] for v in tree.nodes),
-                    ((mapping[a], mapping[b]) for a, b in tree.edges), 3)
-        got = tree.relabel(mapping)
-        assert got == want and got.d == want.d
-        for v in want.nodes:
-            assert got.neighbours(v) == want.neighbours(v)
-        assert got.bfs_order() == want.bfs_order()
-    with pytest.raises(ParameterError):
-        path_tree(4).relabel({0: 5, 1: 6, 2: 5, 3: 7})
-
-
 def test_gen_random_bounded_tree_small():
     assert gen_random_bounded_tree(1, 2, RandomSource(1)).m == 1
     t2 = gen_random_bounded_tree(2, 2, RandomSource(1))
