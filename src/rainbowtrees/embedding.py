@@ -12,18 +12,18 @@ through an exposure oracle, so audits can confirm the procedure never
 consulted an edge or colour before the stage that reveals it.
 
 The oracle is the pipeline's one colour book: an image edge takes the
-colour the oracle revealed for it, and the free, reservoir and used
-colour sets are derived from the image's colours.  `_audit_image`
-(injective placement, every tree edge imaged and present, one distinct
-colour per edge) is the one audit of the image, here and at the end of
-the spanning pipeline.
+colour the oracle revealed for it, and the free and fresh reservoir
+colours are read off one palette mask of the image's colours.
+`_audit_image` (injective placement, every tree edge imaged and present,
+one distinct colour per edge) is the one audit of the image, here and at
+the end of the spanning pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from numbers import Real
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -231,12 +231,23 @@ def derive_parameters(eps: float, d: int, n: int, *,
 # rooted embedding, level by level
 
 
-def _match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
+def _left_order(nodes: Sequence[int]) -> List[int]:
+    """Positions in `nodes` in the iteration order of the set of (0, v)
+    tuples, the order in which networkx's bipartite.sets hands left nodes
+    to its Hopcroft-Karp (int tuples hash alike in every process)."""
+    at = {v: j for j, v in enumerate(nodes)}
+    return [at[v] for _, v in set((0, v) for v in nodes)]
+
+
+def _match_level(nodes, left, cand, gen) -> Optional[Dict[int, int]]:
     """Assign every node a distinct host from its candidate list.
 
-    The nodes draw in a shuffled order, each a shuffled copy of its
-    candidate list (siblings may share one list), so that a rerun can
-    land on a different maximum matching.  Returns None when some node
+    `cand[j]` is the candidate list of `nodes[j]` (siblings may share
+    one list object), and `left` is `_left_order(nodes)`.  The nodes draw
+    in a shuffled order, each a shuffled copy of its candidate list, so
+    that a rerun can land on a different maximum matching; a list of
+    fewer than two hosts is kept as it is, as its shuffle draws nothing.
+    Returns {node: host} in the order of `nodes`, or None when some node
     stays unmatched: its list is empty, or no maximum matching covers it.
 
     This is Hopcroft and Karp's algorithm.  The right nodes are the host
@@ -245,19 +256,17 @@ def _match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
     at layer 0, so a search can only step to a free host: each node, in
     left order, takes the first free host of its list.  The layered
     phases run only while some node is still free.  Left nodes come in
-    the iteration order of the set of (0, v) tuples, as networkx's
-    bipartite.sets hands them to its Hopcroft-Karp (int tuples hash alike
-    in every process), so the matching is the one networkx finds on the
+    networkx's order, so the matching is the one networkx finds on the
     same draws.
     """
-    order = list(nodes)
+    order = list(range(len(nodes)))
     gen.shuffle(order)
-    shuffled = {}
-    for v in order:
-        shuffled[v] = ws = list(cand[v])
-        gen.shuffle(ws)
-    left = [v for _, v in set((0, v) for v in nodes)]
-    nbrs = [shuffled[v] for v in left]
+    shuffled = list(cand)
+    for j in order:
+        if len(cand[j]) > 1:
+            shuffled[j] = ws = list(cand[j])
+            gen.shuffle(ws)
+    nbrs = [shuffled[j] for j in left]
     if not all(nbrs):
         return None
     size = len(left)
@@ -289,8 +298,10 @@ def _match_level(nodes, cand, gen) -> Optional[Dict[int, int]]:
         for i in range(size):
             if mate_l[i] is None:
                 _augment_from(i, nbrs, mate_l, mate_r, dist, inf)
-    at = dict(zip(left, mate_l))
-    return {v: at[v] for v in nodes}
+    hosts = [0] * size
+    for j, w in zip(left, mate_l):
+        hosts[j] = w
+    return dict(zip(nodes, hosts))
 
 
 def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> None:
@@ -326,7 +337,28 @@ def _augment_from(root, nbrs, mate_l, mate_r, dist, inf) -> None:
         return
 
 
-def _embed_pass(levels, parent, demand, adj, gen,
+def _level_plan(parent, demand, root) -> List[tuple]:
+    """The tree's BFS levels, root first, as every pass reads them: for
+    each level a tuple of its nodes, their `_left_order`, its sibling
+    groups as (parent node, demand) pairs, and each node's group index.
+    `parent` lists every node after its parent, the root first."""
+    depth = {root: 0}
+    by_depth: List[List[int]] = [[root]]
+    for v, u in islice(parent.items(), 1, None):
+        depth[v] = k = depth[u] + 1
+        if k == len(by_depth):
+            by_depth.append([])
+        by_depth[k].append(v)
+    plan = []
+    for nodes in by_depth:
+        group: Dict[Tuple[int, int], int] = {}
+        group_of = [group.setdefault((parent[v], demand[v]), len(group))
+                    for v in nodes]
+        plan.append((nodes, _left_order(nodes), list(group), group_of))
+    return plan
+
+
+def _embed_pass(plan, adj, free_start, pool, gen,
                 root_vertex) -> Tuple[Optional[Dict[int, int]], int]:
     """One full attempt at a level-synchronous embedding.
 
@@ -336,55 +368,39 @@ def _embed_pass(levels, parent, demand, adj, gen,
     neighbours as the node has children, so the next level is never
     doomed by an obviously starved choice.  When a level cannot be
     perfectly matched, the previous level's matching is redrawn up to
-    4 times before the pass gives up.  Returns (image or None,
-    nodes placed in the deepest attempt).
+    4 times before the pass gives up.  `plan` is the tree's
+    `_level_plan`, `free_start` holds every host's neighbour count, and
+    `pool` the sorted hosts the root may take when `root_vertex` is
+    None.  Returns (image or None, nodes placed in the deepest attempt).
     """
-    root = levels[0][0]
-    free = {w: len(adj[w]) for w in adj}
-
-    def take(w: int) -> None:
-        used.add(w)
-        for u in adj[w]:
-            free[u] -= 1
-
-    def give_back(w: int) -> None:
-        used.discard(w)
-        for u in adj[w]:
-            free[u] += 1
-
-    image: Dict[int, int] = {}
-    used: set = set()
+    free = dict(free_start)
     if root_vertex is not None:
         r = root_vertex
     else:
-        pool = [w for w in adj if free[w] >= demand[root]]
         if not pool:
             return None, 0
-        pool.sort()
         r = pool[int(gen.integers(len(pool)))]
-    image[root] = r
-    take(r)
-
-    def candidates(level) -> Dict[int, List[int]]:
-        # one list per sibling group: (parent's image, demand)
-        lists: Dict[Tuple[int, int], List[int]] = {}
-        for v in level:
-            key = (image[parent[v]], demand[v])
-            if key not in lists:
-                lists[key] = [w for w in adj[key[0]]
-                              if w not in used and free[w] >= key[1]]
-        return {v: lists[image[parent[v]], demand[v]] for v in level}
+    (root,) = plan[0][0]
+    image = {root: r}
+    used = {r}
+    for u in adj[r]:
+        free[u] -= 1
 
     placed_best = 1
     i = 1
-    tries_left = {i: 4 for i in range(1, len(levels))}
-    while i < len(levels):
-        level = levels[i]
-        placed = _match_level(level, candidates(level), gen)
+    tries_left = [4] * len(plan)
+    while i < len(plan):
+        nodes, left, groups, group_of = plan[i]
+        # one candidate list per sibling group
+        lists = [[w for w in adj[image[u]] if w not in used and free[w] >= k]
+                 for u, k in groups]
+        placed = _match_level(nodes, left, [lists[g] for g in group_of], gen)
         if placed is not None:
-            for v, w in placed.items():
-                image[v] = w
-                take(w)
+            image.update(placed)
+            for w in placed.values():
+                used.add(w)
+                for u in adj[w]:
+                    free[u] -= 1
             placed_best = max(placed_best, len(image))
             i += 1
             continue
@@ -393,9 +409,12 @@ def _embed_pass(levels, parent, demand, adj, gen,
         if i == 1 or tries_left[i] <= 0:
             return None, placed_best
         tries_left[i] -= 1
-        for v in levels[i - 1]:
-            give_back(image.pop(v))
         i -= 1
+        for v in plan[i][0]:
+            w = image.pop(v)
+            used.discard(w)
+            for u in adj[w]:
+                free[u] += 1
     return image, placed_best
 
 
@@ -413,7 +432,9 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
     them is an honest failure, not an error; its message names a budget
     of 60 level matchings per tree level.  Every child is matched among the
     unused neighbours of its parent's image, so a returned image is an
-    injective embedding by construction.
+    injective embedding by construction.  What the passes share (the
+    level plan, the hosts' neighbour counts, the root's pool) is built
+    once per call.
     """
     if root_node not in tree.nodes:
         raise ParameterError("root node %r not in the tree" % (root_node,))
@@ -425,29 +446,25 @@ def embed_rooted_tree(host: ColouredGraph, tree: Tree, root_node: int,
 
     gen = source.generator()
     parent = tree.parent_map(root_node)
-    order = list(parent)
     adj = host.adjacency()
 
-    demand = {v: 0 for v in tree.nodes}
-    for v in order[1:]:
-        demand[parent[v]] += 1
-    depth = {root_node: 0}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    levels: List[List[int]] = [[] for _ in range(1 + max(depth.values()))]
-    for v in order:
-        levels[depth[v]].append(v)
+    demand = dict.fromkeys(parent, 0)
+    for u in islice(parent.values(), 1, None):
+        demand[u] += 1
+    plan = _level_plan(parent, demand, root_node)
+    free = {w: len(ws) for w, ws in adj.items()}
+    pool = None if root_vertex is not None else \
+        sorted(w for w in adj if free[w] >= demand[root_node])
 
     best = 0
     for _ in range(30):
-        image, reached = _embed_pass(levels, parent, demand, adj, gen,
-                                     root_vertex)
+        image, reached = _embed_pass(plan, adj, free, pool, gen, root_vertex)
         best = max(best, reached)
         if image is not None:
             return image
     raise EmbedFailure(
         "no embedding within budget %d: best attempt placed %d of %d"
-        % (60 * len(levels), best, tree.m), placed=best, total=tree.m)
+        % (60 * len(plan), best, tree.m), placed=best, total=tree.m)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +636,11 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
 
     # disjoint consecutive blocks, one per piece; in balanced mode the
     # block and edge budget are chosen together against the projected
-    # colour supply (earlier pieces consume one colour per tree edge)
+    # colour supply (earlier pieces consume one colour per tree edge); the
+    # reservoir is colours 0 .. reservoir_n - 1
+    reservoir_n = min(params.reservoir_size, palette_size)
     if params.m_mode == "balanced":
         sizes, budgets = [], []
-        reservoir_n = min(params.reservoir_size, palette_size)
         q_free = palette_size - reservoir_n
         # rooted pieces need the root to see ~4 reservoir-coloured edges
         rooted_min = 0
@@ -647,17 +665,20 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
     offsets = [0]
     for size in sizes[:-1]:
         offsets.append(offsets[-1] + size)
-    blocks = [tuple(range(offsets[i], offsets[i] + sizes[i]))
-              for i in range(s)]
+    blocks = [range(offsets[i], offsets[i] + sizes[i]) for i in range(s)]
 
     # the oracle is the one colour book: an image edge takes the colour
-    # the oracle revealed for it, and the colour sets below are derived
-    # from the image's colours
-    reservoir = frozenset(range(min(params.reservoir_size, palette_size)))
+    # the oracle revealed for it, and `unspent` marks the colours no
+    # image edge carries; the free colours are the unspent ones above the
+    # reservoir
+    unspent = np.ones(palette_size, dtype=bool)
     edge_colours: Dict[Pair, int] = {}
     placement: Dict[int, int] = {}
     hypothesis_met = True
     quota = (d + 2) * (d + 2)
+
+    def reservoir_used() -> FrozenSet[int]:
+        return frozenset(np.flatnonzero(~unspent[:reservoir_n]).tolist())
 
     def failure(stage: str, detail: str, **counts) -> AlmostSpanningResult:
         """Trace the failed step of piece `stage_no` and close the run."""
@@ -667,16 +688,14 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
             success=False, stage=stage, detail=detail, trace=tuple(trace),
             embedding=None, edge_colours={}, params=params,
             hypothesis_met=hypothesis_met, regime=regime,
-            reservoir_used=reservoir & set(edge_colours.values()),
-            oracle=oracle)
+            reservoir_used=reservoir_used(), oracle=oracle)
 
     for i in range(s):
         stage_no = i + 1
         piece_tree = roots.augmented_trees[i]
         block = blocks[i]
-        used = set(edge_colours.values())
 
-        available = frozenset(range(palette_size)) - used - reservoir
+        available = reservoir_n + np.flatnonzero(unspent[reservoir_n:])
         if len(available) < (eps - params.rho) * n - 1e-9:
             return failure("available-colours",
                            "only %d colours available at stage %d"
@@ -732,9 +751,10 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
             else:
                 root_node = decomposition.piece_root(i)
                 root_vertex = placement[root_node]
-                pool = select_root_edges(root_vertex, sub, oracle,
-                                         reservoir - used, quota,
-                                         stage=stage_no)
+                pool = select_root_edges(
+                    root_vertex, sub, oracle,
+                    np.flatnonzero(unspent[:reservoir_n]), quota,
+                    stage=stage_no)
                 # a short pool can still carry the piece if it covers the
                 # root's child count; below that the stage is hopeless
                 children = piece_tree.degree(root_node)
@@ -763,7 +783,9 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         placement.update(mapping)
         pairs = [canonical_edge(mapping[x], mapping[y])
                  for x, y in piece_tree.edges]
-        edge_colours.update(zip(pairs, oracle.colours_of(pairs)))
+        colours = oracle.colours_of(pairs)
+        edge_colours.update(zip(pairs, colours))
+        unspent[colours] = False
         _trace(trace, "embed-%d" % stage_no, True, placed=piece_tree.m)
 
     _audit_image(tree, placement, edge_colours, oracle)
@@ -771,4 +793,4 @@ def embed_almost_spanning(n: int, p: float, palette_size: int, tree: Tree,
         success=True, stage=None, detail=None, trace=tuple(trace),
         embedding=placement, edge_colours=edge_colours, params=params,
         hypothesis_met=hypothesis_met, regime=regime,
-        reservoir_used=reservoir & set(edge_colours.values()), oracle=oracle)
+        reservoir_used=reservoir_used(), oracle=oracle)

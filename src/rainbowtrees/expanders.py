@@ -386,13 +386,16 @@ def sparsify(block: Iterable[int], p: float, palette_size: int,
     of canonical (u < v) rows in lexicographic order, and "colours",
     their colours as an aligned int64 array, so a caller tracking edge
     exposure can hand them to `ExposureOracle.record_block` as they are.
-    The draw itself is unchanged.
+    The draw itself is unchanged.  `allowed` may be any iterable of
+    colours; an integer array is read as it is.
     """
     verts = sorted(set(int(v) for v in block))
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
     # ok[c]: colour c is allowed
-    picks = np.fromiter(allowed, dtype=np.int64)
+    picks = (np.asarray(allowed, dtype=np.int64)
+             if isinstance(allowed, np.ndarray)
+             else np.fromiter(allowed, dtype=np.int64))
     if len(picks) and not 0 <= picks.min() <= picks.max() < palette_size:
         raise ParameterError("allowed colours must lie in the palette")
     ok = np.zeros(palette_size, dtype=bool)

@@ -80,9 +80,13 @@ class ExposureOracle:
     def _norm(self, pair) -> Tuple[Pair, int]:
         """The canonical pair (u < v) and its pair code; a loop, a label
         that is not an integer or one outside range(n) raises
-        ParameterError."""
-        u, v = int(pair[0]), int(pair[1])
-        if u != pair[0] or v != pair[1]:
+        ParameterError, as `pair_codes` does for the same labels."""
+        try:
+            u, v = int(pair[0]), int(pair[1])
+            whole = u == pair[0] and v == pair[1]
+        except (ValueError, OverflowError):           # nan, inf, -inf
+            whole = False
+        if not whole:
             raise ParameterError("pair %r has a label that is not an "
                                  "integer" % (tuple(pair),))
         key = canonical_edge(u, v)
@@ -310,9 +314,6 @@ class ExposureOracle:
             raise ExposureError(
                 "exposure touched vertices %s before their stage"
                 % sorted(set(overlap.tolist()))[:8])
-
-    def colour_exposure_count(self) -> int:
-        return len(self._colour)
 
     # -- label transport ---------------------------------------------------
 

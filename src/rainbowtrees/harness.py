@@ -159,8 +159,10 @@ class TrialConfig:
         return self._entry().tree_size(self)
 
     def digest(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
-                          separators=(",", ":"), default=str)
+        """A 16-hex-digit hash of every field, the `config_hash` of each
+        of the config's trial records."""
+        blob = json.dumps(vars(self), sort_keys=True, separators=(",", ":"),
+                          default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     # -- validation ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from rainbowtrees import (ColouredGraph, EmbedFailure, InfeasibleParameters,
 from rainbowtrees.exposure import ExposureError, ExposureOracle
 
 from rainbowtrees.absorption import absorb_leftovers
-from rainbowtrees.embedding import _audit_image, _match_level
+from rainbowtrees.embedding import _audit_image, _left_order, _match_level
 
 from oracles import (check_almost_spanning_result, check_embedding,
                      reference_match_level)
@@ -175,6 +176,47 @@ def test_embed_random_trees_into_gnp():
     assert placed >= 17
 
 
+def test_embed_rooted_tree_slow_paths_pinned(monkeypatch):
+    # tight G(n, p) hosts where the embedding redraws a level within its
+    # first pass, restarts after a failed pass, and runs out of passes;
+    # the images and the failure message are pinned by a hash
+    from rainbowtrees import embedding, gen_gnp
+
+    seen = {"passes": 0, "unmatched": 0}
+    match, one_pass = embedding._match_level, embedding._embed_pass
+
+    def counted_match(*args):
+        got = match(*args)
+        seen["unmatched"] += got is None
+        return got
+
+    def counted_pass(*args):
+        seen["passes"] += 1
+        return one_pass(*args)
+
+    monkeypatch.setattr(embedding, "_match_level", counted_match)
+    monkeypatch.setattr(embedding, "_embed_pass", counted_pass)
+    cases = [  # n, p, tree order, seed, passes, hash
+        (40, 0.12, 30, 0, 1, "47a9f667a8d6a30f"),     # one level redrawn
+        (40, 0.12, 30, 5, 2, "6c4f822a8528a8ff"),     # a failed pass
+        (50, 0.10, 40, 11, 30, "5625e5d3fc619ed8"),   # EmbedFailure
+    ]
+    for n, p, m, seed, passes, want in cases:
+        seen.update(passes=0, unmatched=0)
+        host = gen_gnp(n, p, RandomSource(900 + n, seed))
+        tree = gen_random_bounded_tree(m, 3, RandomSource(901 + n, seed))
+        try:
+            out = sorted(embed_rooted_tree(
+                host, tree, min(tree.nodes),
+                source=RandomSource(902 + n, seed)).items())
+            check_embedding(host, tree, dict(out))
+        except EmbedFailure as exc:
+            out = str(exc)
+        assert seen["passes"] == passes and seen["unmatched"] > 0
+        got = hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
+        assert got == want, (n, seed, out)
+
+
 def _greedy_leaves_a_node_free(nodes, cand, gen) -> bool:
     """Replay the level's draws, then let each node, in the order of the
     set of (0, v) tuples, take the first untaken host of its shuffled
@@ -200,6 +242,8 @@ def test_match_level_matches_networkx():
     # of siblings share one list object.  Both matchers, and a greedy
     # replay of the first phase, draw from generators in the same state;
     # the two matchers must leave theirs alike and the lists unchanged.
+    # Ours takes the lists in the order of `nodes` and the left order
+    # from `_left_order`, as the level plan hands them over.
     import numpy as np
 
     outcomes = set()
@@ -224,7 +268,8 @@ def test_match_level_matches_networkx():
             cand[v] = ws
         before = {v: list(ws) for v, ws in cand.items()}
         ours, ref, replay = (np.random.default_rng([72, t]) for _ in range(3))
-        got = _match_level(nodes, cand, ours)
+        got = _match_level(nodes, _left_order(nodes),
+                           [cand[v] for v in nodes], ours)
         assert got == reference_match_level(nodes, cand, ref)
         assert ours.bit_generator.state == ref.bit_generator.state
         assert cand == before
@@ -278,7 +323,7 @@ def test_select_root_edges_short_pool():
 def test_select_root_edges_nothing_present():
     oracle = ExposureOracle(30, 8, 0.0, RandomSource(12))
     assert select_root_edges(0, vertices(1, 30), oracle, range(8), 1) == ()
-    assert oracle.colour_exposure_count() == 0
+    assert oracle.colour_exposed_at(0) == ()
 
 
 def test_select_root_edges_root_inside_host():
@@ -290,8 +335,8 @@ def test_select_root_edges_root_inside_host():
 def test_select_root_edges_colour_only_for_present():
     oracle = ExposureOracle(60, 6, 0.4, RandomSource(14))
     select_root_edges(0, vertices(1, 60), oracle, range(6), 6)
-    present = sum(oracle.presence_of((0, v)) for v in range(1, 60))
-    assert oracle.colour_exposure_count() == present
+    present = tuple(v for v in range(1, 60) if oracle.presence_of((0, v)))
+    assert oracle.colour_exposed_at(0) == present
 
 
 # -- the pipeline -------------------------------------------------------------

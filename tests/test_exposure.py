@@ -541,6 +541,29 @@ def test_colours_of_reads_the_book_at_once():
     assert o.ledger == ledger                          # reads reveal nothing
 
 
+def test_single_pair_entries_reject_labels_that_are_not_integers():
+    # the scalar path raises ParameterError where the vectorised one does,
+    # also for the labels int() cannot convert
+    from rainbowtrees.graphs import pair_codes
+
+    o = make(n=8)
+    o.expose_presence((0, 1))
+    o.expose_colour((0, 1))
+    ledger = list(o.ledger)
+    nan, inf = float("nan"), float("inf")
+    for bad in [(0, nan), (nan, 1), (0, inf), (inf, 1), (0, -inf),
+                (np.float64(nan), 1), (nan, inf), (0, 1.5)]:
+        for ask in (o.expose_presence, o.expose_colour, o.presence_of,
+                    o.colour_of, o.presence_exposed, o.colour_exposed):
+            with pytest.raises(ParameterError):
+                ask(bad)
+        with pytest.raises(ParameterError):
+            o.colours_of([bad])
+        with pytest.raises(ParameterError):
+            pair_codes(*bad, 8)
+    assert o.ledger == ledger
+
+
 def test_apply_permutation_validates():
     o = make(n=4)
     with pytest.raises(ParameterError):
@@ -558,8 +581,10 @@ def test_apply_permutation_validates():
 
 
 def test_exposure_counts():
+    # the colour book, counted through the pairs it lists at each vertex
     o = make(n=12)
-    assert o.colour_exposure_count() == 0
+    assert sum(len(o.colour_exposed_at(u)) for u in range(12)) == 0
     o.expose_colour((0, 1))
-    o.expose_colour((5, 7))
-    assert o.colour_exposure_count() == 2
+    o.expose_colour((7, 5))
+    assert sum(len(o.colour_exposed_at(u)) for u in range(12)) == 2 * 2
+    assert o.colour_exposed_at(5) == (7,) and o.colour_exposed_at(1) == (0,)

@@ -239,6 +239,21 @@ def test_config_digest_tracks_content():
     assert len(a.digest()) == 16
 
 
+def test_config_digest_is_pinned():
+    # the digest is every record's config_hash: a cheaper way to compute
+    # it must hash the same fields to the same value
+    bare = TrialConfig(kind="rainbow-st", n=300, p=300 ** -1.5,
+                       palette_size=299, delta=0.4, trials=3, base_seed=17)
+    knobbed = TrialConfig(kind="almost-spanning", n=2000, eps=0.25, d=3,
+                          tree_frac=0.08, trials=1,
+                          knobs={"beta": 0.12, "m_mode": "balanced",
+                                 "expander_c_mode": "density"})
+    assert bare.digest() == "226b5202bafd0495"
+    assert knobbed.digest() == "4aec96398fbab6e8"
+    small = dataclasses.replace(bare, n=12, p=0.9, palette_size=11, trials=1)
+    assert run_trials(small)[0].config_hash == small.digest()
+
+
 # -- run_trials ---------------------------------------------------------------
 
 

@@ -1,12 +1,14 @@
-"""Every top-level name a module of the package defines is read somewhere
-else in the package.
+"""Every top-level name a module of the package defines, and every
+method of its classes, is read somewhere else in the package.
 
-A function, class or constant that no library path, trial kind or CLI
-command reaches is either dead or kept for the tests alone; either way it
-should be a decision, not drift.  A name counts as reached when a name or
-attribute with its spelling is read in a package module other than
-`__init__.py` (whose imports are re-exports), outside the name's own
-definition.  The names below are kept on purpose, each for its reason.
+A function, class, constant or method that no library path, trial kind or
+CLI command reaches is either dead or kept for the tests alone; either
+way it should be a decision, not drift.  A name counts as reached when a
+name or attribute with its spelling is read in a package module other
+than `__init__.py` (whose imports are re-exports), outside the name's own
+definition; a method is named module.Class.method, and dunder methods,
+which Python calls, are left out.  The names below are kept on purpose,
+each for its reason.
 """
 
 import ast
@@ -32,6 +34,27 @@ KEPT = {
     "absorption.select_fresh_part":
         "the fresh-slice question on its own; absorb_step asks it together "
         "with the leak check",
+}
+
+KEPT_METHODS = {
+    "exposure.ExposureOracle.presence_of":
+        "one pair's revealed presence; perfbench's output check reads it",
+    "exposure.ExposureOracle.colour_of":
+        "one pair's revealed colour; perfbench's output check reads it",
+    "exposure.ExposureOracle.presence_exposed":
+        "the exposure question the tests' audits ask of a step",
+    "exposure.ExposureOracle.colour_exposed":
+        "the exposure question the tests' audits ask of a step",
+    "graphs.ColouredGraph.has_edge":
+        "the one-pair edge question of the graph API; the tests and their "
+        "reference checks ask it",
+    "graphs.ColouredGraph.colour_of":
+        "one edge's colour in the graph API; the tests read it",
+    "graphs.ColouredGraph.is_rainbow":
+        "the rainbow property itself; the tests check it against a naive "
+        "count",
+    "rng._PhiloxKey.generate_state":
+        "the seed protocol numpy's Philox calls to read the key",
 }
 
 
@@ -70,18 +93,31 @@ def _read(node, skip=None):
     return out
 
 
-def _unreached():
+def _methods(tree):
+    """("Class.method", node) for each method of each class a module
+    defines at its top level."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield "%s.%s" % (cls.name, node.name), node
+
+
+def _unreached(defined):
+    """module.label for each (label, node) that `defined` yields whose
+    name, the label's last part, no package code reads outside `node`."""
     trees = _trees()
     out = set()
     for module, tree in trees.items():
-        for name, node in _defined(tree):
+        for label, node in defined(tree):
+            name = label.rpartition(".")[2]
             if name.startswith("__"):
                 continue
             reached = name in _read(tree, skip=node) or any(
                 name in _read(other) for m, other in trees.items()
                 if m != module)
             if not reached:
-                out.add("%s.%s" % (module, name))
+                out.add("%s.%s" % (module, label))
     return out
 
 
@@ -92,13 +128,27 @@ def test_modules_are_found():
     assert {"ColouredGraph", "SEED_KINDS", "complete_graph"} <= names
 
 
-def test_every_top_level_name_is_reached():
-    unreached = _unreached()
-    drift = sorted(unreached - set(KEPT))
+def test_methods_are_found():
+    trees = _trees()
+    methods = {label for label, _ in _methods(trees["exposure"])}
+    assert {"ExposureOracle.record_block", "ExposureOracle._norm"} <= methods
+    assert not any(label.startswith("ExposureError.") for label in methods)
+
+
+def _check_reached(unreached, kept):
+    drift = sorted(unreached - set(kept))
     assert not drift, "no package code reads: %s" % ", ".join(drift)
     # a kept name that gained a reader leaves the list
-    stale = sorted(set(KEPT) - unreached)
+    stale = sorted(set(kept) - unreached)
     assert not stale, "kept names that are reached now: %s" % ", ".join(stale)
+
+
+def test_every_top_level_name_is_reached():
+    _check_reached(_unreached(_defined), KEPT)
+
+
+def test_every_method_is_reached():
+    _check_reached(_unreached(_methods), KEPT_METHODS)
 
 
 def test_the_slicing_counts_degrees_through_the_graph():
